@@ -7,10 +7,13 @@ This bench is that assessment: simulated load time plus *measured*
 compute time for contour generation and rendering, for the baseline and
 NDP paths.
 
-Expected shape: the downstream compute is identical in both paths (same
-geometry, bit-exact), so it dilutes NDP's end-to-end advantage — the
-speedup shrinks toward 1 as compute grows relative to load, which is
-exactly why the paper scoped itself to load time.
+Expected shape: the downstream compute is the same in both paths (same
+geometry, bit-exact; post-filter ~ stock contour), so it dilutes NDP's
+end-to-end advantage — the speedup shrinks toward 1 as compute grows
+relative to load, which is exactly why the paper scoped itself to load
+time.  ``render_share`` says how much of the baseline's end-to-end time
+is the rasteriser: 60-80 % with the batched fragment pass (tens of
+milliseconds), 98-99 % with the per-triangle loop it replaced (seconds).
 """
 
 import time
@@ -22,10 +25,19 @@ from repro.filters import contour_grid
 from repro.render import Scene
 
 
-def _measure(fn):
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0
+def _measure(fn, repeats=3):
+    """Result and fastest wall time of ``fn``.
+
+    The phases are tens of milliseconds now that the rasteriser is
+    batched, so a first call's cold caches and page faults would
+    otherwise bias whichever path runs first.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return result, best
 
 
 def test_ext_end_to_end(benchmark, env):
@@ -55,6 +67,7 @@ def test_ext_end_to_end(benchmark, env):
                 "base_e2e_s": base_total,
                 "ndp_e2e_s": ndp_total,
                 "e2e_speedup": base_total / ndp_total,
+                "render_share": t_render / base_total,
             }
         )
     print_table(

@@ -25,7 +25,9 @@ from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient, Transport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
-SERVER_DELAY_S = 0.1
+# Below the client's per-step work (post-filter + render, ~50 ms at 64^3 now
+# that the rasteriser is batched): only waiting that fits under it can hide.
+SERVER_DELAY_S = 0.03
 N_REQUESTS = 6
 
 

@@ -12,7 +12,11 @@ import pytest
 from repro.compression.lz4 import lz4_compress_block, lz4_decompress_block
 from repro.core.encoding import encode_selection
 from repro.core.prefilter import prefilter_contour
+from repro.filters import contour_grid
 from repro.filters.marching_tets import marching_tetrahedra
+from repro.grid import DataArray, UniformGrid
+from repro.render import Camera
+from repro.render.rasterizer import Framebuffer, rasterize_mesh
 from repro.rpc import RPCClient, RPCServer, pack, unpack
 
 
@@ -48,6 +52,14 @@ def test_micro_lz4_decompress(benchmark, v02_grid):
     assert out == data
 
 
+def test_micro_lz4_decompress_constant_block(benchmark):
+    """One long overlapping match: the store's most compressible blocks."""
+    data = bytes(442_368)
+    block = lz4_compress_block(data)
+    out = benchmark(lambda: lz4_decompress_block(block))
+    assert out == data
+
+
 def test_micro_marching_tets(benchmark, v02_grid):
     field = v02_grid.scalar_field("v02")
     tris = benchmark(lambda: marching_tetrahedra(field, 0.1))
@@ -57,6 +69,27 @@ def test_micro_marching_tets(benchmark, v02_grid):
 def test_micro_prefilter_scan(benchmark, v02_grid):
     sel = benchmark(lambda: prefilter_contour(v02_grid, "v02", [0.1, 0.5, 0.9]))
     assert sel.count > 0
+
+
+@pytest.mark.parametrize("n", [10, 32], ids=["2k", "20k"])
+def test_micro_rasterize(benchmark, n):
+    """A screen-filling sphere contour of ~2 k / ~20 k triangles at 160x120."""
+    zz, yy, xx = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    r = np.sqrt((xx - n / 2) ** 2 + (yy - n / 2) ** 2 + (zz - n / 2) ** 2)
+    grid = UniformGrid((n, n, n))
+    grid.point_data.add(DataArray("r", r.reshape(-1).astype(np.float32)))
+    pd = contour_grid(grid, "r", [0.42 * n])
+    tris = pd.points[pd.triangles()]
+    camera = Camera.fit_bounds(pd.bounds)
+
+    def draw():
+        fb = Framebuffer(160, 120)
+        rasterize_mesh(fb, camera, tris)
+        return fb
+
+    fb = benchmark(draw)
+    benchmark.extra_info["triangles"] = len(tris)
+    assert np.isfinite(fb.depth).sum() > 2_000
 
 
 def test_micro_rpc_round_trip(benchmark):

@@ -19,6 +19,9 @@ The compressor is the reference greedy scheme: a hash table over 4-byte
 windows with the acceleration skip heuristic.  It is written for clarity
 and correctness first; throughput constants used in performance modelling
 come from :mod:`repro.storage.netsim`, not from this pure-Python kernel.
+The decompressor does a constant number of bulk copies per sequence: a
+self-overlapping match is appended as its period repeated, so a
+run-length block costs one sequence, not one step per period.
 """
 
 from __future__ import annotations
@@ -176,6 +179,7 @@ def lz4_decompress_block(block: bytes, max_output: int | None = None) -> bytes:
     src = bytes(block)
     n = len(src)
     out = bytearray()
+    out_len = 0  # == len(out), kept in a local for the per-sequence checks
     i = 0
     while i < n:
         token = src[i]
@@ -192,10 +196,11 @@ def lz4_decompress_block(block: bytes, max_output: int | None = None) -> bytes:
                     break
         if i + lit_len > n:
             raise CodecError("literal run past end of block")
+        out_len += lit_len
+        if max_output is not None and out_len > max_output:
+            raise CodecError(f"output exceeds max_output={max_output}")
         out += src[i : i + lit_len]
         i += lit_len
-        if max_output is not None and len(out) > max_output:
-            raise CodecError(f"output exceeds max_output={max_output}")
         if i == n:
             break  # literals-only terminating sequence
         if i + 2 > n:
@@ -214,22 +219,20 @@ def lz4_decompress_block(block: bytes, max_output: int | None = None) -> bytes:
                 match_len += b
                 if b != 255:
                     break
-        start = len(out) - offset
+        start = out_len - offset
         if start < 0:
             raise CodecError(
                 f"match offset {offset} reaches before start of output"
             )
-        if max_output is not None and len(out) + match_len > max_output:
+        out_len += match_len
+        if max_output is not None and out_len > max_output:
             raise CodecError(f"output exceeds max_output={max_output}")
         if offset >= match_len:
             out += out[start : start + match_len]
         else:
-            # Overlapping match: the pattern repeats; copy in doubling chunks.
-            remaining = match_len
-            while remaining > 0:
-                avail = len(out) - start
-                take = min(remaining, avail)
-                out += out[start : start + take]
-                start += take
-                remaining -= take
+            # Overlapping match: the last ``offset`` bytes repeat as a period.
+            period = bytes(out[start:])
+            reps, rem = divmod(match_len, offset)
+            out += period * reps
+            out += period[:rem]
     return bytes(out)

@@ -39,7 +39,7 @@ class LZ4Codec(Codec):
         return _HEADER.pack(_MAGIC, len(data)) + block
 
     def decompress(self, data: bytes) -> bytes:
-        data = bytes(data)
+        data = memoryview(data).cast("B")  # the block decoder makes the one copy
         if len(data) < _HEADER.size:
             raise CodecError("LZ4 frame too short for header")
         magic, size = _HEADER.unpack_from(data)

@@ -188,7 +188,12 @@ def encode_selection(
     if method == "bitmap":
         return _compress_payload(bitmap_enc, payload_codec)
     a = _compress_payload(ids_enc, payload_codec)
-    b = _compress_payload(bitmap_enc, payload_codec)
+    # Both candidates carry the same values buffer, most of the bytes:
+    # the bitmap one takes it, already compressed, from the ids one.
+    b = dict(bitmap_enc, values=a["values"])
+    if payload_codec != "raw":
+        b["bitmap"] = get_codec(payload_codec).compress(b["bitmap"])
+        b["payload_codec"] = payload_codec
     return a if wire_size(a) <= wire_size(b) else b
 
 

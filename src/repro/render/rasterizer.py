@@ -3,8 +3,10 @@
 Rasterizes a triangle soup into an RGB image: each triangle is projected,
 shaded by the angle between its world-space normal and the light, then
 scan-converted with barycentric coverage against a shared depth buffer.
-The per-triangle Python loop runs NumPy-vectorized pixel work inside, fast
-enough for the examples' tens of thousands of triangles.
+There is no per-triangle Python loop: every surviving triangle's clamped
+bounding box is expanded into one flat fragment array, coverage and depth
+are evaluated element-wise, and the z-buffer is resolved by one stable
+sort on ``(pixel, depth)`` (docs/ARCHITECTURE.md, "Render").
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ from repro.errors import ReproError
 from repro.render.camera import Camera
 
 __all__ = ["rasterize_mesh", "Framebuffer"]
+
+# Fragments (bounding-box pixels) expanded per batch.  Caps the temporaries
+# however much of the screen the triangles cover, and at this size they
+# stay cache-resident: measured fastest from 10 k to 100 k triangles at
+# 160x120 and 640x480.  A batch holds at least one triangle, so a single
+# screen-filling one can exceed the budget by its own bounding box.
+_FRAGMENT_BUDGET = 1 << 14
 
 
 class Framebuffer:
@@ -102,57 +111,98 @@ def rasterize_mesh(
 
     # Cull triangles behind the near plane or fully off-screen.
     in_front = (depth > camera.near).all(axis=1) & (depth < camera.far).all(axis=1)
-    xs = xy[:, :, 0]
-    ys = xy[:, :, 1]
-    on_screen = (
-        (xs.max(axis=1) >= 0)
-        & (xs.min(axis=1) <= fb.width - 1)
-        & (ys.max(axis=1) >= 0)
-        & (ys.min(axis=1) <= fb.height - 1)
-    )
-    keep = in_front & on_screen & valid
-    idx = np.nonzero(keep)[0]
+    v0x, v1x, v2x = xy[:, :, 0].T
+    v0y, v1y, v2y = xy[:, :, 1].T
+    xmin = np.minimum(np.minimum(v0x, v1x), v2x)
+    xmax = np.maximum(np.maximum(v0x, v1x), v2x)
+    ymin = np.minimum(np.minimum(v0y, v1y), v2y)
+    ymax = np.maximum(np.maximum(v0y, v1y), v2y)
+    on_screen = (xmax >= 0) & (xmin <= fb.width - 1) & (ymax >= 0) & (ymin <= fb.height - 1)
+    idx = np.flatnonzero(in_front & on_screen & valid)
+    if idx.size == 0:
+        return
+    v0x, v1x, v2x, v0y, v1y, v2y = (c[idx] for c in (v0x, v1x, v2x, v0y, v1y, v2y))
+    z0, z1, z2 = depth[idx].T
 
-    width, height = fb.width, fb.height
-    colorbuf = fb.color
-    depthbuf = fb.depth
+    # Bounding boxes clamped to the screen; the culls above leave none empty.
+    x0 = np.maximum(np.floor(xmin[idx]), 0).astype(np.intp)
+    x1 = np.minimum(np.ceil(xmax[idx]), fb.width - 1).astype(np.intp)
+    y0 = np.maximum(np.floor(ymin[idx]), 0).astype(np.intp)
+    y1 = np.minimum(np.ceil(ymax[idx]), fb.height - 1).astype(np.intp)
+    bw = x1 - x0 + 1
+    count = bw * (y1 - y0 + 1)
 
-    for t in idx:
-        v = xy[t]  # (3, 2) pixel coords
-        z = depth[t]
-        x0 = int(max(np.floor(v[:, 0].min()), 0))
-        x1 = int(min(np.ceil(v[:, 0].max()), width - 1))
-        y0 = int(max(np.floor(v[:, 1].min()), 0))
-        y1 = int(min(np.ceil(v[:, 1].max()), height - 1))
-        if x1 < x0 or y1 < y0:
-            continue
-        # Barycentric coordinates over the bbox.
-        px = np.arange(x0, x1 + 1)[None, :] + 0.0
-        py = np.arange(y0, y1 + 1)[:, None] + 0.0
-        d = (v[1, 1] - v[2, 1]) * (v[0, 0] - v[2, 0]) + (
-            v[2, 0] - v[1, 0]
-        ) * (v[0, 1] - v[2, 1])
-        if abs(d) < 1e-12:
-            # Degenerate in screen space: splat the nearest pixel.
-            cx = int(round(v[:, 0].mean()))
-            cy = int(round(v[:, 1].mean()))
-            if 0 <= cx < width and 0 <= cy < height:
-                zmid = z.mean()
-                if zmid < depthbuf[cy, cx]:
-                    depthbuf[cy, cx] = zmid
-                    colorbuf[cy, cx] = shades[t]
-            continue
-        l0 = ((v[1, 1] - v[2, 1]) * (px - v[2, 0]) + (v[2, 0] - v[1, 0]) * (py - v[2, 1])) / d
-        l1 = ((v[2, 1] - v[0, 1]) * (px - v[2, 0]) + (v[0, 0] - v[2, 0]) * (py - v[2, 1])) / d
-        l2 = 1.0 - l0 - l1
-        inside = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9)
-        if not inside.any():
-            continue
-        # Interpolate depth (linear in screen space: adequate here).
-        pz = l0 * z[0] + l1 * z[1] + l2 * z[2]
-        sub_depth = depthbuf[y0 : y1 + 1, x0 : x1 + 1]
-        win = inside & (pz < sub_depth)
-        if not win.any():
-            continue
-        sub_depth[win] = pz[win]
-        colorbuf[y0 : y1 + 1, x0 : x1 + 1][win] = shades[t]
+    # Barycentric coordinates of pixel (px, py):
+    #   l0 = (a0 * (px - v2x) + b0 * (py - v2y)) / d, l1 likewise, l2 the rest.
+    a0, b0 = v1y - v2y, v2x - v1x
+    a1, b1 = v2y - v0y, v0x - v2x
+    d = a0 * (v0x - v2x) + b0 * (v0y - v2y)
+
+    # Degenerate in screen space: splat the nearest pixel at the mean depth.
+    # As a fragment that is a 1x1 box with l0 = l1 = 0 and l2 = 1, always
+    # inside, whose interpolated depth is whatever sits in z2.
+    degenerate = np.abs(d) < 1e-12
+    if degenerate.any():
+        cx = np.rint(((v0x + v1x) + v2x) / 3)
+        cy = np.rint(((v0y + v1y) + v2y) / 3)
+        on = (cx >= 0) & (cx < fb.width) & (cy >= 0) & (cy < fb.height)
+        x0 = np.where(degenerate & on, cx, x0).astype(np.intp)
+        y0 = np.where(degenerate & on, cy, y0).astype(np.intp)
+        bw = np.where(degenerate, 1, bw)
+        count = np.where(degenerate, on, count)
+        z2 = np.where(degenerate, ((z0 + z1) + z2) / 3, z2)
+        a0, b0, a1, b1 = (np.where(degenerate, 0.0, c) for c in (a0, b0, a1, b1))
+        d = np.where(degenerate, 1.0, d)
+
+    start = np.cumsum(count) - count
+    boxes = np.stack((idx, x0, y0, bw, start))
+    coef = np.stack((a0, b0, a1, b1, d, v2x, v2y, z0, z1, z2))
+
+    # Index-ordered chunks of about _FRAGMENT_BUDGET fragments each: a later
+    # chunk sees the depths an earlier one wrote, as a later triangle would.
+    cuts = np.flatnonzero(np.diff(start // _FRAGMENT_BUDGET)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, idx.size]):
+        _resolve_fragments(fb, shades, boxes[:, lo:hi], coef[:, lo:hi], count[lo:hi])
+
+
+def _resolve_fragments(
+    fb: Framebuffer,
+    shades: np.ndarray,
+    boxes: np.ndarray,
+    coef: np.ndarray,
+    count: np.ndarray,
+) -> None:
+    """Expand one chunk of triangles into fragments and z-resolve them.
+
+    ``boxes`` rows are (triangle index, bbox x0, bbox y0, bbox width, first
+    fragment number) and ``coef`` rows the barycentric coefficients and
+    vertex depths, one column per triangle; ``count`` is each bbox's area.
+    """
+    tri, x0, y0, bw, start = np.repeat(boxes, count, axis=1)
+    if tri.size == 0:
+        return
+    a0, b0, a1, b1, d, v2x, v2y, z0, z1, z2 = np.repeat(coef, count, axis=1)
+    local = np.arange(start[0], start[0] + tri.size) - start
+    row = local // bw
+    ix = x0 + (local - row * bw)
+    iy = y0 + row
+    dx = ix - v2x
+    dy = iy - v2y
+    l0 = (a0 * dx + b0 * dy) / d
+    l1 = (a1 * dx + b1 * dy) / d
+    l2 = 1.0 - l0 - l1
+    # Interpolate depth (linear in screen space: adequate here).
+    pz = l0 * z0 + l1 * z1 + l2 * z2
+    win = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9) & (pz < fb.depth[iy, ix])
+    tri, ix, iy, pz = tri[win], ix[win], iy[win], pz[win]
+    # Drawn one after another, a pixel keeps the first triangle to reach its
+    # minimum depth.  Fragments are in triangle order and lexsort is stable,
+    # so that triangle's fragment leads the pixel's run in (pixel, depth) order.
+    pixel = iy * fb.width + ix
+    order = np.lexsort((pz, pixel))
+    pixel = pixel[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = pixel[1:] != pixel[:-1]
+    keep = order[lead]
+    fb.depth[iy[keep], ix[keep]] = pz[keep]
+    fb.color[iy[keep], ix[keep]] = shades[tri[keep]]

@@ -154,3 +154,98 @@ class TestFramedCodec:
     def test_bad_acceleration_config(self):
         with pytest.raises(CodecError):
             LZ4Codec(acceleration=0)
+
+
+def _length_code(length: int) -> tuple[int, bytes]:
+    """A token nibble and its 255-run extension bytes for ``length``."""
+    if length < 15:
+        return length, b""
+    runs, last = divmod(length - 15, 255)
+    return 15, b"\xff" * runs + bytes([last])
+
+
+def _overlap_block(prefix: bytes, offset: int, match_len: int, tail: bytes = b"tail!") -> bytes:
+    """``prefix`` as literals, one match, then ``tail`` as the closing literals."""
+    lit, lit_ext = _length_code(len(prefix))
+    ml, ml_ext = _length_code(match_len - 4)
+    end, end_ext = _length_code(len(tail))
+    return (
+        bytes([(lit << 4) | ml]) + lit_ext + prefix
+        + offset.to_bytes(2, "little") + ml_ext
+        + bytes([end << 4]) + end_ext + tail
+    )
+
+
+def _repeat(prefix: bytes, offset: int, match_len: int) -> bytes:
+    """What a byte-at-a-time LZ4 copy produces for an overlapping match."""
+    out = bytearray(prefix)
+    for _ in range(match_len):
+        out.append(out[-offset])
+    return bytes(out)
+
+
+class TestOverlapCopy:
+    """Matches whose offset is shorter than their length repeat a period."""
+
+    @pytest.mark.parametrize("offset", range(1, 10))
+    def test_hand_built_vectors(self, offset):
+        prefix = bytes(range(65, 65 + offset + 2))  # two bytes the match never reads
+        for match_len in (4, offset, offset + 1, 3 * offset + 2, 70_000):
+            if match_len < 4:
+                continue  # not encodable: the format's minimum match is 4
+            block = _overlap_block(prefix, offset, match_len)
+            expected = _repeat(prefix, offset, match_len) + b"tail!"
+            assert lz4_decompress_block(block) == expected
+            assert lz4_decompress_block(block, max_output=len(expected)) == expected
+            with pytest.raises(CodecError, match="max_output"):
+                lz4_decompress_block(block, max_output=len(expected) - 1)
+
+    def test_length_extension_bytes_are_consumed(self):
+        # 70 000 - 4 - 15 = 274 full 255-runs + a last byte of 111.
+        block = _overlap_block(b"ab", 2, 70_000)
+        assert block[3 : 3 + 2 + 275] == b"\x02\x00" + b"\xff" * 274 + bytes([111])
+        assert lz4_decompress_block(block) == b"ab" * 35_001 + b"tail!"
+
+    def test_max_output_trips_before_the_copy(self):
+        """A 400 MB run declared by a 1.6 MB block is refused, not built."""
+        import tracemalloc
+
+        block = _overlap_block(b"a", 1, 400_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match="max_output"):
+                lz4_decompress_block(block, max_output=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_max_output_trips_before_the_literals(self):
+        block = bytes([0xF0, 240]) + bytes(255)
+        with pytest.raises(CodecError, match="max_output"):
+            lz4_decompress_block(block, max_output=254)
+        assert lz4_decompress_block(block, max_output=255) == bytes(255)
+
+    @pytest.mark.parametrize("period", range(1, 10))
+    def test_periodic_round_trip(self, period):
+        data = (bytes(range(period)) * 50_000)[:442_368]
+        block = lz4_compress_block(data)
+        assert len(block) < 2_000
+        assert lz4_decompress_block(block) == data
+
+    def test_constant_float_block_round_trip(self):
+        data = np.zeros(110_592, dtype=np.float32).tobytes()
+        codec = LZ4Codec()
+        assert codec.decompress(codec.compress(data)) == data
+        assert codec.decompress(memoryview(codec.compress(data))) == data
+
+    def test_asteroid_v03_round_trip(self):
+        """The benchmark's most compressible array: long constant runs."""
+        from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
+
+        dataset = AsteroidImpactDataset(AsteroidParams(dims=(24, 24, 24)))
+        for step in (dataset.params.timesteps[0], dataset.params.timesteps[-1]):
+            data = dataset.generate(step).point_data.get("v03").values.tobytes()
+            block = lz4_compress_block(data)
+            assert len(block) < len(data) / 10
+            assert lz4_decompress_block(block, max_output=len(data)) == data

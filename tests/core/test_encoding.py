@@ -98,6 +98,54 @@ class TestAuto:
             assert auto <= wire_size(encode_selection(sel, "bitmap"))
 
 
+class TestAutoSharesCompressedValues:
+    """``auto`` compresses the values buffer once; replies must not notice."""
+
+    @staticmethod
+    def _selection(winner):
+        if winner == "bitmap":
+            return make_sel(range(0, 1000, 2))
+        # Sparse and scattered: the deltas stay smaller than the bitmap
+        # even after the bitmap's zero runs are compressed away.
+        ids = np.random.default_rng(5).choice(64_000, size=60, replace=False)
+        return make_sel(ids.tolist(), dims=(40, 40, 40))
+
+    @pytest.mark.parametrize("payload_codec", ["raw", "lz4", "gzip"])
+    @pytest.mark.parametrize("winner", ["ids", "bitmap"])
+    def test_byte_equal_to_two_full_compressions(self, winner, payload_codec):
+        from repro.core.encoding import attach_checksum
+
+        sel = self._selection(winner)
+        # The reference: compress each candidate whole, keep the smaller.
+        a = encode_selection(sel, "ids", payload_codec=payload_codec)
+        b = encode_selection(sel, "bitmap", payload_codec=payload_codec)
+        expected = a if wire_size(a) <= wire_size(b) else b
+        assert expected["method"] == winner
+        auto = encode_selection(sel, "auto", payload_codec=payload_codec)
+        assert list(auto) == list(expected)  # key order is wire order
+        assert pack(auto) == pack(expected)
+        assert pack(attach_checksum(auto)) == pack(attach_checksum(expected))
+        assert decode_selection(unpack(pack(attach_checksum(auto)))) == sel
+
+    def test_values_compressed_once(self, monkeypatch):
+        from repro.compression import get_codec
+        from repro.core import encoding
+
+        real = get_codec("lz4")
+        calls = []
+
+        class Counting:
+            def compress(self, data):
+                calls.append(len(data))
+                return real.compress(data)
+
+        monkeypatch.setattr(encoding, "get_codec", lambda name: Counting())
+        sel = make_sel(range(0, 1000, 2))
+        encode_selection(sel, "auto", payload_codec="lz4")
+        # values, id deltas, bitmap — not values twice.
+        assert sorted(calls) == sorted([sel.values.nbytes, sel.count - 1, 125])
+
+
 class TestPayloadCodec:
     @pytest.mark.parametrize("payload_codec", ["raw", "lz4", "gzip"])
     @pytest.mark.parametrize("method", ["ids", "bitmap", "auto"])
