@@ -47,6 +47,7 @@ __all__ = [
     "encode_selection",
     "decode_selection",
     "attach_checksum",
+    "finish_reply",
     "wire_size",
     "ids_wire_bytes_per_point",
     "ENCODINGS",
@@ -230,6 +231,40 @@ def attach_checksum(encoded: dict, algo: str = DEFAULT_ALGO) -> dict:
     out["crc"] = checksum(_digest_bytes(out), algo)
     out["crc_algo"] = algo
     return out
+
+
+def finish_reply(
+    selection: PointSelection,
+    block_stats: dict,
+    encoding: str,
+    wire_codec: str,
+    checksum: bool = True,
+    testbed=None,
+) -> dict:
+    """The tail every pre-filter reply shares: encode, stats, stamp.
+
+    ``block_stats`` describes what was read to produce ``selection``
+    (``stored_bytes``, ``raw_bytes``, ``codec``, in that order — see
+    :meth:`~repro.io.vgf.ArrayInfo.stats`).  The NDP server and the
+    edge tier both finish here, which is what keeps a reply computed at
+    the edge byte-equal — key order and CRC included — to the one the
+    storage site would have sent.  A ``testbed`` is charged the wire
+    compression on its simulated clock.
+    """
+    encoded = encode_selection(selection, method=encoding, payload_codec=wire_codec)
+    if testbed is not None and wire_codec != "raw":
+        testbed.charge_compress(wire_codec, selection.payload_nbytes)
+    encoded["stats"] = {
+        **block_stats,
+        "selected_points": int(selection.count),
+        "total_points": int(selection.total_points),
+        "wire_bytes": wire_size(encoded),
+    }
+    if checksum:
+        # Stamp covers everything that crosses the wire (stats too);
+        # the client verifies at decode before trusting a byte.
+        encoded = attach_checksum(encoded)
+    return encoded
 
 
 def decode_selection(encoded: dict) -> PointSelection:

@@ -1,10 +1,16 @@
-"""Pre/post splits for further filter types (the paper's future work).
+"""Split filters: one table of pre/post pairs, bound from either wire shape.
 
 The paper's prototype splits only the contour filter and its conclusion
 flags generalization as future work ("our current experiments were
-limited to a single filter type").  Two more selective filters split
-naturally onto the same :class:`~repro.grid.selection.PointSelection`
-hand-off:
+limited to a single filter type").  :data:`SPLIT_FILTERS` holds one
+:class:`SplitFilter` record per kind; the NDP server's endpoints and
+batch route, the edge tier's reply cache and local compute, the client
+calls and the prefetcher are all lookups into it, so a further split
+filter is one more row.  Besides the contour pair
+(:mod:`~repro.core.prefilter` / :mod:`~repro.core.postfilter`) two
+selective filters split onto the same
+:class:`~repro.grid.selection.PointSelection` hand-off; their kernels
+live here:
 
 * **threshold** — the pre-filter ships exactly the in-range points; the
   post-filter materializes them as vertex geometry.  Selectivity equals
@@ -21,18 +27,31 @@ values for every point the downstream kernel will read.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from repro.errors import FilterError
+from repro.core.postfilter import postfilter_contour
+from repro.core.prefilter import prefilter_contour, prefilter_contour_stream
+from repro.errors import FilterError, ReproError, RPCError
+from repro.filters.contour import normalize_values
 from repro.filters.slice import slice_grid, slice_plane_indices
 from repro.filters.threshold import threshold_point_ids
 from repro.grid.array import DataArray
+from repro.grid.bounds import Bounds
 from repro.grid.cells import point_count
 from repro.grid.polydata import CellArray, PolyData
 from repro.grid.selection import PointSelection
 from repro.grid.uniform import UniformGrid
 
 __all__ = [
+    "SPLIT_FILTERS",
+    "SplitFilter",
+    "bind_request",
+    "wire_request",
+    "require_point_scalar",
     "prefilter_threshold",
     "postfilter_threshold",
     "prefilter_slice",
@@ -124,3 +143,158 @@ def postfilter_slice(
             "selection does not contain the planes required for this slice"
         )
     return slice_grid(grid, axis, coordinate, [selection.array_name])
+
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+
+def _roi(value) -> Bounds | None:
+    """A :class:`Bounds` or 6-sequence as a :class:`Bounds` of floats."""
+    if value is None:
+        return None
+    if isinstance(value, Bounds):
+        value = value.as_tuple()
+    return Bounds(*map(float, value))
+
+
+_ENCODING = ("encoding", str, "auto")
+_WIRE_CODEC = ("wire_codec", str, "lz4")
+
+
+@dataclass(frozen=True)
+class SplitFilter:
+    """One split filter: its wire shape and its two kernels.
+
+    ``params`` are the ordered wire parameters after ``(key, array)`` as
+    ``(name, coerce, default)`` triples (no default = required).
+    ``pre(grid, array, args)`` is the storage-side kernel and
+    ``post(selection, args)`` the client-side one; both read the
+    canonical argument dict :meth:`bind` returns.  ``stream``, when set,
+    is ``pre`` over a :class:`~repro.io.vgf.StoredBlock` whose decoded
+    array is never materialized; it serves requests without an ``roi``
+    (a region mask needs the whole grid).
+    """
+
+    kind: str
+    params: tuple
+    pre: Callable
+    post: Callable
+    stream: Callable | None = None
+
+    @property
+    def method(self) -> str:
+        """The RPC method name serving this filter."""
+        return f"prefilter_{self.kind}"
+
+    def bind(self, given, where: str | None = None) -> dict:
+        """Canonical arguments from a positional list or a field map:
+        coerced, defaults filled, in ``params`` order, so two requests
+        meaning the same thing bind to equal dicts.  Raises
+        :class:`~repro.errors.RPCError` naming ``where`` (default: the
+        method) and the offending field.
+        """
+        where = where or self.method
+        if not isinstance(given, dict):
+            if len(given) > len(self.params):
+                raise RPCError(
+                    f"{where}: takes at most {len(self.params)} parameters "
+                    f"after (key, array), got {len(given)}")
+            given = {p[0]: v for p, v in zip(self.params, given)}
+        args = {}
+        for name, coerce, *default in self.params:
+            if name in given:
+                try:
+                    args[name] = coerce(given[name])
+                except (TypeError, ValueError, ReproError) as exc:
+                    raise RPCError(f"{where}: field {name!r}: {exc}") from exc
+            elif default:
+                args[name] = default[0]
+            else:
+                raise RPCError(f"{where}: missing field {name!r}")
+        return args
+
+    def wire(self, args: dict) -> list:
+        """Bound arguments as the positional wire list (``bind`` inverts
+        it); a trailing unset ``roi`` is left off, as clients always have."""
+        out = [v.as_tuple() if isinstance(v, Bounds) else v
+               for v in args.values()]
+        while out and out[-1] is None:
+            out.pop()
+        return out
+
+    def request_key(self, key: str, array: str, args: dict) -> tuple:
+        """The hashable identity of one request, for reply caches."""
+        return (self.kind, key, array, *args.values())
+
+
+SPLIT_FILTERS = {
+    op.kind: op for op in (
+        SplitFilter(
+            "contour",
+            (("values", normalize_values), ("mode", str, "cell-closure"),
+             _ENCODING, _WIRE_CODEC, ("roi", _roi, None)),
+            pre=lambda grid, array, a: prefilter_contour(
+                grid, array, a["values"], mode=a["mode"], roi=a["roi"]),
+            post=lambda sel, a: postfilter_contour(
+                sel, a["values"], roi=a["roi"]),
+            stream=lambda block, array, a: prefilter_contour_stream(
+                block.chunks(), block.info.dims, np.dtype(block.entry.dtype),
+                array, a["values"], mode=a["mode"], origin=block.info.origin,
+                spacing=block.info.spacing, axes=block.info.axes),
+        ),
+        SplitFilter(
+            "threshold",
+            (("lower", float), ("upper", float), _ENCODING, _WIRE_CODEC),
+            pre=lambda grid, array, a: prefilter_threshold(
+                grid, array, a["lower"], a["upper"]),
+            post=lambda sel, a: postfilter_threshold(sel),
+        ),
+        SplitFilter(
+            "slice",
+            (("axis", operator.index), ("coordinate", float), _ENCODING,
+             _WIRE_CODEC),
+            pre=lambda grid, array, a: prefilter_slice(
+                grid, array, a["axis"], a["coordinate"]),
+            post=lambda sel, a: postfilter_slice(
+                sel, a["axis"], a["coordinate"]),
+        ),
+    )
+}
+
+
+def bind_request(request, index: int) -> tuple:
+    """``(op, array, args)`` for entry ``index`` of a batch-shaped list:
+    a map with a ``kind``, an ``array`` and that kind's fields.  Anything
+    else raises ``RPCError("batch request <index>: …")`` — on the server
+    before any entry runs, client-side before a round trip.
+    """
+    where = f"batch request {index}"
+    if not isinstance(request, dict):
+        raise RPCError(
+            f"{where}: expected a map, got {type(request).__name__}")
+    kind = request.get("kind")
+    op = SPLIT_FILTERS.get(kind) if isinstance(kind, str) else None
+    if op is None:
+        raise RPCError(
+            f"{where}: unknown kind {kind!r}; use one of {sorted(SPLIT_FILTERS)}")
+    if not isinstance(request.get("array"), str):
+        raise RPCError(f"{where}: field 'array' must name an array")
+    return op, request["array"], op.bind(request, where)
+
+
+def wire_request(op: SplitFilter, array: str, args: dict) -> dict:
+    """The batch entry :func:`bind_request` reads back as ``(op, array, args)``."""
+    names = (name for name, *_ in op.params)
+    return {"kind": op.kind, "array": array, **dict(zip(names, op.wire(args)))}
+
+
+def require_point_scalar(entry) -> None:
+    """Reject a stored array (``entry``: its
+    :class:`~repro.io.vgf.ArrayInfo`) that is not one scalar per point."""
+    if entry.association != "point" or entry.components != 1:
+        raise FilterError(
+            f"array {entry.name!r} is {entry.association}-associated with "
+            f"{entry.components} component(s); split filters need a "
+            "point-associated scalar array")

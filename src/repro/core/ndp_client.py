@@ -23,7 +23,7 @@ and that difference is surfaced through
 from __future__ import annotations
 
 from repro.core.encoding import decode_selection
-from repro.core.postfilter import postfilter_contour
+from repro.core.filter_splits import SPLIT_FILTERS, bind_request, wire_request
 from repro.errors import (
     CircuitOpenError,
     IntegrityError,
@@ -214,15 +214,25 @@ class FallbackPolicy:
         )
         stats = {
             "path": "fallback",
-            "stored_bytes": entry.stored_bytes,
-            "raw_bytes": entry.raw_bytes,
-            "codec": entry.codec,
+            **entry.stats(),
             # The whole stored block crossed the client's mount: with no
             # pre-filter there is no reduction to report.
             "wire_bytes": entry.stored_bytes,
             "fallback_reason": self.stats.last_fallback_reason,
         }
         return polydata, stats
+
+
+def _offload(client: RPCClient, kind: str, key: str, array_name: str,
+             fields: dict) -> tuple[PolyData, dict | None]:
+    """One offloaded split filter: bind, call, decode, post-filter."""
+    op = SPLIT_FILTERS[kind]
+    args = op.bind(fields)
+    encoded = client.call(op.method, key, array_name, *op.wire(args))
+    selection = decode_selection(encoded)
+    with client.tracer.span("postfilter"):
+        polydata = op.post(selection, args)
+    return polydata, encoded.get("stats")
 
 
 def ndp_threshold(
@@ -234,14 +244,8 @@ def ndp_threshold(
     wire_codec: str = "lz4",
 ) -> tuple[PolyData, dict | None]:
     """Offloaded threshold filter: vertices for every in-range point."""
-    from repro.core.filter_splits import postfilter_threshold
-
-    encoded = client.call(
-        "prefilter_threshold", key, array_name, float(lower), float(upper),
-        "auto", wire_codec,
-    )
-    selection = decode_selection(encoded)
-    return postfilter_threshold(selection), encoded.get("stats")
+    return _offload(client, "threshold", key, array_name,
+                    {"lower": lower, "upper": upper, "wire_codec": wire_codec})
 
 
 def ndp_slice(
@@ -253,14 +257,9 @@ def ndp_slice(
     wire_codec: str = "lz4",
 ) -> tuple[PolyData, dict | None]:
     """Offloaded axis-aligned slice: interpolated plane geometry."""
-    from repro.core.filter_splits import postfilter_slice
-
-    encoded = client.call(
-        "prefilter_slice", key, array_name, int(axis), float(coordinate),
-        "auto", wire_codec,
-    )
-    selection = decode_selection(encoded)
-    return postfilter_slice(selection, int(axis), float(coordinate)), encoded.get("stats")
+    return _offload(client, "slice", key, array_name,
+                    {"axis": axis, "coordinate": coordinate,
+                     "wire_codec": wire_codec})
 
 
 def ndp_batch(client: RPCClient, key: str, requests: list[dict]) -> list:
@@ -272,40 +271,17 @@ def ndp_batch(client: RPCClient, key: str, requests: list[dict]) -> list:
     :class:`~repro.grid.bounds.Bounds` or 6-sequence); it is forwarded to
     the server and applied identically in the local post-filter, so a
     batched ROI contour matches the direct-call geometry bit for bit.
+    A malformed request raises the server's ``RPCError("batch request
+    <i>: …")`` here, before the round trip.
     """
-    from repro.core.filter_splits import postfilter_slice, postfilter_threshold
-    from repro.grid.bounds import Bounds
-
-    def roi_list(req: dict) -> list | None:
-        roi = req.get("roi")
-        if roi is None:
-            return None
-        if hasattr(roi, "as_tuple"):
-            roi = roi.as_tuple()
-        return [float(v) for v in roi]
-
-    wire_requests = []
-    for req in requests:
-        roi = roi_list(req)
-        wire_requests.append(dict(req, roi=roi) if roi is not None else dict(req))
-    replies = client.call("prefilter_batch", key, wire_requests)
+    bound = [bind_request(req, i) for i, req in enumerate(requests)]
+    replies = client.call("prefilter_batch", key, [
+        wire_request(op, array, args) for op, array, args in bound
+    ])
     results = []
-    for req, encoded in zip(requests, replies):
-        selection = decode_selection(encoded)
-        kind = req["kind"]
-        if kind == "contour":
-            roi = roi_list(req)
-            pd = postfilter_contour(
-                selection, req["values"],
-                roi=Bounds(*roi) if roi is not None else None,
-            )
-        elif kind == "threshold":
-            pd = postfilter_threshold(selection)
-        elif kind == "slice":
-            pd = postfilter_slice(selection, req["axis"], req["coordinate"])
-        else:
-            raise ValueError(f"unknown batch request kind {kind!r}")
-        results.append((pd, encoded.get("stats")))
+    for (op, _array, args), encoded in zip(bound, replies):
+        polydata = op.post(decode_selection(encoded), args)
+        results.append((polydata, encoded.get("stats")))
     return results
 
 
@@ -344,23 +320,10 @@ def ndp_contour(
     tracer = client.tracer
 
     def run_ndp() -> tuple[PolyData, dict | None]:
-        if roi is not None:
-            encoded = client.call(
-                "prefilter_contour", key, array_name,
-                list(normalize_values(values)),
-                mode, encoding, wire_codec, list(roi.as_tuple()),
-            )
-            selection = decode_selection(encoded)
-            with tracer.span("postfilter"):
-                polydata = postfilter_contour(selection, values, roi=roi)
-            return polydata, encoded.get("stats")
-        source = NDPContourSource(
-            client, key, array_name, values, mode, encoding, wire_codec
-        )
-        selection = source.output()
-        with tracer.span("postfilter"):
-            polydata = postfilter_contour(selection, values)
-        return polydata, source.last_stats
+        return _offload(client, "contour", key, array_name, {
+            "values": values, "mode": mode, "encoding": encoding,
+            "wire_codec": wire_codec, "roi": roi,
+        })
 
     with tracer.span("ndp.contour", key=key, array=array_name):
         try:

@@ -4,9 +4,11 @@ Runs next to the object store: mounts the bucket through a *local*
 :class:`~repro.storage.s3fs.S3FileSystem` (no network link), and exposes
 over RPC:
 
-* ``prefilter_contour(key, array, values, mode, encoding)`` — the offload:
-  read the array block, decompress, pre-filter, return the encoded
-  selection plus per-phase statistics,
+* ``prefilter_contour`` / ``prefilter_threshold`` / ``prefilter_slice`` —
+  the offload, one endpoint per row of
+  :data:`~repro.core.filter_splits.SPLIT_FILTERS`: read the array block,
+  decompress, pre-filter, return the encoded selection plus per-phase
+  statistics (``prefilter_batch`` runs several in one round trip),
 * ``read_array(key, array)`` — a whole-array fetch (lets a client fall
   back to baseline through the same endpoint),
 * ``list_objects(prefix)`` / ``describe(key)`` — discovery.
@@ -29,19 +31,25 @@ by construction.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
 
-from repro.compression import get_codec
-from repro.core.encoding import attach_checksum, encode_selection, wire_size
-from repro.core.filter_splits import prefilter_slice, prefilter_threshold
-from repro.core.prefilter import prefilter_contour, prefilter_contour_stream
+from repro.core.encoding import encode_selection, finish_reply, wire_size
+from repro.core.filter_splits import (
+    SPLIT_FILTERS,
+    SplitFilter,
+    bind_request,
+    require_point_scalar,
+)
+from repro.core.prefilter import prefilter_contour
 from repro.errors import IntegrityError, RPCError
-from repro.filters.contour import normalize_values
-from repro.grid.bounds import Bounds
-from repro.io.vgf import read_vgf_array, read_vgf_block, read_vgf_info
+from repro.io.vgf import (
+    StoredBlock,
+    array_collection,
+    read_vgf_block,
+    read_vgf_info,
+)
 from repro.obs.flightrec import NULL_RECORDER, FlightRecorder
 from repro.obs.metrics import Registry
 from repro.obs.profile import NULL_PROFILER, SamplingProfiler
@@ -94,15 +102,6 @@ class NDPServer:
         every read and every pre-filter reply is stamped with a wire
         checksum (see :func:`~repro.core.encoding.attach_checksum`).
         ``False`` reproduces pre-integrity behaviour for compat tests.
-    fused_streaming:
-        When true (default), ``prefilter_contour`` requests that bypass
-        the array cache run the fused hot path: the stored block streams
-        through the codec's incremental decoder straight into the
-        chunked interesting-scan
-        (:func:`~repro.core.prefilter.prefilter_contour_stream`), so the
-        whole decoded array is never materialized.  Replies are
-        byte-identical to the materializing path.  ``False`` forces the
-        legacy decode-then-scan path everywhere.
     flight_recorder:
         ``"auto"`` (default) builds an always-on
         :class:`~repro.obs.flightrec.FlightRecorder`; pass an instance to
@@ -141,7 +140,6 @@ class NDPServer:
         max_inflight: int = 0,
         max_pending: int = 0,
         verify_checksums: bool = True,
-        fused_streaming: bool = True,
         flight_recorder="auto",
         slo="auto",
         profiler="auto",
@@ -156,7 +154,6 @@ class NDPServer:
         #: keeps those replies byte-identical to pre-replication peers).
         self.map_version = map_version
         self.testbed = testbed
-        self.fused_streaming = fused_streaming
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else Registry()
         self.verify_checksums = verify_checksums
@@ -189,7 +186,6 @@ class NDPServer:
             if selection_cache_bytes > 0
             else None
         )
-        self._batch_local = threading.local()
         # Lifetime request counters, unified behind the registry: the
         # legacy ``server_stats`` endpoint reads the same instruments.
         self._requests = self.registry.counter(
@@ -229,9 +225,8 @@ class NDPServer:
             self.registry.register("profiler", self.profiler.info)
         self.rpc = RPCServer(
             {
-                "prefilter_contour": self.prefilter_contour,
-                "prefilter_threshold": self.prefilter_threshold,
-                "prefilter_slice": self.prefilter_slice,
+                **{op.method: getattr(self, op.method)
+                   for op in SPLIT_FILTERS.values()},
                 "prefilter_batch": self.prefilter_batch,
                 "probe_selectivity": self.probe_selectivity,
                 "array_statistics": self.array_statistics,
@@ -310,49 +305,13 @@ class NDPServer:
         The edge tier promotes hot objects by pulling the compressed
         block once and decoding it locally, after which nearby-ROI
         requests never cross the WAN.  The reply carries exactly what
-        :func:`~repro.io.vgf.read_vgf_array` needs: grid structure,
-        the :class:`~repro.io.vgf.ArrayInfo` decode fields, the stored
-        (still-compressed, checksum-verified) bytes, and the version
-        token the block was read under, so the edge caches it coherently.
+        :meth:`~repro.io.vgf.StoredBlock.from_wire` needs: grid
+        structure, the :class:`~repro.io.vgf.ArrayInfo` decode fields, the
+        stored (still-compressed, checksum-verified) bytes, and the
+        version token the block was read under, so the edge caches it
+        coherently.
         """
-        check_deadline("store read")
-        try:
-            with self.tracer.span("store.read", key=key, array=array), \
-                    self.recorder.phase("store.read", key=key, array=array):
-                with self.fs.open(key) as fh:
-                    info = read_vgf_info(fh)
-                    entry = info.array(array)
-                    stored, _ = read_vgf_block(
-                        fh, array, info, verify=self.verify_checksums
-                    )
-        except IntegrityError:
-            self._integrity_failures.inc()
-            self.tracer.add_event("integrity.failure", key=key, array=array)
-            self.recorder.record("integrity.failure", key=key, array=array)
-            raise
-        token = self._store_version(key)
-        out = {
-            "dims": list(info.dims),
-            "origin": list(info.origin),
-            "spacing": list(info.spacing),
-            "array": {
-                "name": entry.name,
-                "dtype": entry.dtype,
-                "components": entry.components,
-                "association": entry.association,
-                "codec": entry.codec,
-                "stored_bytes": entry.stored_bytes,
-                "raw_bytes": entry.raw_bytes,
-            },
-            "stored": stored,
-            "version": list(token) if isinstance(token, tuple) else token,
-        }
-        if info.axes is not None:
-            out["axes"] = [
-                np.ascontiguousarray(axis, dtype=np.float64).tobytes()
-                for axis in info.axes
-            ]
-        return out
+        return self._read_stored(key, array).to_wire(self._store_version(key))
 
     def _store_version(self, key: str):
         """Invalidation token for ``key`` (store mtime/version + size).
@@ -369,24 +328,16 @@ class NDPServer:
         except Exception:
             return None
 
-    def _read_array(self, key: str, array: str):
-        """Read + decode one array block, charging read/decompress phases.
-
-        Span layout: ``store.read`` covers the object read + real decode
-        (its sim time is the modelled SSD cost), ``decompress`` carries
-        the modelled decompression charge (the *real* decompress wall
-        time is folded into the read, where the VGF reader performs it).
-        """
+    def _read_stored(self, key: str, array: str) -> StoredBlock:
+        """The one store read: header plus ``array``'s verified block."""
         check_deadline("store read")
         try:
             with self.tracer.span("store.read", key=key, array=array), \
                     self.recorder.phase("store.read", key=key, array=array):
                 with self.fs.open(key) as fh:
                     info = read_vgf_info(fh)
-                    entry = info.array(array)
-                    data_array, _ = read_vgf_array(
-                        fh, array, info, verify=self.verify_checksums,
-                        copy=False,
+                    stored, entry = read_vgf_block(
+                        fh, array, info, verify=self.verify_checksums
                     )
         except IntegrityError:
             # Fail loudly, never serve wrong geometry: the typed error
@@ -397,199 +348,97 @@ class NDPServer:
             self.tracer.add_event("integrity.failure", key=key, array=array)
             self.recorder.record("integrity.failure", key=key, array=array)
             raise
-        check_deadline("decompress")
-        with self.tracer.span("decompress", codec=entry.codec,
-                              raw_bytes=entry.raw_bytes), \
-                self.recorder.phase("decompress", codec=entry.codec):
-            if self.testbed is not None:
-                self.testbed.charge_decompress(entry.codec, entry.raw_bytes)
-        grid = info.make_grid()
-        grid.point_data.add(data_array)
-        return grid, entry
+        return StoredBlock(info, entry, stored)
 
-    def _load_array(self, key: str, array: str):
+    def _source(self, key: str, array: str, stream: bool = False,
+                memo: dict | None = None):
         """One decoded ``(grid, entry)`` pair, via every cache layer.
 
-        Lookup order: the current batch's per-thread memo (one read per
-        object per ``prefilter_batch``, even with caching off), then the
-        shared :class:`~repro.storage.cache.ArrayCache` (single-flight
-        across connection threads), then the store.  Testbed read and
-        decompress charges happen only on the store path.
+        Lookup order: the running batch's ``memo`` (one read per object
+        per ``prefilter_batch``, even with caching off), then the shared
+        :class:`~repro.storage.cache.ArrayCache` (single-flight across
+        connection threads), then the store.  Testbed read and
+        decompress charges happen only on the store path, where
+        ``store.read`` covers the object read and checksum (its sim time
+        is the modelled SSD cost) and ``decompress`` the modelled
+        decompression charge and the real decode.
+
+        ``stream`` says the caller can scan a
+        :class:`~repro.io.vgf.StoredBlock` as it decodes.  It gets one in
+        place of the grid only when nothing would keep the decoded block
+        — no array cache, no batch memo — because that is the case where
+        materializing buys nothing and costs the whole array in memory.
         """
-        memo = getattr(self._batch_local, "memo", None)
         if memo is not None and (key, array) in memo:
             return memo[(key, array)]
-        if self.array_cache is None:
-            pair = self._read_array(key, array)
-        else:
-            cache_key = (key, array, self._store_version(key))
+
+        def read(stream: bool = False):
+            block = self._read_stored(key, array)
+            entry = block.entry
+            check_deadline("decompress")
+            with self.tracer.span("decompress", codec=entry.codec,
+                                  raw_bytes=entry.raw_bytes), \
+                    self.recorder.phase("decompress", codec=entry.codec):
+                if self.testbed is not None:
+                    self.testbed.charge_decompress(entry.codec, entry.raw_bytes)
+                return (block if stream else block.grid(copy=False)), entry
+
+        if self.array_cache is not None:
             pair = self.array_cache.get_or_load(
-                cache_key, lambda: self._read_array(key, array)
-            )
+                (key, array, self._store_version(key)), read)
+        else:
+            pair = read(stream and memo is None)
         if memo is not None:
             memo[(key, array)] = pair
         return pair
 
-    def prefilter_contour(
-        self,
-        key: str,
-        array: str,
-        values: list,
-        mode: str = "cell-closure",
-        encoding: str = "auto",
-        wire_codec: str = "lz4",
-        roi: list | None = None,
-    ) -> dict:
-        """The offloaded pre-filter: returns the encoded selection + stats.
+    def _prefilter(self, op: SplitFilter, key: str, array: str, args: dict,
+                   memo: dict | None = None) -> dict:
+        """Serve one split-filter request: ``source -> op -> finish``.
 
-        ``wire_codec`` compresses the selection payload before transfer —
-        the paper's Fig. 9 compression/NDP composition applied to the NDP
-        reply itself.  ``roi`` is an optional 6-tuple
-        ``(xmin, xmax, ymin, ymax, zmin, zmax)`` restricting the offload
-        to a region of interest.
+        ``args`` are ``op``'s bound arguments (``wire_codec`` compresses
+        the selection payload before transfer — the paper's Fig. 9
+        compression/NDP composition applied to the NDP reply itself).
+        The compute runs behind the selection cache when one is enabled,
+        keyed by the canonical request plus the store's version token for
+        ``key``, so an overwrite invalidates.  Per-request accounting
+        runs on every call — a cache hit is a served request; only the
+        compute is shared.  Each served reply lands one observation in
+        the wall-clock latency histogram (and the simulated one, when a
+        testbed is attached).
         """
-        roi_key = tuple(float(v) for v in roi) if roi is not None else None
 
         def compute() -> dict:
-            if self._fusable(key, array, roi_key):
-                reply = self._prefilter_contour_fused(
-                    key, array, values, mode, encoding, wire_codec
-                )
-                if reply is not None:
-                    return reply
-            grid, entry = self._load_array(key, array)
+            source, entry = self._source(
+                key, array, memo=memo,
+                stream=op.stream is not None and args.get("roi") is None)
+            require_point_scalar(entry)
             check_deadline("pre-filter scan")
-            with self.tracer.span("prefilter", kind="contour", key=key,
+            with self.tracer.span("prefilter", kind=op.kind, key=key,
                                   array=array), \
-                    self.recorder.phase("prefilter", kind="contour", key=key):
+                    self.recorder.phase("prefilter", kind=op.kind, key=key):
                 if self.testbed is not None:
                     self.testbed.charge_filter_scan(entry.raw_bytes)
-                bounds = Bounds(*roi_key) if roi_key is not None else None
-                selection = prefilter_contour(
-                    grid, array, values, mode=mode, roi=bounds
+                scan = op.stream if isinstance(source, StoredBlock) else op.pre
+                selection = scan(source, array, args)
+            encoding, wire_codec = args["encoding"], args["wire_codec"]
+            check_deadline("encode")
+            with self.tracer.span("encode", encoding=encoding,
+                                  wire_codec=wire_codec), \
+                    self.recorder.phase("encode", wire_codec=wire_codec):
+                return finish_reply(
+                    selection, entry.stats(), encoding, wire_codec,
+                    checksum=self.verify_checksums, testbed=self.testbed,
                 )
-            return self._finish(selection, entry, encoding, wire_codec)
 
-        return self._reply(
-            ("contour", key, array, normalize_values(values), mode,
-             encoding, wire_codec, roi_key),
-            key, compute,
-        )
-
-    def _fusable(self, key: str, array: str, roi_key) -> bool:
-        """Whether this contour request may take the fused streaming path.
-
-        The fused path never materializes the decoded grid, so anything
-        that needs one — a region-of-interest mask, the decoded-array
-        cache, or a batch memo sharing the grid across requests — routes
-        to the legacy path instead.
-        """
-        return (
-            self.fused_streaming
-            and roi_key is None
-            and self.array_cache is None
-            and getattr(self._batch_local, "memo", None) is None
-        )
-
-    def _prefilter_contour_fused(
-        self, key: str, array: str, values, mode: str,
-        encoding: str, wire_codec: str,
-    ) -> dict | None:
-        """The fused hot path: stream-decode + scan without materializing.
-
-        Reads only the *stored* block (checksum-verified), then feeds the
-        codec's incremental decoder straight into the chunked
-        interesting-scan.  Span layout, testbed charges, and deadline
-        phases mirror the legacy path, so traces and simulated costs stay
-        comparable.  Returns ``None`` for blocks the streaming scan
-        cannot serve (cell-associated or multi-component arrays) — the
-        caller falls back to the materializing path.
-        """
-        check_deadline("store read")
-        try:
-            with self.tracer.span("store.read", key=key, array=array), \
-                    self.recorder.phase("store.read", key=key, array=array):
-                with self.fs.open(key) as fh:
-                    info = read_vgf_info(fh)
-                    entry = info.array(array)
-                    if entry.association != "point" or entry.components != 1:
-                        return None
-                    stored, _ = read_vgf_block(
-                        fh, array, info, verify=self.verify_checksums
-                    )
-        except IntegrityError:
-            self._integrity_failures.inc()
-            self.tracer.add_event("integrity.failure", key=key, array=array)
-            self.recorder.record("integrity.failure", key=key, array=array)
-            raise
-        check_deadline("decompress")
-        with self.tracer.span("decompress", codec=entry.codec,
-                              raw_bytes=entry.raw_bytes):
-            if self.testbed is not None:
-                self.testbed.charge_decompress(entry.codec, entry.raw_bytes)
-        check_deadline("pre-filter scan")
-        with self.tracer.span("prefilter", kind="contour", key=key,
-                              array=array, fused=True), \
-                self.recorder.phase("prefilter", kind="contour", key=key,
-                                    fused=True):
-            if self.testbed is not None:
-                self.testbed.charge_filter_scan(entry.raw_bytes)
-            selection = prefilter_contour_stream(
-                get_codec(entry.codec).iter_decompress(stored),
-                info.dims,
-                np.dtype(entry.dtype),
-                array,
-                values,
-                mode=mode,
-                origin=info.origin,
-                spacing=info.spacing,
-                axes=info.axes,
-            )
-        return self._finish(selection, entry, encoding, wire_codec)
-
-    def _finish(self, selection, entry, encoding: str, wire_codec: str) -> dict:
-        """Shared tail: encode, charge wire compression, attach stats."""
-        check_deadline("encode")
-        with self.tracer.span("encode", encoding=encoding,
-                              wire_codec=wire_codec), \
-                self.recorder.phase("encode", wire_codec=wire_codec):
-            encoded = encode_selection(
-                selection, method=encoding, payload_codec=wire_codec
-            )
-            if self.testbed is not None and wire_codec != "raw":
-                self.testbed.charge_compress(wire_codec, selection.payload_nbytes)
-        encoded["stats"] = {
-            "stored_bytes": entry.stored_bytes,
-            "raw_bytes": entry.raw_bytes,
-            "codec": entry.codec,
-            "selected_points": int(selection.count),
-            "total_points": int(selection.total_points),
-            "wire_bytes": wire_size(encoded),
-        }
-        if self.verify_checksums:
-            # Stamp covers everything that crosses the wire (stats too);
-            # the client verifies at decode before trusting a byte.
-            encoded = attach_checksum(encoded)
-        return encoded
-
-    def _reply(self, request_key: tuple, key: str, compute) -> dict:
-        """Serve one pre-filter reply, via the selection cache when enabled.
-
-        ``request_key`` is the full request tuple (kind, key, array,
-        canonical parameters, encoding, wire codec, roi); the store's
-        version token for ``key`` is appended so an overwrite invalidates.
-        Per-request accounting still runs on every call — a cache hit is
-        a served request; only the compute is shared.  Each served reply
-        lands one observation in the wall-clock latency histogram (and
-        the simulated one, when a testbed is attached).
-        """
         wall0 = time.perf_counter()
         sim0 = self.testbed.clock.now if self.testbed is not None else None
         if self.selection_cache is None:
             encoded = compute()
         else:
             encoded = self.selection_cache.get_or_load(
-                request_key + (self._store_version(key),), compute
+                op.request_key(key, array, args) + (self._store_version(key),),
+                compute,
             )
         # Exemplar: the slowest request in each latency bucket keeps its
         # trace id, so a histogram outlier links straight to its trace.
@@ -600,7 +449,14 @@ class NDPServer:
         self._latency.observe(time.perf_counter() - wall0, exemplar=exemplar)
         if sim0 is not None:
             self._sim_latency.observe(self.testbed.clock.now - sim0)
-        self._record(encoded["stats"])
+        # Instruments are thread-safe: the TCP listener serves each
+        # connection on its own thread.
+        stats = encoded["stats"]
+        self._requests.inc()
+        self._prefilter_calls.inc()
+        self._raw_bytes_scanned.inc(stats["raw_bytes"])
+        self._wire_bytes_sent.inc(stats["wire_bytes"])
+        self._selected_points.inc(stats["selected_points"])
         # Shallow copy: cached replies are shared across threads and the
         # dispatcher/transport must be free to mutate its own frame dict.
         out = dict(encoded)
@@ -616,15 +472,6 @@ class NDPServer:
     def _current_map_version(self):
         v = self.map_version() if callable(self.map_version) else self.map_version
         return int(v) if v is not None else None
-
-    def _record(self, stats: dict) -> None:
-        """Accumulate per-request statistics (instruments are thread-safe:
-        the TCP listener serves each connection on its own thread)."""
-        self._requests.inc()
-        self._prefilter_calls.inc()
-        self._raw_bytes_scanned.inc(stats["raw_bytes"])
-        self._wire_bytes_sent.inc(stats["wire_bytes"])
-        self._selected_points.inc(stats["selected_points"])
 
     def health(self) -> dict:
         """Cheap liveness/readiness probe for clients and load balancers.
@@ -744,106 +591,26 @@ class NDPServer:
         """The ``profile`` RPC endpoint: collapsed flamegraph stacks."""
         return self.profiler.snapshot(top=top)
 
-    def prefilter_threshold(
-        self,
-        key: str,
-        array: str,
-        lower: float,
-        upper: float,
-        encoding: str = "auto",
-        wire_codec: str = "lz4",
-    ) -> dict:
-        """Offloaded threshold: ship exactly the in-range points."""
-
-        def compute() -> dict:
-            grid, entry = self._load_array(key, array)
-            check_deadline("pre-filter scan")
-            with self.tracer.span("prefilter", kind="threshold", key=key,
-                                  array=array):
-                if self.testbed is not None:
-                    self.testbed.charge_filter_scan(entry.raw_bytes)
-                selection = prefilter_threshold(grid, array, lower, upper)
-            return self._finish(selection, entry, encoding, wire_codec)
-
-        return self._reply(
-            ("threshold", key, array, float(lower), float(upper),
-             encoding, wire_codec),
-            key, compute,
-        )
-
-    def prefilter_slice(
-        self,
-        key: str,
-        array: str,
-        axis: int,
-        coordinate: float,
-        encoding: str = "auto",
-        wire_codec: str = "lz4",
-    ) -> dict:
-        """Offloaded axis-aligned slice: ship the bracketing planes."""
-
-        def compute() -> dict:
-            grid, entry = self._load_array(key, array)
-            check_deadline("pre-filter scan")
-            with self.tracer.span("prefilter", kind="slice", key=key,
-                                  array=array):
-                if self.testbed is not None:
-                    self.testbed.charge_filter_scan(entry.raw_bytes)
-                selection = prefilter_slice(grid, array, axis, coordinate)
-            return self._finish(selection, entry, encoding, wire_codec)
-
-        return self._reply(
-            ("slice", key, array, int(axis), float(coordinate),
-             encoding, wire_codec),
-            key, compute,
-        )
-
     def prefilter_batch(self, key: str, requests: list) -> list:
         """Run several pre-filters against one object in one round trip.
 
-        Each request is a dict with a ``kind`` ("contour" / "threshold" /
-        "slice") plus that kind's arguments (contours may carry a ``roi``
-        6-tuple, forwarded unchanged).  Each distinct ``(key, array)``
-        block is read **once** per batch — a per-thread memo shares the
-        decoded grid across the batch's requests even when the shared
-        caches are disabled — and the client pays a single RPC round trip:
-        the paper's multi-instance pipelines (one filter per array,
-        Sec. VI) map onto this directly.
+        Each request is a map with a ``kind`` (a
+        :data:`~repro.core.filter_splits.SPLIT_FILTERS` row), an
+        ``array`` and that kind's fields (contours may carry a ``roi``
+        6-tuple).  Every entry is bound before any runs, so a malformed
+        one fails the batch with no work done.  Each distinct
+        ``(key, array)`` block is read **once** per batch — a memo
+        shares the decoded grid across the batch's requests even when
+        the shared caches are disabled — and the client pays a
+        single RPC round trip: the paper's multi-instance pipelines (one
+        filter per array, Sec. VI) map onto this directly.
         """
-        self._batch_local.memo = {}
-        try:
-            replies = []
-            for req in requests:
-                kind = req.get("kind")
-                common = {
-                    "encoding": req.get("encoding", "auto"),
-                    "wire_codec": req.get("wire_codec", "lz4"),
-                }
-                if kind == "contour":
-                    replies.append(
-                        self.prefilter_contour(
-                            key, req["array"], req["values"],
-                            req.get("mode", "cell-closure"),
-                            roi=req.get("roi"), **common,
-                        )
-                    )
-                elif kind == "threshold":
-                    replies.append(
-                        self.prefilter_threshold(
-                            key, req["array"], req["lower"], req["upper"], **common
-                        )
-                    )
-                elif kind == "slice":
-                    replies.append(
-                        self.prefilter_slice(
-                            key, req["array"], req["axis"], req["coordinate"], **common
-                        )
-                    )
-                else:
-                    raise RPCError(f"unknown batch request kind {kind!r}")
-            return replies
-        finally:
-            self._batch_local.memo = None
+        if not isinstance(requests, list):
+            raise RPCError("batch requests must be an array of maps")
+        bound = [bind_request(req, i) for i, req in enumerate(requests)]
+        memo: dict = {}
+        return [self._prefilter(op, key, array, args, memo)
+                for op, array, args in bound]
 
     def probe_selectivity(
         self,
@@ -859,15 +626,13 @@ class NDPServer:
         offload planner route every subsequent load (see
         :class:`~repro.core.planner.AdaptiveContourClient`).
         """
-        grid, entry = self._load_array(key, array)
+        grid, entry = self._source(key, array)
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
         selection = prefilter_contour(grid, array, values, mode=mode)
         encoded = encode_selection(selection, payload_codec="lz4")
         return {
-            "stored_bytes": entry.stored_bytes,
-            "raw_bytes": entry.raw_bytes,
-            "codec": entry.codec,
+            **entry.stats(),
             "selected_points": int(selection.count),
             "total_points": int(selection.total_points),
             "selectivity": selection.selectivity,
@@ -884,10 +649,11 @@ class NDPServer:
         """
         if not 1 <= int(bins) <= 4096:
             raise RPCError(f"bins must be in [1, 4096], got {bins}")
-        grid, entry = self._load_array(key, array)
+        grid, entry = self._source(key, array)
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
-        values = grid.point_data.get(array).values.astype(np.float64)
+        values = array_collection(grid, entry).get(array).values.astype(
+            np.float64)
         counts, edges = np.histogram(values, bins=int(bins))
         return {
             "count": int(values.size),
@@ -920,7 +686,7 @@ class NDPServer:
         from repro.io.ppm import encode_ppm
         from repro.render.scene import Scene
 
-        grid, entry = self._load_array(key, array)
+        grid, entry = self._source(key, array)
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
         polydata = contour_grid(grid, array, values)
@@ -930,9 +696,7 @@ class NDPServer:
         return {
             "ppm": frame,
             "stats": {
-                "stored_bytes": entry.stored_bytes,
-                "raw_bytes": entry.raw_bytes,
-                "codec": entry.codec,
+                **entry.stats(),
                 "triangles": int(polydata.polys.num_cells),
                 "wire_bytes": len(frame),
             },
@@ -940,8 +704,8 @@ class NDPServer:
 
     def read_array(self, key: str, array: str) -> dict:
         """Whole-array fetch (baseline-through-RPC path)."""
-        grid, entry = self._load_array(key, array)
-        arr = grid.point_data.get(array)
+        grid, entry = self._source(key, array)
+        arr = array_collection(grid, entry).get(array)
         return {
             "dims": list(grid.dims),
             "origin": list(grid.origin),
@@ -949,11 +713,7 @@ class NDPServer:
             "array": array,
             "dtype": arr.values.dtype.str,
             "values": np.ascontiguousarray(arr.values).tobytes(),
-            "stats": {
-                "stored_bytes": entry.stored_bytes,
-                "raw_bytes": entry.raw_bytes,
-                "codec": entry.codec,
-            },
+            "stats": entry.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -1046,3 +806,19 @@ class NDPServer:
 
         listener.stop = stop
         return listener
+
+
+def _endpoint(op: SplitFilter):
+    def endpoint(self, key: str, array: str, *params) -> dict:
+        return self._prefilter(op, key, array, op.bind(params))
+
+    endpoint.__name__ = op.method
+    endpoint.__doc__ = (
+        f"The offloaded {op.kind} pre-filter.  Positional parameters after "
+        f"``(key, array)``: {', '.join(name for name, *_ in op.params)}.")
+    return endpoint
+
+
+# One RPC endpoint per table row: adding a split filter adds its endpoint.
+for _op in SPLIT_FILTERS.values():
+    setattr(NDPServer, _op.method, _endpoint(_op))

@@ -26,24 +26,11 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterator
 
 from repro.core.encoding import decode_selection
-from repro.core.filter_splits import postfilter_slice, postfilter_threshold
-from repro.core.postfilter import postfilter_contour
+from repro.core.filter_splits import bind_request
 from repro.errors import ReproError
-from repro.grid.bounds import Bounds
 from repro.grid.polydata import PolyData
 
 __all__ = ["NDPPrefetcher"]
-
-_KINDS = ("contour", "threshold", "slice")
-
-
-def _roi_wire(roi) -> list | None:
-    """A request's ``roi`` as the wire-friendly 6-float list (or None)."""
-    if roi is None:
-        return None
-    if hasattr(roi, "as_tuple"):
-        roi = roi.as_tuple()
-    return [float(v) for v in roi]
 
 
 class NDPPrefetcher:
@@ -63,51 +50,23 @@ class NDPPrefetcher:
     def __init__(self, client, requests: list[dict], depth: int = 2):
         if depth < 1:
             raise ReproError(f"prefetch depth must be >= 1, got {depth}")
-        for req in requests:
-            if "key" not in req:
-                raise ReproError(f"request missing 'key': {req!r}")
-            if req.get("kind", "contour") not in _KINDS:
-                raise ReproError(f"unknown request kind {req.get('kind')!r}")
         self._client = client
-        self._requests = list(requests)
+        #: ``(key, op, array, args)`` per request, bound up front so a
+        #: malformed one fails here and not mid-movie.
+        self._requests = []
+        for i, req in enumerate(requests):
+            if not isinstance(req, dict) or "key" not in req:
+                raise ReproError(f"request missing 'key': {req!r}")
+            self._requests.append((req["key"], *bind_request(req, i)))
         self._depth = depth
         # Live iterations' (pool, in_flight) state, so close() can reap
         # futures the consumer abandoned (early break, loop-body raise).
         self._active: list[tuple[ThreadPoolExecutor, list]] = []
 
     # ------------------------------------------------------------------
-    def _issue(self, req: dict):
-        kind = req.get("kind", "contour")
-        common = (req.get("encoding", "auto"), req.get("wire_codec", "lz4"))
-        if kind == "contour":
-            return self._client.call(
-                "prefilter_contour", req["key"], req["array"], list(req["values"]),
-                req.get("mode", "cell-closure"), *common,
-                _roi_wire(req.get("roi")),
-            )
-        if kind == "threshold":
-            return self._client.call(
-                "prefilter_threshold", req["key"], req["array"],
-                float(req["lower"]), float(req["upper"]), *common,
-            )
-        return self._client.call(
-            "prefilter_slice", req["key"], req["array"],
-            int(req["axis"]), float(req["coordinate"]), *common,
-        )
-
-    @staticmethod
-    def _finish(req: dict, encoded: dict) -> PolyData:
-        selection = decode_selection(encoded)
-        kind = req.get("kind", "contour")
-        if kind == "contour":
-            roi = _roi_wire(req.get("roi"))
-            return postfilter_contour(
-                selection, req["values"],
-                roi=Bounds(*roi) if roi is not None else None,
-            )
-        if kind == "threshold":
-            return postfilter_threshold(selection)
-        return postfilter_slice(selection, int(req["axis"]), float(req["coordinate"]))
+    def _issue(self, req: tuple):
+        key, op, array, args = req
+        return self._client.call(op.method, key, array, *op.wire(args))
 
     def __iter__(self) -> Iterator[tuple[str, PolyData, dict | None]]:
         """Yield ``(key, polydata, stats)`` in request order.
@@ -120,7 +79,7 @@ class NDPPrefetcher:
         if not self._requests:
             return
         pool = ThreadPoolExecutor(max_workers=1)
-        in_flight: list[tuple[dict, Future]] = []
+        in_flight: list[tuple[tuple, Future]] = []
         state = (pool, in_flight)
         self._active.append(state)
         try:
@@ -140,7 +99,9 @@ class NDPPrefetcher:
                     nxt = None
                 if nxt is not None:
                     in_flight.append((nxt, pool.submit(self._issue, nxt)))
-                yield req["key"], self._finish(req, encoded), encoded.get("stats")
+                key, op, _array, args = req
+                polydata = op.post(decode_selection(encoded), args)
+                yield key, polydata, encoded.get("stats")
         finally:
             self._reap(state)
 

@@ -42,18 +42,11 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
-from repro.compression import get_codec
-from repro.core.encoding import attach_checksum, encode_selection, wire_size
-from repro.core.prefilter import prefilter_contour
+from repro.core.encoding import finish_reply
+from repro.core.filter_splits import SPLIT_FILTERS, require_point_scalar
 from repro.edge.coherence import CoherenceTracker
-from repro.errors import FormatError, RPCError, RPCRemoteError
-from repro.grid.array import DataArray
-from repro.grid.bounds import Bounds
-from repro.grid.rectilinear import RectilinearGrid
-from repro.grid.uniform import UniformGrid
-from repro.io.vgf import ArrayInfo
+from repro.errors import RPCError, RPCRemoteError
+from repro.io.vgf import StoredBlock
 from repro.obs.metrics import Registry
 from repro.obs.trace import NULL_TRACER
 from repro.rpc.client import RPCClient
@@ -87,17 +80,6 @@ class _TransientReply(Exception):
         self.line = line
 
 
-def _params_key(value):
-    """Msgpack params as a hashable cache-key component."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_params_key(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _params_key(v)) for k, v in value.items()))
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return bytes(value)
-    return value
-
-
 class EdgeCacheServer:
     """A caching msgpack-rpc proxy in front of one NDP site or a cluster.
 
@@ -127,7 +109,7 @@ class EdgeCacheServer:
         last-known-fresh cached entry instead of the transport error.
     promote_after:
         Distinct reply-cache misses for one ``(object, array)`` before the
-        edge pulls the block and starts computing contours locally.
+        edge pulls the block and starts computing selections locally.
     verify_checksums:
         Stamp CRCs on locally computed replies; must match the upstream
         server's setting for byte-identity.
@@ -138,10 +120,9 @@ class EdgeCacheServer:
 
     #: methods answered from the edge's own state
     LOCAL_METHODS = frozenset({"stats", "health", "server_stats"})
-    #: methods whose replies are cacheable under a version token
-    CACHEABLE_METHODS = frozenset(
-        {"prefilter_contour", "prefilter_threshold", "prefilter_slice"}
-    )
+    #: methods whose replies are cacheable under a version token, with
+    #: the split filter each one serves
+    CACHEABLE_METHODS = {op.method: op for op in SPLIT_FILTERS.values()}
 
     def __init__(
         self,
@@ -196,7 +177,7 @@ class EdgeCacheServer:
         self._stale_served = reg.counter(
             "edge_stale_served", "entries served past a failed revalidation")
         self._local_computes = reg.counter(
-            "edge_local_computes", "contours computed from cached blocks")
+            "edge_local_computes", "selections computed from cached blocks")
         self._block_promotions = reg.counter(
             "edge_block_promotions", "array blocks pulled for local compute")
 
@@ -302,16 +283,14 @@ class EdgeCacheServer:
                 and self.reply_cache is not None
                 and not self._probe_unsupported
                 and isinstance(params, (list, tuple))
-                and params
+                and len(params) >= 2
                 and isinstance(params[0], str)
+                and isinstance(params[1], str)
             ):
                 out = self._serve_cacheable(payload, message, msgid, method,
                                             params, ctx)
             else:
                 out = self.forwarder.forward(payload, message)
-        except FAILOVER_ERRORS as exc:
-            out = pack([_RESPONSE, msgid,
-                        f"{type(exc).__name__}: {exc}", None])
         except Exception as exc:  # never kill the connection thread
             out = pack([_RESPONSE, msgid,
                         f"{type(exc).__name__}: {exc}", None])
@@ -320,11 +299,19 @@ class EdgeCacheServer:
 
     # ------------------------------------------------------------------
     def _serve_cacheable(self, payload, message, msgid, method, params, ctx):
-        key = params[0]
+        op = self.CACHEABLE_METHODS[method]
+        key, array = params[0], params[1]
+        try:
+            args = op.bind(params[2:])
+        except RPCError:
+            # Malformed parameters: the upstream owns the error reply.
+            return self.forwarder.forward(payload, message)
+        # Canonical, so spelling a default out is not a second entry.
+        request_key = op.request_key(key, array, args)
         try:
             version, map_version = self.coherence.revalidate(key)
         except FAILOVER_ERRORS:
-            stale = self._try_serve_stale(msgid, method, params, ctx)
+            stale = self._try_serve_stale(msgid, request_key, key, ctx)
             if stale is not None:
                 return stale
             raise
@@ -340,11 +327,11 @@ class EdgeCacheServer:
             # keyed by it, and recovery changes the line or the token.
             version, map_version = ("probe-error", line), None
 
-        cache_key = (method, _params_key(params), version, map_version)
+        cache_key = request_key + (version, map_version)
         raw_box: list = []
 
         def load():
-            local = self._compute_locally(method, params, key, version,
+            local = self._compute_locally(op, key, array, args, version,
                                           map_version)
             if local is not None:
                 return ("ok", local)
@@ -404,15 +391,14 @@ class EdgeCacheServer:
                 return pack([_RESPONSE, msgid, error, result, [span_dict]])
         return pack([_RESPONSE, msgid, error, result])
 
-    def _try_serve_stale(self, msgid, method, params, ctx):
+    def _try_serve_stale(self, msgid, request_key, key, ctx):
         """Failure-ladder rung: upstream down, serve last-known-fresh."""
         if not self.serve_stale:
             return None
-        known = self.coherence.last_known(params[0])
+        known = self.coherence.last_known(key)
         if known is None or self.reply_cache is None:
             return None
-        entry = self.reply_cache.peek(
-            (method, _params_key(params), known[0], known[1]))
+        entry = self.reply_cache.peek(request_key + tuple(known))
         if entry is None or entry[0] != "ok":
             return None
         self._stale_served.inc()
@@ -421,28 +407,17 @@ class EdgeCacheServer:
     # ------------------------------------------------------------------
     # local compute over cached blocks
     # ------------------------------------------------------------------
-    def _compute_locally(self, method, params, key, version, map_version):
+    def _compute_locally(self, op, key, array, args, version, map_version):
         """An encoded reply computed at the edge, or ``None`` to forward.
 
-        Single-server mode pulls hot blocks and mirrors the storage
-        server's contour path byte-for-byte; cluster mode scatter-gathers
-        the shards and stitches/encodes here.  Any condition the local
-        path cannot honour (non-point arrays, unknown modes, parse
-        surprises) falls back to forwarding.
+        Single-server mode pulls hot blocks and runs the storage server's
+        own ``op.pre`` and reply tail, so the bytes match; cluster mode
+        scatter-gathers the shards and stitches/encodes here.  Any
+        condition the local path cannot honour (non-point arrays, unknown
+        modes, decode surprises) falls back to forwarding.
         """
-        if method != "prefilter_contour":
-            return None
-        try:
-            _, array, values = params[0], params[1], params[2]
-            mode = params[3] if len(params) > 3 else "cell-closure"
-            encoding = params[4] if len(params) > 4 else "auto"
-            wire_codec = params[5] if len(params) > 5 else "lz4"
-            roi = params[6] if len(params) > 6 else None
-        except (IndexError, TypeError):
-            return None
         if self.cluster is not None:
-            return self._cluster_compute(array, values, mode, encoding,
-                                         wire_codec, roi, map_version)
+            return self._cluster_compute(op, array, args, map_version)
         if self.block_cache is None:
             return None
         if not isinstance(version, tuple) or version[:1] == ("probe-error",):
@@ -464,39 +439,26 @@ class EdgeCacheServer:
                 # may still handle (e.g. exotic codec): forward instead.
                 return None
         grid, entry = pair
-        if entry.association != "point" or entry.components != 1:
-            self._local_blacklist.add((key, array))
-            return None
         try:
+            require_point_scalar(entry)
             with self.tracer.span("edge.compute", key=key, array=array):
                 if self.testbed is not None:
                     self.testbed.charge_filter_scan(entry.raw_bytes)
-                bounds = (
-                    Bounds(*(float(v) for v in roi)) if roi is not None
-                    else None
-                )
-                selection = prefilter_contour(grid, array, values, mode=mode,
-                                              roi=bounds)
-                encoded = encode_selection(selection, method=encoding,
-                                           payload_codec=wire_codec)
-                if self.testbed is not None and wire_codec != "raw":
-                    self.testbed.charge_compress(
-                        wire_codec, selection.payload_nbytes)
+                selection = op.pre(grid, array, args)
+                return self._finish(selection, entry.stats(), args,
+                                    map_version)
         except FAILOVER_ERRORS:
             raise
         except Exception:
+            # The upstream reports it with its own typed error.
             self._local_blacklist.add((key, array))
             return None
-        encoded["stats"] = {
-            "stored_bytes": entry.stored_bytes,
-            "raw_bytes": entry.raw_bytes,
-            "codec": entry.codec,
-            "selected_points": int(selection.count),
-            "total_points": int(selection.total_points),
-            "wire_bytes": wire_size(encoded),
-        }
-        if self.verify_checksums:
-            encoded = attach_checksum(encoded)
+
+    def _finish(self, selection, block_stats, args, map_version):
+        encoded = finish_reply(
+            selection, block_stats, args["encoding"], args["wire_codec"],
+            checksum=self.verify_checksums, testbed=self.testbed,
+        )
         if map_version is not None:
             encoded["map_version"] = map_version
         self._local_computes.inc()
@@ -511,76 +473,38 @@ class EdgeCacheServer:
         return count >= self.promote_after
 
     def _fetch_block(self, key: str, array: str):
-        """Pull one stored block upstream and decode it exactly as
-        :func:`repro.io.vgf.read_vgf_array` would locally."""
-        resp = self._call_upstream("read_block", key, array)
-        arr = resp["array"]
-        stored = resp["stored"]
-        payload = get_codec(arr["codec"]).decompress(bytes(stored))
-        if len(payload) != arr["raw_bytes"]:
-            raise FormatError(
-                f"array {array!r}: decompressed to {len(payload)} bytes, "
-                f"header says {arr['raw_bytes']}"
-            )
+        """Pull one stored block upstream and decode it exactly as the
+        storage server would locally."""
+        block = StoredBlock.from_wire(
+            self._call_upstream("read_block", key, array))
         if self.testbed is not None:
-            self.testbed.charge_decompress(arr["codec"], arr["raw_bytes"])
-        values = np.frombuffer(payload, dtype=np.dtype(arr["dtype"]))
-        if resp.get("axes"):
-            axes = [np.frombuffer(bytes(b), dtype=np.float64)
-                    for b in resp["axes"]]
-            grid = RectilinearGrid(*axes)
-        else:
-            grid = UniformGrid(tuple(resp["dims"]), tuple(resp["origin"]),
-                               tuple(resp["spacing"]))
-        entry = ArrayInfo(
-            name=arr["name"], dtype=arr["dtype"],
-            components=arr["components"], association=arr["association"],
-            codec=arr["codec"], offset=0,
-            stored_bytes=arr["stored_bytes"], raw_bytes=arr["raw_bytes"],
-        )
-        data = DataArray(entry.name, values, components=entry.components)
-        if entry.association == "point":
-            grid.point_data.add(data)
-        else:
-            grid.cell_data.add(data)
+            self.testbed.charge_decompress(
+                block.entry.codec, block.entry.raw_bytes)
+        pair = block.grid(copy=False), block.entry
         self._block_promotions.inc()
-        return grid, entry
+        return pair
 
-    def _cluster_compute(self, array, values, mode, encoding, wire_codec,
-                         roi, map_version):
+    def _cluster_compute(self, op, array, args, map_version):
         """Scatter-gather across the shards, stitch and encode here."""
-        if mode != getattr(self.cluster, "mode", mode):
-            return None  # shards would compute a different selection
+        if op.kind != "contour" or args["mode"] != getattr(
+                self.cluster, "mode", args["mode"]):
+            return None  # the shards compute contours, in their own mode
         try:
-            bounds = (
-                Bounds(*(float(v) for v in roi)) if roi is not None else None
-            )
-            selection, stats = self.cluster.prefilter(array, values,
-                                                      roi=bounds)
-            encoded = encode_selection(selection, method=encoding,
-                                       payload_codec=wire_codec)
+            selection, stats = self.cluster.prefilter(
+                array, args["values"], roi=args["roi"])
+            # The probe saw the live shard-map generation; the cluster
+            # client's stats may still carry the manifest's cached one.
+            live = map_version if map_version is not None \
+                else stats.get("map_version")
+            return self._finish(selection, {
+                "stored_bytes": int(stats.get("stored_bytes", 0)),
+                "raw_bytes": int(stats.get("raw_bytes", 0)),
+                "codec": "cluster",
+            }, args, live)
         except FAILOVER_ERRORS:
             raise
         except Exception:
             return None
-        encoded["stats"] = {
-            "stored_bytes": int(stats.get("stored_bytes", 0)),
-            "raw_bytes": int(stats.get("raw_bytes", 0)),
-            "codec": "cluster",
-            "selected_points": int(selection.count),
-            "total_points": int(selection.total_points),
-            "wire_bytes": wire_size(encoded),
-        }
-        if self.verify_checksums:
-            encoded = attach_checksum(encoded)
-        # The probe saw the live shard-map generation; the cluster
-        # client's stats may still carry the manifest's cached one.
-        live = map_version if map_version is not None \
-            else stats.get("map_version")
-        if live is not None:
-            encoded["map_version"] = live
-        self._local_computes.inc()
-        return encoded
 
     # ------------------------------------------------------------------
     # local endpoints

@@ -64,6 +64,8 @@ __all__ = [
     "read_vgf_info",
     "read_vgf_array",
     "read_vgf_block",
+    "StoredBlock",
+    "array_collection",
     "verify_vgf",
     "VGFInfo",
     "ArrayInfo",
@@ -87,6 +89,14 @@ class ArrayInfo:
     raw_bytes: int
     checksum: int | None = None  # over the *stored* (compressed) block
     checksum_algo: str | None = None
+
+    def stats(self) -> dict:
+        """The block facts every reply's ``stats`` leads with."""
+        return {
+            "stored_bytes": self.stored_bytes,
+            "raw_bytes": self.raw_bytes,
+            "codec": self.codec,
+        }
 
 
 @dataclass(frozen=True)
@@ -303,6 +313,93 @@ def read_vgf_block(
     return stored, entry
 
 
+#: the :class:`ArrayInfo` fields a ``read_block`` reply carries, in order
+_WIRE_FIELDS = ("name", "dtype", "components", "association", "codec",
+                "stored_bytes", "raw_bytes")
+
+
+@dataclass(frozen=True)
+class StoredBlock:
+    """One array's stored (still-compressed) block plus what decodes it.
+
+    What a server ships for ``read_block`` and what its scans start from
+    — whole (:meth:`grid`) or streamed (:meth:`chunks`) — so a block read
+    near the store and one pulled across the WAN by the edge tier decode
+    through the same code.
+    """
+
+    info: VGFInfo
+    entry: ArrayInfo
+    stored: bytes
+
+    def to_wire(self, version) -> dict:
+        """The ``read_block`` reply: header fields, the decode recipe, the
+        stored bytes and the store ``version`` token they were read under."""
+        entry, info = self.entry, self.info
+        out = {
+            "dims": list(info.dims),
+            "origin": list(info.origin),
+            "spacing": list(info.spacing),
+            "array": {name: getattr(entry, name) for name in _WIRE_FIELDS},
+            "stored": self.stored,
+            "version": list(version) if isinstance(version, tuple) else version,
+        }
+        if info.axes is not None:
+            out["axes"] = [
+                np.ascontiguousarray(axis, dtype=np.float64).tobytes()
+                for axis in info.axes
+            ]
+        return out
+
+    @classmethod
+    def from_wire(cls, reply: dict) -> "StoredBlock":
+        """Inverse of :meth:`to_wire` (the version token is not kept)."""
+        entry = ArrayInfo(offset=0, **reply["array"])
+        axes = None
+        if reply.get("axes"):
+            axes = tuple(np.frombuffer(bytes(blob), dtype=np.float64)
+                         for blob in reply["axes"])
+        info = VGFInfo(
+            tuple(reply["dims"]), tuple(reply["origin"]),
+            tuple(reply["spacing"]), {}, (entry,), 0, axes,
+        )
+        return cls(info, entry, bytes(reply["stored"]))
+
+    def chunks(self):
+        """The decoded bytes as the codec's incremental stream."""
+        return get_codec(self.entry.codec).iter_decompress(self.stored)
+
+    def grid(self, copy: bool = True):
+        """A grid of the stored structure holding just this array."""
+        grid = self.info.make_grid()
+        array_collection(grid, self.entry).add(
+            _decode(self.stored, self.entry, copy))
+        return grid
+
+
+def _decode(stored, entry: ArrayInfo, copy: bool) -> DataArray:
+    try:
+        payload = get_codec(entry.codec).decompress(stored)
+    except CodecError as exc:
+        raise FormatError(
+            f"array {entry.name!r}: corrupt {entry.codec} block: {exc}"
+        ) from exc
+    if len(payload) != entry.raw_bytes:
+        raise FormatError(
+            f"array {entry.name!r}: decoded {len(payload)} bytes, header says "
+            f"{entry.raw_bytes}"
+        )
+    values = np.frombuffer(payload, dtype=np.dtype(entry.dtype))
+    if copy:
+        values = values.copy()
+    return DataArray(entry.name, values, components=entry.components)
+
+
+def array_collection(grid, entry: ArrayInfo):
+    """The attribute collection of ``grid`` that ``entry``'s association names."""
+    return grid.cell_data if entry.association == "cell" else grid.point_data
+
+
 def read_vgf_array(
     source, name: str, info: VGFInfo | None = None, verify: bool = True,
     copy: bool = True,
@@ -317,21 +414,7 @@ def read_vgf_array(
     safe for scan-only consumers like the NDP server's pre-filters.
     """
     stored, entry = read_vgf_block(source, name, info, verify=verify)
-    try:
-        payload = get_codec(entry.codec).decompress(stored)
-    except CodecError as exc:
-        raise FormatError(
-            f"array {name!r}: corrupt {entry.codec} block: {exc}"
-        ) from exc
-    if len(payload) != entry.raw_bytes:
-        raise FormatError(
-            f"array {name!r}: decoded {len(payload)} bytes, header says "
-            f"{entry.raw_bytes}"
-        )
-    values = np.frombuffer(payload, dtype=np.dtype(entry.dtype))
-    if copy:
-        values = values.copy()
-    return DataArray(entry.name, values, components=entry.components), entry
+    return _decode(stored, entry, copy), entry
 
 
 def read_vgf(source, array_names: list[str] | None = None, verify: bool = True):
@@ -348,10 +431,7 @@ def read_vgf(source, array_names: list[str] | None = None, verify: bool = True):
     wanted = info.array_names() if array_names is None else list(array_names)
     for name in wanted:
         arr, entry = read_vgf_array(fh, name, info, verify=verify)
-        if entry.association == "cell":
-            grid.cell_data.add(arr)
-        else:
-            grid.point_data.add(arr)
+        array_collection(grid, entry).add(arr)
     return grid
 
 

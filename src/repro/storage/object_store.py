@@ -10,8 +10,6 @@ HEAD, and LIST.  Two backends:
 
 A store may carry a :class:`~repro.storage.netsim.DeviceModel`; every byte
 served is then charged to it, modelling MinIO reading from its local SSD.
-An :class:`ObjectStoreServer` exposes a store over the RPC layer so a
-client-side mount can reach it across a (real or simulated) network hop.
 """
 
 from __future__ import annotations
@@ -22,14 +20,11 @@ import threading
 from abc import ABC, abstractmethod
 
 from repro.errors import NoSuchBucketError, NoSuchObjectError, StorageError
-from repro.rpc.server import RPCServer
 
 __all__ = [
     "ObjectStore",
     "MemoryBackend",
     "DirectoryBackend",
-    "ObjectStoreServer",
-    "RemoteObjectStore",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._\-/]*$")
@@ -262,62 +257,3 @@ class ObjectStore:
 
     def delete_object(self, bucket: str, key: str) -> None:
         self.backend.delete(bucket, key)
-
-
-class ObjectStoreServer:
-    """Exposes an :class:`ObjectStore` over the RPC layer (MinIO's socket)."""
-
-    def __init__(self, store: ObjectStore):
-        self.store = store
-        self.rpc = RPCServer(
-            {
-                "get_object": self._get,
-                "head_object": store.head_object,
-                "list_objects": store.list_objects,
-                "put_object": store.put_object,
-                "object_version": self._version,
-            }
-        )
-
-    def _version(self, bucket: str, key: str) -> list:
-        return list(self.store.object_version(bucket, key))
-
-    def _get(self, bucket: str, key: str, offset: int, length) -> bytes:
-        return self.store.get_object(bucket, key, offset, length)
-
-    @property
-    def dispatch(self):
-        return self.rpc.dispatch
-
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        return self.rpc.serve_tcp(host=host, port=port)
-
-
-class RemoteObjectStore:
-    """Client-side proxy to an :class:`ObjectStoreServer` over a transport."""
-
-    def __init__(self, client):
-        self._client = client
-
-    def get_object(self, bucket, key, offset=0, length=None):
-        return self._client.call("get_object", bucket, key, offset, length)
-
-    def head_object(self, bucket, key):
-        return self._client.call("head_object", bucket, key)
-
-    def list_objects(self, bucket, prefix=""):
-        return self._client.call("list_objects", bucket, prefix)
-
-    def put_object(self, bucket, key, data):
-        return self._client.call("put_object", bucket, key, data)
-
-    def object_version(self, bucket, key):
-        from repro.errors import RPCRemoteError
-
-        try:
-            return tuple(self._client.call("object_version", bucket, key))
-        except RPCRemoteError as exc:
-            # An older server without the endpoint: degrade to size-only.
-            if "no such method" in str(exc):
-                return ("size", self.head_object(bucket, key))
-            raise

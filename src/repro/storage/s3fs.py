@@ -7,8 +7,8 @@ that mount lives: on the client (baseline — every byte crosses the
 network) or on the storage node (NDP — reads are local).
 
 :class:`S3FileSystem` reproduces that: it wraps anything with the
-object-store read surface (:class:`~repro.storage.object_store.ObjectStore`
-or :class:`~repro.storage.object_store.RemoteObjectStore`) and serves
+object-store read surface
+(:class:`~repro.storage.object_store.ObjectStore`) and serves
 :class:`S3File` handles whose reads are issued as ranged GETs in
 ``chunk_bytes`` units, like a FUSE page cache.  An optional link model
 charges every fetched byte to the simulated network, which is exactly the

@@ -5,17 +5,24 @@ buffers chunk-by-chunk; these tests drive it across codecs, chunk sizes
 (down to one layer), selection modes, grid shapes (incl. 2-D), dtypes,
 NaN-bearing fields, and rectilinear axes, always comparing against the
 materializing :func:`~repro.core.prefilter.prefilter_contour`.  A second
-class asserts the NDP server's fused hot path produces replies
-byte-identical (CRC included) to the legacy server path.
+class asserts that which source a deployment serves a block from — the
+streamed store read, the array cache, a batch memo, an edge's promoted
+block — never shows in the reply bytes (CRC included).
 """
 
 import numpy as np
 import pytest
 
 from repro.compression import get_codec
+from repro.core.encoding import decode_selection
+from repro.core.filter_splits import SPLIT_FILTERS, wire_request
 from repro.core.ndp_server import NDPServer
 from repro.core.prefilter import prefilter_contour, prefilter_contour_stream
+from repro.edge import EdgeCacheServer
 from repro.errors import FilterError, FormatError
+from repro.filters.contour import contour_grid
+from repro.filters.slice import slice_grid
+from repro.filters.threshold import ThresholdPoints
 from repro.grid.array import DataArray
 from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.uniform import UniformGrid
@@ -131,39 +138,101 @@ class TestStreamEquivalence:
             )
 
 
+#: kind -> what the client sends for it (``mode`` picks the contour variant)
+REQUESTS = {
+    "cell-closure": ("contour", {"values": VALUES, "mode": "cell-closure"}),
+    "edge": ("contour", {"values": VALUES, "mode": "edge"}),
+    "threshold": ("threshold", {"lower": -0.25, "upper": 0.5}),
+    "slice": ("slice", {"axis": 1, "coordinate": 3.5}),
+}
+STORE_CODECS = ("raw", "gzip", "lz4")
+
+
+def _stock(grid, kind, fields):
+    if kind == "contour":
+        return contour_grid(grid, "s", fields["values"])
+    if kind == "threshold":
+        stock = ThresholdPoints("s", fields["lower"], fields["upper"])
+        stock.set_input_data(grid)
+        return stock.output()
+    return slice_grid(grid, fields["axis"], fields["coordinate"], ["s"])
+
+
+def same_polydata(a, b) -> bool:
+    return (
+        np.array_equal(a.points, b.points)
+        and np.array_equal(a.polys.connectivity, b.polys.connectivity)
+        and np.array_equal(a.verts.connectivity, b.verts.connectivity)
+        and [(arr.name, arr.values.tobytes()) for arr in a.point_data]
+        == [(arr.name, arr.values.tobytes()) for arr in b.point_data]
+    )
+
+
 class TestServerFusedPath:
+    """The fused (streamed) store read against every other source a
+    deployment can serve the same request from."""
+
+    GRID, _ = make_grid((11, 9, 13), seed=7)
+
     @pytest.fixture()
     def fs(self):
         store = ObjectStore(MemoryBackend())
         store.create_bucket("sim")
         fs = S3FileSystem(store, "sim")
-        grid, _ = make_grid((11, 9, 13), seed=7)
-        for codec in ("raw", "gzip"):
-            fs.write_object(f"x_{codec}.vgf", write_vgf(grid, codec=codec))
+        for codec in STORE_CODECS:
+            fs.write_object(f"x_{codec}.vgf", write_vgf(self.GRID, codec=codec))
         return fs
 
-    @pytest.mark.parametrize("codec", ["raw", "gzip"])
-    @pytest.mark.parametrize("mode", ["cell-closure", "edge"])
-    def test_fused_reply_byte_identical_to_legacy(self, fs, codec, mode):
-        replies = []
-        for fused in (True, False):
-            server = NDPServer(fs, fused_streaming=fused)
-            client = RPCClient(InProcessTransport(server.dispatch))
-            for encoding in ("auto", "ids", "bitmap"):
-                replies.append(
-                    client.call(
-                        "prefilter_contour", f"x_{codec}.vgf", "s",
-                        list(VALUES), mode, encoding, "gzip",
-                    )
-                )
-        half = len(replies) // 2
-        for fused_reply, legacy_reply in zip(replies[:half], replies[half:]):
+    def replies(self, fs, key, op, args) -> dict:
+        """``source -> reply`` for one bound request."""
+        def client(dispatch):
+            return RPCClient(InProcessTransport(dispatch))
+
+        params = [key, "s", *op.wire(args)]
+        edge = EdgeCacheServer(
+            [InProcessTransport(NDPServer(fs).dispatch)], promote_after=1)
+        out = {
+            "store": client(NDPServer(fs).dispatch).call(op.method, *params),
+            "array-cache": client(
+                NDPServer(fs, cache_bytes=1 << 20).dispatch
+            ).call(op.method, *params),
+            "batch": client(NDPServer(fs).dispatch).call(
+                "prefilter_batch", key, [wire_request(op, "s", args)])[0],
+            "edge-local": client(edge.dispatch).call(op.method, *params),
+        }
+        assert edge.server_stats()["local_computes"] == 1
+        return out
+
+    @pytest.mark.parametrize("encoding", ["auto", "ids", "bitmap"])
+    @pytest.mark.parametrize("codec", STORE_CODECS)
+    @pytest.mark.parametrize("request_name", REQUESTS)
+    def test_same_bytes(self, fs, request_name, codec, encoding):
+        kind, fields = REQUESTS[request_name]
+        op = SPLIT_FILTERS[kind]
+        args = op.bind({**fields, "encoding": encoding, "wire_codec": "gzip"})
+        replies = self.replies(fs, f"x_{codec}.vgf", op, args)
+        reference = replies.pop("store")
+        for source, reply in replies.items():
             # Same bytes on the wire, same integrity stamp.
-            assert pack(dict(fused_reply)) == pack(dict(legacy_reply))
-            assert fused_reply["crc"] == legacy_reply["crc"]
+            assert pack(dict(reply)) == pack(dict(reference)), source
+            assert reply["crc"] == reference["crc"], source
+
+    @pytest.mark.parametrize("codec", STORE_CODECS)
+    @pytest.mark.parametrize("request_name", ["cell-closure", "threshold", "slice"])
+    def test_post_matches_stock(self, fs, request_name, codec):
+        # Every source, decoded and post-filtered, is the stock filter on
+        # the full grid ("edge" mode is approximate by design, see
+        # prefilter.py, so it is not held to this).
+        kind, fields = REQUESTS[request_name]
+        op = SPLIT_FILTERS[kind]
+        args = op.bind(fields)
+        expected = _stock(self.GRID, kind, fields)
+        for source, reply in self.replies(fs, f"x_{codec}.vgf", op, args).items():
+            got = op.post(decode_selection(reply), args)
+            assert same_polydata(got, expected), source
 
     def test_fallbacks_still_serve(self, fs):
-        # ROI, caches, and batches route around the fused path and work.
+        # ROI, caches, and batches materialize the block and work.
         server = NDPServer(fs, cache_bytes=1 << 20,
                            selection_cache_bytes=1 << 20)
         client = RPCClient(InProcessTransport(server.dispatch))
@@ -177,18 +246,3 @@ class TestServerFusedPath:
             {"kind": "threshold", "array": "s", "lower": 0.0, "upper": 1.0},
         ])
         assert len(batch) == 2
-
-    def test_fused_and_legacy_against_direct_prefilter(self, fs):
-        # Both server paths agree with calling the library directly.
-        from repro.core.encoding import decode_selection
-        from repro.io.vgf import read_vgf
-
-        grid = read_vgf(fs.read_object("x_gzip.vgf"))
-        ref = prefilter_contour(grid, "s", list(VALUES))
-        for fused in (True, False):
-            server = NDPServer(fs, fused_streaming=fused)
-            client = RPCClient(InProcessTransport(server.dispatch))
-            reply = client.call(
-                "prefilter_contour", "x_gzip.vgf", "s", list(VALUES),
-            )
-            assert same_selection(decode_selection(reply), ref)

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.errors import NoSuchBucketError, NoSuchObjectError, StorageError
-from repro.rpc import RPCClient
 from repro.storage import DirectoryBackend, MemoryBackend, ObjectStore, SimClock
 from repro.storage.netsim import DeviceModel
-from repro.storage.object_store import ObjectStoreServer, RemoteObjectStore
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -122,25 +120,3 @@ class TestDirectoryBackendSpecifics:
         backend.create_bucket("b")
         (root / "b" / "junk.tmp").write_bytes(b"partial")
         assert backend.list_keys("b", "") == []
-
-
-class TestRemoteProxy:
-    def test_remote_store_over_rpc(self):
-        s = ObjectStore(MemoryBackend())
-        s.create_bucket("b")
-        s.put_object("b", "k", b"remote!")
-        server = ObjectStoreServer(s)
-        remote = RemoteObjectStore(RPCClient.in_process(server.rpc))
-        assert remote.get_object("b", "k") == b"remote!"
-        assert remote.head_object("b", "k") == 7
-        assert remote.list_objects("b") == ["k"]
-        remote.put_object("b", "k2", b"via rpc")
-        assert s.get_object("b", "k2") == b"via rpc"
-
-    def test_remote_ranged_get(self):
-        s = ObjectStore(MemoryBackend())
-        s.create_bucket("b")
-        s.put_object("b", "k", b"0123456789")
-        server = ObjectStoreServer(s)
-        remote = RemoteObjectStore(RPCClient.in_process(server.rpc))
-        assert remote.get_object("b", "k", 3, 4) == b"3456"
