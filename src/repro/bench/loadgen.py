@@ -1,4 +1,4 @@
-"""Open-loop load generator for the RPC serving cores.
+"""Open-loop load generator for the RPC server.
 
 Closed-loop benchmarks (issue, wait, issue again) hide overload: a slow
 server simply slows the generator down, so measured latency stays flat
@@ -9,14 +9,14 @@ each request's latency is measured from its *scheduled* arrival, so time
 spent queued behind a saturated server or a blocking socket counts
 against the server (no coordinated omission).
 
-Two client cores are driven through the same codepath:
+Two kinds of client are driven through the same codepath:
 
 * ``core="mux"`` — one :class:`~repro.rpc.mux.MuxTransport` per
   connection, requests pipelined via ``submit`` with done-callbacks; an
   arbitrary number of requests ride each socket concurrently.
 * ``core="legacy"`` — one blocking :class:`~repro.rpc.transport.TCPTransport`
   per connection; each connection serves its arrivals one at a time,
-  which is exactly what the thread-per-connection server assumes.
+  as a classic rpclib client would.
 
 The report carries p50/p90/p99/p999, an error/shed breakdown, and a
 coarse log-scale histogram suitable for shipping into
@@ -32,11 +32,9 @@ import time
 
 from repro.errors import RPCError, ServerOverloadedError
 from repro.rpc.msgpack import pack, unpack
+from repro.rpc.transport import REQUEST, RESPONSE
 
 __all__ = ["LoadReport", "run_load"]
-
-_REQUEST = 0
-_RESPONSE = 1
 
 # Histogram bucket upper bounds in seconds (log-spaced, last is +inf).
 _BUCKETS = [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
@@ -135,7 +133,7 @@ def _classify(raw: bytes) -> str:
         message = unpack(raw)
     except Exception:
         return "error"
-    if not isinstance(message, list) or len(message) < 4 or message[0] != _RESPONSE:
+    if not isinstance(message, list) or len(message) < 4 or message[0] != RESPONSE:
         return "error"
     error = message[2]
     if error is None:
@@ -199,7 +197,7 @@ def run_load(
     clock = time.monotonic
 
     def frame(msgid: int) -> bytes:
-        msg = [_REQUEST, msgid, method, list(params)]
+        msg = [REQUEST, msgid, method, list(params)]
         if tenant:
             msg.append({"tenant": tenant})
         return pack(msg)

@@ -159,18 +159,13 @@ def cmd_serve(args) -> int:
     if recorder is not None:
         install_signal_dump(recorder)  # SIGUSR2 -> dump, main thread only
     max_conns = args.max_connections if args.max_connections > 0 else None
-    if args.serving_core == "async":
-        weights = _parse_tenant_weights(args.tenant_weights)
-        listener = server.serve_async_tcp(
-            host=args.host, port=args.port, max_connections=max_conns,
-            workers=args.workers, tenant_weights=weights,
-            tenant_inflight=args.tenant_inflight,
-            tenant_pending=args.tenant_pending,
-        )
-    else:
-        listener = server.serve_tcp(
-            host=args.host, port=args.port, max_connections=max_conns,
-        )
+    listener = server.serve_tcp(
+        host=args.host, port=args.port, max_connections=max_conns,
+        workers=args.workers,
+        tenant_weights=_parse_tenant_weights(args.tenant_weights),
+        tenant_inflight=args.tenant_inflight,
+        tenant_pending=args.tenant_pending,
+    )
     caches = (
         f"array_cache={args.cache_bytes // 2**20} MiB"
         if args.cache_bytes > 0 else "array_cache=off",
@@ -180,10 +175,6 @@ def cmd_serve(args) -> int:
     admission = (
         f"max_inflight={args.max_inflight}" if args.max_inflight > 0
         else "admission=unlimited"
-    )
-    core = (
-        f"core=async workers={args.workers}" if args.serving_core == "async"
-        else "core=threaded"
     )
     obs = (
         "flightrec=" + (
@@ -196,7 +187,8 @@ def cmd_serve(args) -> int:
         + ("+shed" if args.slo_shed else ""),
     )
     print(f"NDP server on {listener.host}:{listener.port} "
-          f"(store={args.store}, bucket={args.bucket}, {core}, "
+          f"(store={args.store}, bucket={args.bucket}, "
+          f"workers={args.workers}, "
           f"{caches[0]}, {caches[1]}, {admission}, "
           f"checksums={args.verify_checksums}, "
           f"{obs[0]}, {obs[1]}, {obs[2]}"
@@ -1252,26 +1244,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default="", metavar="FILE",
                    help="record server-side spans and write them on exit "
                         "(.jsonl = span log, else Chrome trace JSON)")
-    p.add_argument("--serving-core", choices=["threaded", "async"],
-                   default="threaded",
-                   help="threaded = one thread per connection, one request "
-                        "at a time per socket; async = event-loop core: "
-                        "requests pipeline per connection and dispatch runs "
-                        "on a fair-queued worker pool (default threaded)")
     p.add_argument("--workers", type=int, default=8,
-                   help="dispatch worker threads for --serving-core async "
+                   help="dispatch worker threads; requests pipelined on a "
+                        "connection run concurrently up to this many "
                         "(default 8)")
     p.add_argument("--tenant-weights", default="", metavar="NAME=W,...",
-                   help="async core: fair-share weights per tenant, e.g. "
+                   help="fair-share weights per tenant, e.g. "
                         "'interactive=3,batch=1' (unlisted tenants get "
                         "weight 1)")
     p.add_argument("--tenant-inflight", type=int, default=0,
-                   help="async core: max requests one tenant may have "
-                        "executing at once (0 = unlimited)")
+                   help="max requests one tenant may have executing at "
+                        "once (0 = unlimited)")
     p.add_argument("--tenant-pending", type=int, default=0,
-                   help="async core: max requests one tenant may queue "
-                        "before its excess is shed with retry_after "
-                        "(0 = unlimited)")
+                   help="max requests one tenant may queue before its "
+                        "excess is shed with retry_after (0 = unlimited)")
     p.add_argument("--flight-recorder", choices=["on", "off"], default="on",
                    help="always-on ring of recent structured events, "
                         "dumpable via `repro dump` / SIGUSR2 (default on)")
@@ -1316,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default mux)")
     p.add_argument("--tenant", default="",
                    help="tenant name stamped into each request's ctx map "
-                        "(drives the async core's fair queue)")
+                        "(drives the server's fair queue)")
     p.add_argument("--call-timeout", type=float, default=30.0,
                    help="per-request timeout in seconds (default 30)")
     p.add_argument("--seed", type=int, default=1234,

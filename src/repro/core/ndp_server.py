@@ -21,7 +21,7 @@ real work always happens; only time is modelled.
 With ``cache_bytes`` / ``selection_cache_bytes`` budgets the server keeps
 storage-side caches (see :mod:`repro.storage.cache`): decoded array
 blocks and encoded pre-filter replies, both with single-flight request
-coalescing across the TCP listener's connection threads.  Testbed phases
+coalescing across the TCP listener's worker threads.  Testbed phases
 are charged *inside* the cache loaders, so a hit honestly skips the
 read/decompress (array cache) or the whole scan+encode (selection cache)
 on the simulated clock too.  Entries are keyed by the store's
@@ -56,6 +56,7 @@ from repro.obs.profile import NULL_PROFILER, SamplingProfiler
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import NULL_TRACER
 from repro.rpc.admission import AdmissionController, check_deadline
+from repro.rpc.fairshare import FairScheduler
 from repro.rpc.server import RPCServer
 from repro.storage.cache import ArrayCache, SelectionCache
 from repro.storage.s3fs import S3FileSystem
@@ -174,7 +175,6 @@ class NDPServer:
             max_inflight=max_inflight, max_pending=max_pending
         )
         self._listener = None
-        self._fair_queue = None
         cache_recorder = self.recorder if self.recorder else None
         self.array_cache = (
             ArrayCache(cache_bytes, tracer=self.tracer, recorder=cache_recorder)
@@ -357,7 +357,7 @@ class NDPServer:
         Lookup order: the running batch's ``memo`` (one read per object
         per ``prefilter_batch``, even with caching off), then the shared
         :class:`~repro.storage.cache.ArrayCache` (single-flight across
-        connection threads), then the store.  Testbed read and
+        worker threads), then the store.  Testbed read and
         decompress charges happen only on the store path, where
         ``store.read`` covers the object read and checksum (its sim time
         is the modelled SSD cost) and ``decompress`` the modelled
@@ -449,8 +449,8 @@ class NDPServer:
         self._latency.observe(time.perf_counter() - wall0, exemplar=exemplar)
         if sim0 is not None:
             self._sim_latency.observe(self.testbed.clock.now - sim0)
-        # Instruments are thread-safe: the TCP listener serves each
-        # connection on its own thread.
+        # Instruments are thread-safe: the TCP listener dispatches on a
+        # pool of worker threads.
         stats = encoded["stats"]
         self._requests.inc()
         self._prefilter_calls.inc()
@@ -510,9 +510,8 @@ class NDPServer:
         version = self._current_map_version()
         if version is not None:
             out["map_version"] = version
-        if self._fair_queue is not None:
-            out["serving_core"] = "async"
-            out["fair_queue"] = self._fair_queue.info()
+        if self._listener is not None:
+            out["fair_queue"] = self._listener.scheduler.info()
         if self.slo is not None:
             snap = self.slo.snapshot()
             out["slo"] = {
@@ -549,8 +548,8 @@ class NDPServer:
         out["array_cache"] = self._cache_info(self.array_cache)
         out["selection_cache"] = self._cache_info(self.selection_cache)
         out["admission"] = self.admission.info()
-        if self._fair_queue is not None:
-            out["fair_queue"] = self._fair_queue.info()
+        if self._listener is not None:
+            out["fair_queue"] = self._listener.scheduler.info()
         out["integrity_failures"] = int(self._integrity_failures.value)
         out["hedged_requests"] = int(self._hedged_requests.value)
         out["failover_requests"] = int(self._failover_requests.value)
@@ -727,31 +726,12 @@ class NDPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_connections: int | None = None,
-    ):
-        """Listen on TCP; returns the started listener.
-
-        The listener is remembered so :meth:`health` can report
-        ``draining`` while a graceful ``stop(drain_timeout=...)`` runs.
-        """
-        from repro.rpc.transport import TCPServerTransport
-
-        self._listener = TCPServerTransport(
-            self.rpc.dispatch, host=host, port=port,
-            max_connections=max_connections,
-        ).start()
-        return self._arm_observability(self._listener)
-
-    def serve_async_tcp(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_connections: int | None = None,
         workers: int = 8,
         tenant_weights: dict[str, float] | None = None,
         tenant_inflight: int = 0,
         tenant_pending: int = 0,
     ):
-        """Listen with the event-loop serving core (pipelined, multiplexed).
+        """Listen on TCP; returns the started listener.
 
         One I/O thread multiplexes every connection and ``workers``
         threads run dispatch through a
@@ -759,13 +739,11 @@ class NDPServer:
         flooding tenant queue behind their fair share instead of starving
         everyone else.  Per-tenant sheds are recorded on this server's
         :class:`~repro.rpc.admission.AdmissionController` — ``health`` and
-        ``stats`` keep one overload ledger either way.  Same wire
-        protocol and drain contract as :meth:`serve_tcp`.
+        ``stats`` keep one overload ledger.  The listener is remembered
+        so :meth:`health` can report ``draining`` while a graceful
+        ``stop(drain_timeout=...)`` runs.
         """
-        from repro.rpc.fairshare import FairScheduler
-        from repro.rpc.mux import AsyncServerTransport
-
-        self._fair_queue = FairScheduler(
+        fair_queue = FairScheduler(
             self.rpc.dispatch,
             workers=workers,
             weights=tenant_weights,
@@ -776,19 +754,18 @@ class NDPServer:
             slo=self.slo,
             slo_shed=self.slo_shed,
         )
-        self.registry.register("fair_queue", self._fair_queue.info)
-        self._listener = AsyncServerTransport(
-            self.rpc.dispatch, host=host, port=port,
-            max_connections=max_connections, scheduler=self._fair_queue,
-        ).start()
+        self.registry.register("fair_queue", fair_queue.info)
+        self._listener = self.rpc.serve_tcp(
+            host=host, port=port, max_connections=max_connections,
+            scheduler=fair_queue,
+        )
         return self._arm_observability(self._listener)
 
     def _arm_observability(self, listener):
         """Start the profiler; dump the ring and stop it when serving ends.
 
-        The listener's ``stop`` is wrapped rather than subclassed so both
-        serving cores (threaded and async) get identical drain behaviour:
-        after the transport finishes draining, the flight ring is dumped
+        The listener's ``stop`` is wrapped rather than subclassed: after
+        the transport finishes draining, the flight ring is dumped
         once (``reason="drain"``) and the profiler thread is joined — no
         leaked threads across restarts, and the final seconds of a
         graceful shutdown are always on disk.

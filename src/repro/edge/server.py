@@ -52,12 +52,12 @@ from repro.obs.trace import NULL_TRACER
 from repro.rpc.client import RPCClient
 from repro.rpc.forward import FAILOVER_ERRORS, ForwardingHandler, classify_frame
 from repro.rpc.msgpack import pack, unpack
+from repro.rpc.mux import AsyncServerTransport
 from repro.rpc.server import RPCServer
+from repro.rpc.transport import RESPONSE
 from repro.storage.cache import ArrayCache, SelectionCache
 
 __all__ = ["EdgeCacheServer"]
-
-_RESPONSE = 1
 
 #: Error-line prefixes that describe a transient condition of the
 #: *upstream site*, not of the request: relayed to the asking client but
@@ -291,8 +291,8 @@ class EdgeCacheServer:
                                             params, ctx)
             else:
                 out = self.forwarder.forward(payload, message)
-        except Exception as exc:  # never kill the connection thread
-            out = pack([_RESPONSE, msgid,
+        except Exception as exc:  # never kill the worker thread
+            out = pack([RESPONSE, msgid,
                         f"{type(exc).__name__}: {exc}", None])
         self._latency.observe(time.perf_counter() - wall0)
         return out
@@ -343,7 +343,7 @@ class EdgeCacheServer:
             if (
                 not isinstance(response, list)
                 or len(response) not in (4, 5)
-                or response[0] != _RESPONSE
+                or response[0] != RESPONSE
             ):
                 raise RPCError("upstream returned a non-response frame")
             raw_box.append(raw)
@@ -363,7 +363,7 @@ class EdgeCacheServer:
         except _TransientReply as exc:
             if raw_box:
                 return raw_box[0]
-            return pack([_RESPONSE, msgid, exc.line, None])
+            return pack([RESPONSE, msgid, exc.line, None])
         if raw_box:
             # Leader with fresh upstream bytes: relay them verbatim, so a
             # cold request is byte-identical to a direct connection
@@ -388,8 +388,8 @@ class EdgeCacheServer:
                 pass
             span_dict = getattr(span, "to_dict", lambda: None)()
             if span_dict is not None:
-                return pack([_RESPONSE, msgid, error, result, [span_dict]])
-        return pack([_RESPONSE, msgid, error, result])
+                return pack([RESPONSE, msgid, error, result, [span_dict]])
+        return pack([RESPONSE, msgid, error, result])
 
     def _try_serve_stale(self, msgid, request_key, key, ctx):
         """Failure-ladder rung: upstream down, serve last-known-fresh."""
@@ -554,7 +554,7 @@ class EdgeCacheServer:
         out = {
             "status": "ok",
             "kind": "edge",
-            "draining": bool(getattr(self._listener, "draining", False)),
+            "draining": self._listener is not None and self._listener.draining,
             "requests_served": int(self._requests.value),
         }
         try:
@@ -569,6 +569,8 @@ class EdgeCacheServer:
             out["upstream_error"] = f"{type(exc).__name__}: {exc}"
             out["status"] = "degraded"
         out["edge"] = self._edge_info()
+        if self._listener is not None:
+            out["fair_queue"] = self._listener.scheduler.info()
         return out
 
     # ------------------------------------------------------------------
@@ -600,9 +602,7 @@ class EdgeCacheServer:
                   max_connections: int | None = None):
         """Listen on TCP; returns the started listener (``.port`` is the
         bound port when ``port=0``)."""
-        from repro.rpc.transport import TCPServerTransport
-
-        self._listener = TCPServerTransport(
+        self._listener = AsyncServerTransport(
             self.dispatch, host=host, port=port,
             max_connections=max_connections,
         ).start()

@@ -32,7 +32,6 @@ from repro.rpc.transport import (
     FrameBuffer,
     InProcessTransport,
     SimulatedTransport,
-    TCPServerTransport,
     TCPTransport,
     ThrottledTransport,
     Transport,
@@ -49,7 +48,6 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "TCPTransport",
-    "TCPServerTransport",
     "MuxTransport",
     "AsyncServerTransport",
     "FairScheduler",

@@ -41,6 +41,7 @@ from typing import Callable
 
 from repro.errors import DeadlineExpiredError, FormatError, ServerOverloadedError
 from repro.rpc.msgpack import pack, unpack
+from repro.rpc.transport import REQUEST, RESPONSE
 
 __all__ = [
     "AdmissionController",
@@ -51,9 +52,6 @@ __all__ = [
     "inject_deadline",
     "sniff_overload",
 ]
-
-_REQUEST = 0
-_RESPONSE = 1
 
 _RETRY_AFTER_RE = re.compile(r"retry_after=([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
 
@@ -305,7 +303,7 @@ def inject_deadline(payload: bytes, remaining: float) -> bytes:
     if (
         not isinstance(message, list)
         or len(message) not in (4, 5)
-        or message[0] != _REQUEST
+        or message[0] != REQUEST
     ):
         return payload
     ctx = message[4] if len(message) == 5 else {}
@@ -336,7 +334,7 @@ def sniff_overload(payload: bytes | None) -> ServerOverloadedError | None:
     if (
         not isinstance(message, list)
         or len(message) < 4
-        or message[0] != _RESPONSE
+        or message[0] != RESPONSE
         or not isinstance(message[2], str)
         or not message[2].startswith("ServerOverloadedError")
     ):

@@ -32,13 +32,16 @@ from repro.errors import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import InProcessTransport, TCPTransport, Transport
+from repro.rpc.transport import (
+    NOTIFY,
+    REQUEST,
+    RESPONSE,
+    InProcessTransport,
+    TCPTransport,
+    Transport,
+)
 
 __all__ = ["RPCClient", "PendingCall"]
-
-_REQUEST = 0
-_RESPONSE = 1
-_NOTIFY = 2
 
 _RETRY_AFTER_RE = re.compile(r"retry_after=([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
 
@@ -180,7 +183,7 @@ class RPCClient:
         drop it), the tenant, and any ``ctx_extra`` overrides.
         """
         msgid = next(self._msgid)
-        frame = [_REQUEST, msgid, method, list(params)]
+        frame = [REQUEST, msgid, method, list(params)]
         ctx = dict(self.tracer.inject() or {}) if self.tracer else {}
         if self.tenant:
             ctx["tenant"] = self.tenant
@@ -202,7 +205,7 @@ class RPCClient:
 
     def _roundtrip(self, msgid: int, method: str, params: list,
                    ctx: dict | None = None, anchor=None) -> Any:
-        frame = [_REQUEST, msgid, method, params]
+        frame = [REQUEST, msgid, method, params]
         if ctx is not None:
             frame.append(ctx)
         payload = pack(frame)
@@ -214,7 +217,7 @@ class RPCClient:
         if (
             not isinstance(message, list)
             or len(message) not in (4, 5)
-            or message[0] != _RESPONSE
+            or message[0] != RESPONSE
         ):
             raise RPCError(f"invalid rpc response: {message!r}")
         rid, error, result = message[1], message[2], message[3]
@@ -239,7 +242,7 @@ class RPCClient:
 
     def notify(self, method: str, *params: Any) -> None:
         """Fire-and-forget call: per msgpack-rpc, no response frame exists."""
-        payload = pack([_NOTIFY, method, list(params)])
+        payload = pack([NOTIFY, method, list(params)])
         self._transport.send(payload)
 
     def close(self) -> None:

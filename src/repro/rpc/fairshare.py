@@ -1,4 +1,4 @@
-"""Per-tenant weighted fair queuing for the multiplexed serving core.
+"""Per-tenant weighted fair queuing between the TCP listener and dispatch.
 
 A single flooding tenant must not starve everyone else out of the
 storage-side server.  :class:`FairScheduler` sits between the event-loop
@@ -37,14 +37,14 @@ from typing import Callable, NamedTuple
 from repro.errors import FormatError
 from repro.obs.flightrec import NULL_RECORDER
 from repro.rpc.msgpack import pack, unpack
+from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
 
 __all__ = ["FairScheduler", "sniff_request", "inject_tenant", "DEFAULT_TENANT"]
 
-_REQUEST = 0
-_RESPONSE = 1
-_NOTIFY = 2
-
 DEFAULT_TENANT = "default"
+#: Bound on tenants nobody configured a weight for: their names come off
+#: the wire, and the picker and ``info()`` walk the whole table.
+MAX_TENANTS = 1024
 
 
 class RequestInfo(NamedTuple):
@@ -67,9 +67,9 @@ def sniff_request(payload: bytes) -> RequestInfo:
         return RequestInfo(None, None, DEFAULT_TENANT)
     if not isinstance(message, list) or not message:
         return RequestInfo(None, None, DEFAULT_TENANT)
-    if message[0] == _NOTIFY:
-        return RequestInfo(_NOTIFY, None, DEFAULT_TENANT)
-    if message[0] != _REQUEST or len(message) not in (4, 5):
+    if message[0] == NOTIFY:
+        return RequestInfo(NOTIFY, None, DEFAULT_TENANT)
+    if message[0] != REQUEST or len(message) not in (4, 5):
         return RequestInfo(None, None, DEFAULT_TENANT)
     msgid = message[1] if isinstance(message[1], int) else None
     tenant = DEFAULT_TENANT
@@ -77,7 +77,7 @@ def sniff_request(payload: bytes) -> RequestInfo:
         t = message[4].get("tenant")
         if isinstance(t, str) and t:
             tenant = t
-    return RequestInfo(_REQUEST, msgid, tenant)
+    return RequestInfo(REQUEST, msgid, tenant)
 
 
 def inject_tenant(payload: bytes, tenant: str) -> bytes:
@@ -94,7 +94,7 @@ def inject_tenant(payload: bytes, tenant: str) -> bytes:
     if (
         not isinstance(message, list)
         or len(message) not in (4, 5)
-        or message[0] != _REQUEST
+        or message[0] != REQUEST
     ):
         return payload
     ctx = message[4] if len(message) == 5 else {}
@@ -247,7 +247,7 @@ class FairScheduler:
         response payload (or ``None`` for notifications), possibly on a
         worker thread, possibly immediately for shed requests."""
         info = sniff_request(payload)
-        sheddable = info.mtype == _REQUEST and info.msgid is not None
+        sheddable = info.mtype == REQUEST and info.msgid is not None
         # Burn state is read outside the scheduler lock: the SLO engine
         # has its own locking and never calls back into the scheduler.
         burning = (
@@ -297,7 +297,7 @@ class FairScheduler:
                 self._total_pending += 1
                 self._cond.notify()
         if shed_error is not None:
-            shed_reply = pack([_RESPONSE, info.msgid, shed_error, None])
+            shed_reply = pack([RESPONSE, info.msgid, shed_error, None])
             if self.recorder:
                 self.recorder.record(
                     "tenant.shed", tenant=info.tenant, msgid=info.msgid,
@@ -311,14 +311,27 @@ class FairScheduler:
 
     def _tenant_locked(self, name: str) -> _Tenant:
         tenant = self._tenants.get(name)
-        if tenant is None:
-            # Joining tenants start at the current virtual clock so a
-            # newcomer competes fairly instead of replaying history.
-            tenant = _Tenant(
-                name, float(self._weights.get(name, self._default_weight)),
-                self._vclock,
-            )
-            self._tenants[name] = tenant
+        if tenant is not None:
+            return tenant
+        if len(self._tenants) >= MAX_TENANTS and name not in self._weights:
+            # Full: forget every idle tenant nobody configured — one sweep
+            # makes room for the next MAX_TENANTS names.  If every slot is
+            # busy, newcomers share the default tenant's queue.
+            self._tenants = {
+                n: t for n, t in self._tenants.items()
+                if t.queue or t.inflight or n in self._weights
+            }
+            if len(self._tenants) >= MAX_TENANTS:
+                name = DEFAULT_TENANT
+                if name in self._tenants:
+                    return self._tenants[name]
+        # Joining tenants start at the current virtual clock so a
+        # newcomer competes fairly instead of replaying history.
+        tenant = _Tenant(
+            name, float(self._weights.get(name, self._default_weight)),
+            self._vclock,
+        )
+        self._tenants[name] = tenant
         return tenant
 
     # -- service ---------------------------------------------------------
@@ -359,7 +372,7 @@ class FairScheduler:
             except Exception as exc:  # dispatch's contract is "never raise"
                 info = sniff_request(payload)
                 response = (
-                    pack([_RESPONSE, info.msgid,
+                    pack([RESPONSE, info.msgid,
                           f"{type(exc).__name__}: {exc}", None])
                     if info.msgid is not None else None
                 )

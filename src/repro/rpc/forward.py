@@ -28,12 +28,9 @@ from __future__ import annotations
 from repro.errors import CircuitOpenError, RPCError, RPCTransportError
 from repro.obs.trace import NULL_TRACER
 from repro.rpc.msgpack import pack, unpack
+from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
 
 __all__ = ["ForwardingHandler", "classify_frame"]
-
-_REQUEST = 0
-_RESPONSE = 1
-_NOTIFY = 2
 
 #: Failures that mean "this upstream, right now" rather than "this
 #: request": the chain advances instead of reporting them.
@@ -54,9 +51,9 @@ def classify_frame(payload: bytes):
         return ("other", None, None, None, None, None)
     if not isinstance(message, list) or not message:
         return ("other", None, None, None, None, message)
-    if message[0] == _NOTIFY and len(message) == 3:
+    if message[0] == NOTIFY and len(message) == 3:
         return ("notify", None, message[1], message[2], None, message)
-    if message[0] == _REQUEST and len(message) in (4, 5):
+    if message[0] == REQUEST and len(message) in (4, 5):
         ctx = message[4] if len(message) == 5 else None
         if ctx is not None and not isinstance(ctx, dict):
             return ("other", None, None, None, None, message)
@@ -126,7 +123,7 @@ class ForwardingHandler:
             kind, _msgid, _method, _params, ctx, message = classify_frame(payload)
         else:
             ctx = message[4] if len(message) == 5 else None
-            kind = "notify" if message[0] == _NOTIFY else "request"
+            kind = "notify" if message[0] == NOTIFY else "request"
         if kind == "notify":
             last_error = None
             for transport in self.transports:
@@ -165,7 +162,7 @@ class ForwardingHandler:
         if (
             not isinstance(response, list)
             or len(response) not in (4, 5)
-            or response[0] != _RESPONSE
+            or response[0] != RESPONSE
         ):
             return raw
         spans = list(response[4]) if len(response) == 5 else []

@@ -1,23 +1,21 @@
-"""Multiplexed serving core: pipelined client transport + event-loop server.
+"""The TCP listener and its pipelined client: event loop + multiplexed transport.
 
-The threaded :class:`~repro.rpc.transport.TCPServerTransport` is
-thread-per-connection with one request in flight per socket — fine for a
-handful of viz clients, a bottleneck for the million-user front door the
-ROADMAP aims at.  This module replaces both ends:
-
+* :class:`AsyncServerTransport` — the one TCP listener; ``repro serve``,
+  ``serve-cluster`` and ``serve-edge`` all run it.  A ``selectors`` event
+  loop on one I/O thread owns every socket (non-blocking reads,
+  incremental frame parsing, non-blocking writes), while dispatch runs on
+  a scheduler's worker pool (by default a
+  :class:`~repro.rpc.fairshare.FairScheduler`, which adds per-tenant
+  weighted fair queuing).  Responses are written back as each dispatch
+  completes, so one slow request never blocks the pipeline behind it.
+  How bytes on a socket become ``dispatch(frame)`` calls, and how a
+  drain ends, is decided here and nowhere else.
 * :class:`MuxTransport` — a client transport that pipelines many requests
   over **one** TCP connection.  The correlation id is the msgpack-rpc
   ``msgid`` already inside every request frame, so the wire format is
-  unchanged: a classic client's 4/5-element frames work byte-identically
-  against the new server, and responses may return **out of order** — the
+  unchanged: a classic one-at-a-time client's 4/5-element frames get
+  byte-identical answers, and responses may return **out of order** — the
   transport rehydrates them by id.
-* :class:`AsyncServerTransport` — a ``selectors``-based event-loop server:
-  one I/O thread owns every socket (non-blocking reads, incremental frame
-  parsing, non-blocking writes), while dispatch runs on a scheduler's
-  worker pool (by default a :class:`~repro.rpc.fairshare.FairScheduler`,
-  which adds per-tenant weighted fair queuing).  Responses are written
-  back as each dispatch completes, so one slow request never blocks the
-  pipeline behind it.
 
 Retry isolation: a multiplexed connection is *shared*.  A resilient
 wrapper retrying one failed request must not re-dial the socket out from
@@ -25,10 +23,6 @@ under every other in-flight request, so :class:`MuxTransport` exposes
 :meth:`MuxTransport.reconnect_if_broken` instead of the unconditional
 ``reconnect()`` contract — it re-dials only when the connection is
 actually dead (at which point every pending future has already failed).
-
-Lifecycle mirrors the threaded listener exactly (``host``/``port``/
-``draining``/``refused``/``stop(drain_timeout)``), so ``repro serve`` and
-:meth:`~repro.core.ndp_server.NDPServer.health` treat both cores alike.
 """
 
 from __future__ import annotations
@@ -36,21 +30,25 @@ from __future__ import annotations
 import collections
 import selectors
 import socket
-import struct
 import threading
-import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.errors import FormatError, RPCError, RPCTimeoutError, RPCTransportError
-from repro.rpc.transport import MAX_FRAME, FrameBuffer, Transport, write_frame
+from repro.rpc.fairshare import FairScheduler
+from repro.rpc.msgpack import pack
+from repro.rpc.transport import (
+    NOTIFY,
+    REQUEST,
+    RESPONSE,
+    FrameBuffer,
+    Transport,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["peek_frame", "MuxTransport", "AsyncServerTransport"]
-
-_LEN = struct.Struct(">I")
-_REQUEST = 0
-_RESPONSE = 1
-_NOTIFY = 2
 
 
 def peek_frame(payload: bytes) -> tuple[int, int | None]:
@@ -72,11 +70,11 @@ def peek_frame(payload: bytes) -> tuple[int, int | None]:
         else:
             raise FormatError(f"not an rpc frame (first byte 0x{b0:02x})")
         mtype = payload[offset]
-        if mtype not in (_REQUEST, _RESPONSE, _NOTIFY):
+        if mtype not in (REQUEST, RESPONSE, NOTIFY):
             raise FormatError(f"unknown rpc frame type {mtype}")
         offset += 1
-        if mtype == _NOTIFY:
-            return (_NOTIFY, None)
+        if mtype == NOTIFY:
+            return (NOTIFY, None)
         b = payload[offset]
         offset += 1
         if b <= 0x7F:
@@ -167,14 +165,14 @@ class MuxTransport(Transport):
     def _read_loop(self, sock: socket.socket, generation: int) -> None:
         try:
             while True:
-                frame = _read_frame_blocking(sock)
+                frame = read_frame(sock)
                 try:
                     mtype, msgid = peek_frame(frame)
                 except FormatError:
                     raise RPCTransportError(
                         "undecodable response frame on multiplexed connection"
                     )
-                if mtype != _RESPONSE or msgid is None:
+                if mtype != RESPONSE or msgid is None:
                     continue  # server never sends these; tolerate garbage
                 with self._lock:
                     entry = self._pending.pop(msgid, None)
@@ -216,7 +214,7 @@ class MuxTransport(Transport):
             mtype, msgid = peek_frame(payload)
         except FormatError as exc:
             raise RPCError(f"cannot multiplex frame: {exc}") from exc
-        if mtype != _REQUEST or msgid is None:
+        if mtype != REQUEST or msgid is None:
             raise RPCError(
                 "only REQUEST frames can be multiplexed (use send() for NOTIFY)"
             )
@@ -324,29 +322,6 @@ class MuxTransport(Transport):
                 fut.set_exception(RPCTransportError("multiplexed transport closed"))
 
 
-def _read_frame_blocking(sock: socket.socket) -> bytes:
-    """``read_frame`` twin that tolerates chunked arrivals on a blocking socket."""
-    header = _recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length >= MAX_FRAME:
-        raise RPCTransportError(f"frame length {length} exceeds MAX_FRAME")
-    return _recv_exact(sock, length)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise RPCTransportError(
-                f"connection closed mid-frame ({remaining} of {n} bytes missing)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 # ---------------------------------------------------------------------------
 # Event-loop server
 # ---------------------------------------------------------------------------
@@ -372,17 +347,36 @@ class _Conn:
             return self.inflight == 0 and not self.out
 
 
+def _reply_frame(response: bytes) -> bytes | None:
+    """Length-prefix one reply.
+
+    A reply too large to frame becomes a typed error line for the same
+    msgid — the caller must never be left waiting for bytes that cannot
+    be sent; ``None`` when the reply names no msgid to answer.
+    """
+    try:
+        return encode_frame(response)
+    except RPCTransportError as exc:
+        try:
+            msgid = peek_frame(response)[1]
+        except FormatError:
+            msgid = None
+        if msgid is None:
+            return None
+        return encode_frame(
+            pack([RESPONSE, msgid, f"RPCError: reply not sent: {exc}", None])
+        )
+
+
 class AsyncServerTransport:
     """Event-loop TCP listener: one I/O thread, scheduler-pooled dispatch.
 
-    Drop-in lifecycle twin of the threaded
-    :class:`~repro.rpc.transport.TCPServerTransport` (``start``/``stop``/
-    ``draining``/``refused``/``max_connections``), but a single
-    ``selectors`` loop multiplexes *all* connections: requests pipeline
-    per connection, dispatch fans out to the scheduler's workers, and
-    each response is written back the moment it is ready — out of order
-    when that is faster.  The msgid inside each frame is the correlation
-    id, so classic one-at-a-time clients work unchanged.
+    A single ``selectors`` loop multiplexes *all* connections: requests
+    pipeline per connection, dispatch fans out to the scheduler's
+    workers, and each response is written back the moment it is ready —
+    out of order when that is faster.  The msgid inside each frame is the
+    correlation id, so classic one-at-a-time clients work unchanged.
+    Binding to port 0 picks an ephemeral port, exposed as :attr:`port`.
 
     Parameters
     ----------
@@ -414,8 +408,6 @@ class AsyncServerTransport:
         workers: int = 8,
     ):
         if scheduler is None:
-            from repro.rpc.fairshare import FairScheduler
-
             scheduler = FairScheduler(dispatcher, workers=workers)
         self.scheduler = scheduler
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -425,6 +417,7 @@ class AsyncServerTransport:
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()
         self.max_connections = max_connections
+        #: lifetime count of connections refused by the cap or a drain
         self.refused = 0
         self._sel = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -441,6 +434,7 @@ class AsyncServerTransport:
     # -- public surface ---------------------------------------------------
     @property
     def draining(self) -> bool:
+        """True between a draining ``stop()`` call and its completion."""
         return self._draining.is_set()
 
     @property
@@ -458,13 +452,12 @@ class AsyncServerTransport:
         return self
 
     def stop(self, drain_timeout: float | None = None) -> bool:
-        """Stop serving; mirrors the threaded listener's drain contract.
+        """Stop serving; returns True when nothing had to be forced.
 
         ``None`` force-closes immediately.  A float drains: the listener
         closes first (new connections refused), buffered and in-flight
         requests get up to the timeout to finish and flush, then whatever
-        is left is force-closed.  Returns True when the drain completed
-        (or nothing was in flight).
+        is left is force-closed.
         """
         try:
             self._listener.close()
@@ -540,7 +533,7 @@ class AsyncServerTransport:
             ):
                 self.refused += 1
                 try:
-                    sock.close()
+                    sock.close()  # client sees a retryable reset/EOF
                 except OSError:
                     pass
                 continue
@@ -580,15 +573,19 @@ class AsyncServerTransport:
     def _responder(self, conn: _Conn):
         def respond(response: bytes | None) -> None:
             # Worker thread: queue the framed bytes, let the loop write.
+            framed = _reply_frame(response) if response is not None else None
             with conn.lock:
                 conn.inflight -= 1
-                if response is not None and not conn.closed:
-                    if len(response) >= MAX_FRAME:
-                        response = None  # cannot frame; drop like a NOTIFY
-                    else:
-                        conn.out.append(
-                            [memoryview(_LEN.pack(len(response)) + response), 0]
-                        )
+                if not conn.closed:
+                    if framed is not None:
+                        conn.out.append([memoryview(framed), 0])
+                    elif response is not None:
+                        # Unframeable and unanswerable: the caller gets
+                        # a transport error, not a hang.
+                        try:
+                            conn.sock.shutdown(socket.SHUT_RDWR)
+                        except OSError:
+                            pass
             with self._dirty_lock:
                 self._dirty.add(conn)
             self._wakeup()
@@ -660,15 +657,16 @@ class AsyncServerTransport:
     def _force_close(self, conn: _Conn) -> None:
         if conn.closed:
             return
-        conn.closed = True
         try:
             self._sel.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
             pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        with conn.lock:  # never under a worker's shutdown
+            conn.closed = True
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
         self._conns.discard(conn)
 
     def _check_drained(self) -> None:

@@ -44,13 +44,10 @@ from repro.obs.flightrec import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
 from repro.rpc.admission import AdmissionController, DeadlineScope
 from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import TCPServerTransport
+from repro.rpc.mux import AsyncServerTransport
+from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
 
 __all__ = ["RPCServer"]
-
-_REQUEST = 0
-_RESPONSE = 1
-_NOTIFY = 2
 
 _log = logging.getLogger("repro.rpc.server")
 
@@ -150,21 +147,21 @@ class RPCServer:
         notification produces *no* response frame, and transports must
         not write one.  Malformed NOTIFY frames (wrong element count)
         are reported to the error hook and dropped instead of killing
-        the connection thread.
+        the worker thread.
         """
         try:
             message = unpack(payload)
         except FormatError as exc:
-            return pack([_RESPONSE, 0, f"malformed request: {exc}", None])
+            return pack([RESPONSE, 0, f"malformed request: {exc}", None])
 
         if (
             not isinstance(message, list)
             or not message
-            or message[0] not in (_REQUEST, _NOTIFY)
+            or message[0] not in (REQUEST, NOTIFY)
         ):
-            return pack([_RESPONSE, 0, f"invalid rpc message: {message!r}", None])
+            return pack([RESPONSE, 0, f"invalid rpc message: {message!r}", None])
 
-        if message[0] == _NOTIFY:
+        if message[0] == NOTIFY:
             if len(message) != 3:
                 self._report_error(
                     "<notify>",
@@ -178,7 +175,7 @@ class RPCServer:
 
         if len(message) not in (4, 5):
             return pack(
-                [_RESPONSE, 0,
+                [RESPONSE, 0,
                  f"request frame must have 4 or 5 elements, got {len(message)}",
                  None]
             )
@@ -246,7 +243,7 @@ class RPCServer:
             )
         if self.slo is not None:
             self.slo.observe(tenant, 0.0, error=True)
-        return pack([_RESPONSE, msgid, error, None])
+        return pack([RESPONSE, msgid, error, None])
 
     def _respond(
         self, msgid: Any, method: Any, params: Any, ctx: Any,
@@ -288,7 +285,7 @@ class RPCServer:
                 "DeadlineExpiredError: request deadline already expired on "
                 f"arrival (budget {budget:.3f}s); nothing attempted"
             )
-            return error, pack([_RESPONSE, msgid, error, None])
+            return error, pack([RESPONSE, msgid, error, None])
         scope = (
             DeadlineScope(budget, clock=self._clock)
             if budget is not None
@@ -307,7 +304,7 @@ class RPCServer:
                 error, result = self._invoke(method, params)
                 if error is not None and error.startswith("DeadlineExpiredError"):
                     self._count_expired()
-                return error, pack([_RESPONSE, msgid, error, result])
+                return error, pack([RESPONSE, msgid, error, result])
             with self.tracer.collect() as captured:
                 with self.tracer.activate(
                     ctx, "rpc.dispatch",
@@ -322,7 +319,7 @@ class RPCServer:
         if error is not None and error.startswith("DeadlineExpiredError"):
             self._count_expired()
         spans = [span.to_dict() for span in captured.spans]
-        return error, pack([_RESPONSE, msgid, error, result, spans])
+        return error, pack([RESPONSE, msgid, error, result, spans])
 
     def _count_expired(self) -> None:
         if self.admission is not None:
@@ -350,23 +347,16 @@ class RPCServer:
         _log.error("handler %r raised:\n%s", method, tb_text)
 
     # ------------------------------------------------------------------
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> TCPServerTransport:
-        """Start a TCP listener feeding :meth:`dispatch`; returns it started."""
-        return TCPServerTransport(self.dispatch, host=host, port=port).start()
-
-    def serve_async_tcp(self, host: str = "127.0.0.1", port: int = 0,
-                        workers: int = 8, scheduler=None,
-                        max_connections: int | None = None):
-        """Event-loop variant of :meth:`serve_tcp`: pipelined, multiplexed.
+    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0,
+                  workers: int = 8, scheduler=None,
+                  max_connections: int | None = None) -> AsyncServerTransport:
+        """Start the TCP listener feeding :meth:`dispatch`; returns it started.
 
         One I/O thread owns every connection and ``workers`` threads run
         dispatch (or pass a configured
         :class:`~repro.rpc.fairshare.FairScheduler` for per-tenant fair
-        queuing).  Same wire protocol, same handlers — a classic client
-        cannot tell the difference except that pipelined requests overlap.
+        queuing); requests pipelined on one connection overlap.
         """
-        from repro.rpc.mux import AsyncServerTransport
-
         return AsyncServerTransport(
             self.dispatch, host=host, port=port, workers=workers,
             scheduler=scheduler, max_connections=max_connections,

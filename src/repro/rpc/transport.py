@@ -6,19 +6,21 @@ Three implementations cover the library's needs:
 
 * :class:`InProcessTransport` — calls a dispatcher directly; deterministic
   and dependency-free, used by tests and the benchmark harness,
-* :class:`TCPTransport` / :class:`TCPServerTransport` — real sockets with
-  length-prefixed frames, proving the protocol works across processes,
+* :class:`TCPTransport` — a real socket with length-prefixed frames,
+  proving the protocol works across processes (the listener it talks to
+  is :class:`repro.rpc.mux.AsyncServerTransport`),
 * :class:`SimulatedTransport` — wraps another transport and charges every
   byte crossing it to a simulated network link (see
   :mod:`repro.storage.netsim`), which is how benchmarks account for the
   paper's 1 GbE client-storage hop without owning two machines.
 
-Frame format on the wire: ``uint32 BE payload length | payload``.
+Frame format on the wire: ``uint32 BE payload length | payload``, where
+the payload is one msgpack-rpc message whose first element is its type
+(:data:`REQUEST`, :data:`RESPONSE` or :data:`NOTIFY`).
 """
 
 from __future__ import annotations
 
-import select
 import socket
 import struct
 import threading
@@ -32,24 +34,37 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "TCPTransport",
-    "TCPServerTransport",
     "SimulatedTransport",
     "ThrottledTransport",
     "FrameBuffer",
+    "encode_frame",
     "read_frame",
     "write_frame",
+    "REQUEST",
+    "RESPONSE",
+    "NOTIFY",
 ]
+
+#: msgpack-rpc message types — element 0 of every frame payload.
+REQUEST = 0
+RESPONSE = 1
+NOTIFY = 2
 
 _LEN = struct.Struct(">I")
 #: Upper bound on a single frame; guards against garbage length prefixes.
 MAX_FRAME = 1 << 31
 
 
-def write_frame(sock: socket.socket, payload: bytes) -> None:
-    """Send one length-prefixed frame."""
+def encode_frame(payload: bytes) -> bytes:
+    """Length-prefix one payload, refusing what no peer could read back."""
     if len(payload) >= MAX_FRAME:
         raise RPCTransportError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    return _LEN.pack(len(payload)) + payload
+
+
+def write_frame(sock: socket.socket, payload: bytes) -> None:
+    """Send one length-prefixed frame."""
+    sock.sendall(encode_frame(payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -311,173 +326,3 @@ class TCPTransport(Transport):
             self._sock.close()
         except OSError:
             pass
-
-
-class TCPServerTransport:
-    """Threaded TCP listener that feeds frames to a dispatcher.
-
-    Each accepted connection gets a handler thread; each received frame is
-    passed to ``dispatcher`` and its return value written back.  Binding to
-    port 0 picks an ephemeral port, exposed as :attr:`port`.
-
-    Lifecycle: connection threads are tracked (and finished ones pruned on
-    every accept, so a long-lived server does not accumulate dead
-    ``Thread`` objects) and :meth:`stop` *joins* them.  ``stop()`` closes
-    connections immediately; ``stop(drain_timeout=5.0)`` drains first —
-    the listener closes at once so new connections are refused, but
-    in-flight requests get up to the timeout to finish before sockets are
-    force-closed.  ``max_connections`` caps concurrent connections at
-    accept time: excess connections are closed immediately, which clients
-    see as a retryable transport error.
-    """
-
-    def __init__(
-        self,
-        dispatcher: Callable[[bytes], bytes],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_connections: int | None = None,
-    ):
-        self._dispatcher = dispatcher
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.host, self.port = self._listener.getsockname()
-        self.max_connections = max_connections
-        self._shutdown = threading.Event()
-        self._draining = threading.Event()
-        self._lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._conns: set[socket.socket] = set()
-        self._accept_thread: threading.Thread | None = None
-        #: lifetime count of connections refused by the max_connections cap
-        self.refused = 0
-
-    @property
-    def draining(self) -> bool:
-        """True between a draining ``stop()`` call and its completion."""
-        return self._draining.is_set()
-
-    def start(self) -> "TCPServerTransport":
-        """Start accepting connections in a daemon thread."""
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(0.2)
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._lock:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                if (
-                    self.max_connections is not None
-                    and len(self._conns) >= self.max_connections
-                ):
-                    self.refused += 1
-                    try:
-                        conn.close()  # client sees a retryable reset/EOF
-                    except OSError:
-                        pass
-                    continue
-                self._conns.add(conn)
-                thread = threading.Thread(
-                    target=self._serve_connection, args=(conn,), daemon=True
-                )
-                self._threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            while not self._shutdown.is_set():
-                # Poll rather than block in read_frame: a draining server
-                # must close *idle* connections promptly while still
-                # serving any frame that is already arriving.
-                try:
-                    readable, _, _ = select.select([conn], [], [], 0.2)
-                except (OSError, ValueError):
-                    return
-                if not readable:
-                    if self._draining.is_set():
-                        return  # idle during drain: close now
-                    continue
-                try:
-                    payload = read_frame(conn)
-                except RPCTransportError:
-                    return  # client went away
-                except OSError:
-                    return
-                response = self._dispatcher(payload)
-                if response is None:
-                    if self._draining.is_set():
-                        return  # NOTIFY handled; connection ends with drain
-                    continue  # NOTIFY: protocol says no response frame
-                try:
-                    write_frame(conn, response)
-                except OSError:
-                    return
-                if self._draining.is_set():
-                    return  # in-flight request finished: that's the drain
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._lock:
-                self._conns.discard(conn)
-
-    def stop(self, drain_timeout: float | None = None) -> bool:
-        """Stop the server; returns True if every thread exited in time.
-
-        ``drain_timeout=None`` (the default, and what every pre-drain
-        call site gets) stops immediately: close the listener, signal
-        shutdown, force-close connections, join threads.  A float drains
-        gracefully: the listener closes at once (new connections refused)
-        but in-flight requests get up to ``drain_timeout`` seconds to
-        complete before the force-close.
-        """
-        # Close the listener *before* flagging: once `draining` reads
-        # True, new connections are already being refused.
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._draining.set()
-        deadline = time.monotonic() + (drain_timeout or 0.0)
-        if drain_timeout is not None:
-            with self._lock:
-                threads = list(self._threads)
-            for thread in threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        # Whatever is still running now gets the hard stop.
-        self._shutdown.set()
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        clean = True
-        with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout=2.0)
-            clean = clean and not thread.is_alive()
-        self._draining.clear()
-        return clean
-
-    def __enter__(self) -> "TCPServerTransport":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

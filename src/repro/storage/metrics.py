@@ -84,9 +84,9 @@ class ByteCounter:
     """Counts bytes attributed to named categories.
 
     Thread-safe, like its ``CacheStats``/``ResilienceStats`` siblings:
-    the read-modify-write in :meth:`add` is reachable from the threaded
-    TCP server path, where unlocked ``dict.get``+assign pairs can lose
-    increments under contention.
+    the read-modify-write in :meth:`add` is reachable from the TCP
+    server's worker threads, where unlocked ``dict.get``+assign pairs can
+    lose increments under contention.
     """
 
     def __init__(self):

@@ -138,9 +138,7 @@ class TestAcrossRPC:
             return _corrupt(_encoded_for(kind), kind)
 
         srv = RPCServer({"reply": reply})
-        from repro.rpc.transport import TCPServerTransport
-
-        listener = TCPServerTransport(srv.dispatch).start()
+        listener = srv.serve_tcp()
         cli = RPCClient.connect_tcp(listener.host, listener.port)
         yield cli
         cli.close()

@@ -22,7 +22,8 @@ from repro.io import write_vgf
 from repro.rpc import RPCClient, RPCServer, pack
 from repro.rpc.admission import AdmissionController
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
-from repro.rpc.transport import InProcessTransport, TCPServerTransport, TCPTransport
+from repro.rpc.mux import AsyncServerTransport
+from repro.rpc.transport import InProcessTransport, TCPTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.conftest import make_sphere_grid
@@ -110,31 +111,6 @@ class TestGracefulDrain:
         assert clean is False  # forced, and it says so
         assert elapsed < 5.0   # did not wait out the 30 s wedge
 
-    def test_stop_joins_connection_threads(self):
-        server = RPCServer({"ping": lambda: "pong"})
-        listener = server.serve_tcp()
-        for _ in range(4):
-            client = RPCClient(TCPTransport(listener.host, listener.port))
-            assert client.call("ping") == "pong"
-            client.close()
-        assert listener.stop(drain_timeout=2.0) is True
-        assert all(not t.is_alive() for t in listener._threads)
-
-    def test_finished_connection_threads_are_pruned(self):
-        server = RPCServer({"ping": lambda: "pong"})
-        listener = server.serve_tcp()
-        for _ in range(8):
-            client = RPCClient(TCPTransport(listener.host, listener.port))
-            client.call("ping")
-            client.close()
-        time.sleep(0.1)  # let handler threads notice the closed sockets
-        # One more accept triggers the prune of the dead thread records.
-        client = RPCClient(TCPTransport(listener.host, listener.port))
-        client.call("ping")
-        assert len(listener._threads) < 8
-        client.close()
-        listener.stop(drain_timeout=2.0)
-
     def test_connection_cap_refuses_excess_clients(self):
         block = threading.Event()
         entered = threading.Event()
@@ -145,7 +121,7 @@ class TestGracefulDrain:
             return "held"
 
         server = RPCServer({"hold": hold})
-        listener = TCPServerTransport(
+        listener = AsyncServerTransport(
             server.dispatch, max_connections=1
         ).start()
         first = TCPTransport(listener.host, listener.port)

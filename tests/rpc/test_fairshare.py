@@ -1,7 +1,7 @@
 """Per-tenant fair queuing: weighted shares, caps, and no starvation.
 
 Scheduler units run against an inline dispatcher (no sockets); the
-flood-vs-trickle suite runs end to end over the async serving core and
+flood-vs-trickle suite runs end to end over the TCP listener and
 pins the satellite guarantee: a tenant staying under its share is never
 shed and sees bounded latency while another tenant floods, and every
 shed reply carries a ``retry_after`` hint.
@@ -17,6 +17,7 @@ from repro.rpc import RPCClient, RPCServer, pack, unpack
 from repro.rpc.admission import AdmissionController, sniff_overload
 from repro.rpc.fairshare import (
     DEFAULT_TENANT,
+    MAX_TENANTS,
     FairScheduler,
     inject_tenant,
     sniff_request,
@@ -217,9 +218,59 @@ class TestFairSchedulerUnits:
         assert sched.quiescent()
         sched.stop(timeout=5.0)
 
+    def test_tenant_table_is_bounded(self):
+        """Tenant names come off the wire: 10 000 of them must not grow
+        the table the picker walks, and ``health`` must still answer."""
+        server = RPCServer({"ping": lambda: "pong"})
+        sched = FairScheduler(server.dispatch, workers=2,
+                              weights={"gold": 3.0})
+        server.bind("health", sched.info)
+        listener = server.serve_tcp(scheduler=sched)
+        try:
+            done = threading.Semaphore(0)
+            sched.submit(req(0, "ping", ctx={"tenant": "gold"}),
+                         lambda _: done.release())
+            for i in range(10_000):
+                sched.submit(req(i + 1, "ping", ctx={"tenant": f"t{i}"}),
+                             lambda _: done.release())
+                if i % 1000 == 0:
+                    assert len(sched.info()["tenants"]) <= MAX_TENANTS
+            for _ in range(10_001):
+                assert done.acquire(timeout=10.0)
+            client = RPCClient.connect_tcp(listener.host, listener.port)
+            health = client.call("health")
+            client.close()
+            assert health["served"] >= 10_001
+            assert len(health["tenants"]) <= MAX_TENANTS
+            assert health["tenants"]["gold"]["weight"] == 3.0  # kept
+        finally:
+            listener.stop()
+
+    def test_full_table_of_busy_tenants_shares_the_default_queue(self):
+        gate = threading.Event()
+
+        def dispatcher(payload):
+            gate.wait(timeout=10.0)
+            return pack([1, unpack(payload)[1], None, "ok"])
+
+        sched = FairScheduler(dispatcher, workers=1)
+        responses, respond = gather_responses()
+        sched.start()
+        for i in range(MAX_TENANTS + 50):  # every tenant keeps a backlog
+            sched.submit(req(i, ctx={"tenant": f"busy{i}"}), respond)
+        tenants = sched.info()["tenants"]
+        assert len(tenants) == MAX_TENANTS + 1
+        assert tenants[DEFAULT_TENANT]["pending"] == 50
+        gate.set()
+        deadline = time.monotonic() + 10.0
+        while len(responses) < MAX_TENANTS + 50 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(responses) == MAX_TENANTS + 50  # nobody was dropped
+        sched.stop(timeout=5.0)
+
 
 # ---------------------------------------------------------------------------
-# End to end: flood vs trickle over the async serving core
+# End to end: flood vs trickle over the TCP listener
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Multiplexed serving core: pipelining, compat, drain, retry isolation.
+"""The TCP listener and mux client: pipelining, compat, drain, retry isolation.
 
 Families:
 
@@ -6,8 +6,8 @@ Families:
   ``FrameBuffer``),
 * pipelining over one connection — out-of-order completion rehydrated by
   correlation id, thread-shared transports, NOTIFY,
-* wire compatibility — a classic blocking client gets byte-identical
-  responses from the async core and the threaded core,
+* wire compatibility — a classic blocking client gets, over the
+  listener, byte-identical responses to in-process dispatch,
 * lifecycle — graceful drain with requests in flight, connection caps,
 * retry isolation — a resilient wrapper retrying over a shared
   multiplexed socket must not re-dial it out from under other in-flight
@@ -34,7 +34,7 @@ from repro.rpc import RPCClient, RPCServer, pack, unpack
 from repro.rpc.admission import AdmissionController
 from repro.rpc.mux import AsyncServerTransport, MuxTransport, peek_frame
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
-from repro.rpc.transport import FrameBuffer, TCPTransport
+from repro.rpc.transport import FrameBuffer, InProcessTransport, TCPTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 from repro.storage.metrics import ResilienceStats
 
@@ -136,7 +136,7 @@ class TestFrameBuffer:
 
 class TestPipelining:
     def test_out_of_order_responses_rehydrated_by_id(self):
-        listener = make_server().serve_async_tcp(workers=4)
+        listener = make_server().serve_tcp(workers=4)
         try:
             client = RPCClient.connect_mux(listener.host, listener.port,
                                            timeout=10.0)
@@ -151,7 +151,7 @@ class TestPipelining:
             listener.stop()
 
     def test_pipeline_overlaps_server_time(self):
-        listener = make_server().serve_async_tcp(workers=8)
+        listener = make_server().serve_tcp(workers=8)
         try:
             client = RPCClient.connect_mux(listener.host, listener.port,
                                            timeout=10.0)
@@ -166,7 +166,7 @@ class TestPipelining:
             listener.stop()
 
     def test_transport_shared_across_threads(self):
-        listener = make_server().serve_async_tcp(workers=8)
+        listener = make_server().serve_tcp(workers=8)
         try:
             client = RPCClient.connect_mux(listener.host, listener.port,
                                            timeout=10.0)
@@ -190,7 +190,7 @@ class TestPipelining:
     def test_notify_produces_no_response(self):
         seen = []
         server = RPCServer({"note": seen.append, "echo": echo})
-        listener = server.serve_async_tcp(workers=2)
+        listener = server.serve_tcp(workers=2)
         try:
             client = RPCClient.connect_mux(listener.host, listener.port,
                                            timeout=5.0)
@@ -207,7 +207,7 @@ class TestPipelining:
             listener.stop()
 
     def test_remote_errors_map_per_call(self):
-        listener = make_server().serve_async_tcp(workers=4)
+        listener = make_server().serve_tcp(workers=4)
         try:
             client = RPCClient.connect_mux(listener.host, listener.port,
                                            timeout=10.0)
@@ -222,7 +222,7 @@ class TestPipelining:
             listener.stop()
 
     def test_duplicate_msgid_rejected(self):
-        listener = make_server().serve_async_tcp(workers=2)
+        listener = make_server().serve_tcp(workers=2)
         try:
             transport = MuxTransport(listener.host, listener.port, timeout=5.0)
             frame = pack([0, 1, "sleep_ms", [200]])
@@ -234,7 +234,7 @@ class TestPipelining:
             listener.stop()
 
     def test_request_timeout_abandons_slot(self):
-        listener = make_server().serve_async_tcp(workers=2)
+        listener = make_server().serve_tcp(workers=2)
         try:
             transport = MuxTransport(listener.host, listener.port, timeout=0.1)
             with pytest.raises(RPCTimeoutError):
@@ -262,29 +262,25 @@ class TestClassicCompat:
         pack([0, 8, "echo", ["y"], {"tenant": "gold"}]),   # tenant ctx
     ]
 
-    def collect(self, listener) -> list:
-        transport = TCPTransport(listener.host, listener.port, timeout=10.0)
+    def test_listener_matches_in_process_dispatch_byte_for_byte(self):
+        reference = InProcessTransport(make_server().dispatch)
+        listener = make_server().serve_tcp(workers=4)
         try:
-            return [transport.request(frame) for frame in self.CALLS]
-        finally:
-            transport.close()
-
-    def test_async_core_matches_threaded_core_byte_for_byte(self):
-        threaded = make_server().serve_tcp()
-        async_ = make_server().serve_async_tcp(workers=4)
-        try:
-            want = self.collect(threaded)
-            got = self.collect(async_)
+            want = [reference.request(frame) for frame in self.CALLS]
+            transport = TCPTransport(listener.host, listener.port, timeout=10.0)
+            try:
+                got = [transport.request(frame) for frame in self.CALLS]
+            finally:
+                transport.close()
             assert got == want
             for raw in got:
                 decoded = unpack(raw)
                 assert len(decoded) == 4  # classic 4-element responses
         finally:
-            threaded.stop()
-            async_.stop()
+            listener.stop()
 
     def test_one_at_a_time_client_sees_ordered_responses(self):
-        listener = make_server().serve_async_tcp(workers=4)
+        listener = make_server().serve_tcp(workers=4)
         try:
             transport = TCPTransport(listener.host, listener.port, timeout=10.0)
             for i in range(20):
@@ -302,7 +298,7 @@ class TestClassicCompat:
 
 class TestAsyncLifecycle:
     def test_drain_finishes_inflight_pipeline(self):
-        listener = make_server().serve_async_tcp(workers=4)
+        listener = make_server().serve_tcp(workers=4)
         client = RPCClient.connect_mux(listener.host, listener.port,
                                        timeout=10.0)
         pending = [client.call_async("sleep_ms", 100, i) for i in range(4)]
@@ -324,7 +320,7 @@ class TestAsyncLifecycle:
     def test_draining_refuses_new_connections(self):
         release = threading.Event()
         server = RPCServer({"wait": lambda: release.wait(10.0) and "done"})
-        listener = server.serve_async_tcp(workers=2)
+        listener = server.serve_tcp(workers=2)
         client = RPCClient.connect_mux(listener.host, listener.port,
                                        timeout=10.0)
         pending = client.call_async("wait")
@@ -349,7 +345,7 @@ class TestAsyncLifecycle:
         client.close()
 
     def test_max_connections_refused_and_counted(self):
-        listener = make_server().serve_async_tcp(workers=2)
+        listener = make_server().serve_tcp(workers=2)
         listener.max_connections = 1
         try:
             first = RPCClient.connect_mux(listener.host, listener.port,
@@ -375,7 +371,7 @@ class TestAsyncLifecycle:
 
 class TestRetryIsolation:
     def test_reconnect_if_broken_noop_on_healthy_socket(self):
-        listener = make_server().serve_async_tcp(workers=2)
+        listener = make_server().serve_tcp(workers=2)
         try:
             transport = MuxTransport(listener.host, listener.port, timeout=5.0)
             assert transport.generation == 1
@@ -401,7 +397,7 @@ class TestRetryIsolation:
                            admission=admission)
         # workers > max_inflight so the admission gate (not the worker
         # pool) is the thing that sheds the second request.
-        listener = server.serve_async_tcp(workers=4)
+        listener = server.serve_tcp(workers=4)
         try:
             mux = MuxTransport(listener.host, listener.port, timeout=10.0)
             stats = ResilienceStats()
@@ -438,7 +434,7 @@ class TestRetryIsolation:
             listener.stop()
 
     def test_retry_redials_only_when_connection_dead(self):
-        listener = make_server().serve_async_tcp(workers=2)
+        listener = make_server().serve_tcp(workers=2)
         try:
             mux = MuxTransport(listener.host, listener.port, timeout=5.0)
             resilient = ResilientTransport(
@@ -474,16 +470,11 @@ class TestNDPThroughMux:
         fs.write_object("obj.vgf", write_vgf(make_sphere_grid(16), codec="gzip"))
         return fs
 
-    def test_contour_bytes_identical_async_vs_threaded(self):
+    def test_contour_bytes_identical_tcp_vs_in_process(self):
         fs = self.make_store()
-        threaded_srv = NDPServer(fs)
-        async_srv = NDPServer(fs)
-        threaded = threaded_srv.serve_tcp()
-        async_ = async_srv.serve_async_tcp(workers=4)
+        listener = NDPServer(fs).serve_tcp(workers=4)
         try:
-            def fetch(listener):
-                client = RPCClient.connect_tcp(listener.host, listener.port,
-                                               timeout=30.0)
+            def fetch(client):
                 try:
                     return client.call(
                         "prefilter_contour", "obj.vgf", "r", [0.45],
@@ -492,17 +483,17 @@ class TestNDPThroughMux:
                 finally:
                     client.close()
 
-            want = fetch(threaded)
-            got = fetch(async_)
+            want = fetch(RPCClient(InProcessTransport(NDPServer(fs).dispatch)))
+            got = fetch(RPCClient.connect_tcp(listener.host, listener.port,
+                                              timeout=30.0))
             assert got == want  # payload bytes included
         finally:
-            threaded.stop()
-            async_.stop()
+            listener.stop()
 
     def test_contour_identical_pipelined_vs_sequential(self):
         fs = self.make_store()
         server = NDPServer(fs)
-        listener = server.serve_async_tcp(workers=4)
+        listener = server.serve_tcp(workers=4)
         try:
             sequential = RPCClient.connect_tcp(listener.host, listener.port,
                                                timeout=30.0)

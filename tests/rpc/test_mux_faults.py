@@ -50,7 +50,7 @@ class TestKillMidPipeline:
             {"work": lambda ms, i: (time.sleep(ms / 1000.0), i)[1]},
             admission=admission,
         )
-        listener = server.serve_async_tcp(workers=4)
+        listener = server.serve_tcp(workers=4)
 
         # One scripted decision per client: Drop = kill that client's
         # socket mid-pipeline, Ok = leave it alone.  Seeded => replayable.
@@ -137,7 +137,7 @@ class TestKillMidPipeline:
             {"work": lambda ms, i: (time.sleep(ms / 1000.0), i)[1]},
             admission=admission,
         )
-        listener = server.serve_async_tcp(workers=2)
+        listener = server.serve_tcp(workers=2)
         transports = []
         for c in range(4):
             transport = MuxTransport(listener.host, listener.port,

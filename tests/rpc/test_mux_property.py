@@ -88,7 +88,7 @@ class TestMuxEquivalence:
     def setup_class(cls):
         cls.listener = RPCServer(
             handlers(), tracer=Tracer(process="server")
-        ).serve_async_tcp(workers=4)
+        ).serve_tcp(workers=4)
 
     @classmethod
     def teardown_class(cls):

@@ -12,14 +12,11 @@ import threading
 
 import pytest
 
-from repro.errors import RPCTimeoutError, RPCTransportError
+from repro.errors import RPCRemoteError, RPCTimeoutError, RPCTransportError
+from repro.rpc import RPCClient, RPCServer
 from repro.rpc import transport as transport_mod
-from repro.rpc.transport import (
-    TCPServerTransport,
-    TCPTransport,
-    read_frame,
-    write_frame,
-)
+from repro.rpc.mux import AsyncServerTransport
+from repro.rpc.transport import TCPTransport, read_frame, write_frame
 
 
 @pytest.fixture
@@ -74,6 +71,34 @@ class TestMaxFrame:
             client.close()
             listener.close()
             thread.join(timeout=2.0)
+
+    def test_unframeable_reply_is_a_typed_error_not_a_hang(self, monkeypatch):
+        """A handler result too big to frame must not leave its caller
+        waiting: it gets an error line, its neighbours their answers."""
+        server = RPCServer({"big": lambda: "x" * 500, "ping": lambda: "pong"})
+        listener = server.serve_tcp()
+        monkeypatch.setattr(transport_mod, "MAX_FRAME", 256)
+        client = RPCClient.connect_tcp(listener.host, listener.port, timeout=5.0)
+        try:
+            with pytest.raises(RPCRemoteError, match="exceeds MAX_FRAME"):
+                client.call("big")
+            assert client.call("ping") == "pong"  # same connection, still up
+        finally:
+            client.close()
+            listener.stop()
+
+    def test_unframeable_unanswerable_reply_closes_the_connection(
+            self, monkeypatch):
+        # Not an rpc frame, so there is no msgid to send an error line to.
+        with AsyncServerTransport(lambda payload: b"\xc0" * 500) as server:
+            monkeypatch.setattr(transport_mod, "MAX_FRAME", 256)
+            client = TCPTransport(server.host, server.port, timeout=5.0)
+            try:
+                with pytest.raises(RPCTransportError) as excinfo:
+                    client.request(b"anything")
+                assert not isinstance(excinfo.value, RPCTimeoutError)
+            finally:
+                client.close()
 
 
 class TestMidFrameDisconnect:
@@ -233,7 +258,7 @@ class TestZeroLengthFrames:
             seen.append(payload)
             return b"" if payload else b"was empty"
 
-        with TCPServerTransport(dispatcher) as server:
+        with AsyncServerTransport(dispatcher) as server:
             client = TCPTransport(server.host, server.port, timeout=5.0)
             try:
                 assert client.request(b"") == b"was empty"
