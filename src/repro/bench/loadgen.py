@@ -30,9 +30,8 @@ import random
 import threading
 import time
 
-from repro.errors import RPCError, ServerOverloadedError
-from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import REQUEST, RESPONSE
+from repro.errors import FormatError, RPCError, ServerOverloadedError
+from repro.rpc import envelope
 
 __all__ = ["LoadReport", "run_load"]
 
@@ -128,19 +127,15 @@ class LoadReport:
 
 
 def _classify(raw: bytes) -> str:
-    """ok / shed / error for one raw response payload."""
+    """ok / shed / errors — the counter one raw response payload lands in."""
     try:
-        message = unpack(raw)
-    except Exception:
-        return "error"
-    if not isinstance(message, list) or len(message) < 4 or message[0] != RESPONSE:
-        return "error"
-    error = message[2]
-    if error is None:
+        line = envelope.peek_error(raw)
+    except FormatError:
+        return "errors"
+    if line is None:
         return "ok"
-    if isinstance(error, str) and error.startswith("ServerOverloadedError"):
-        return "shed"
-    return "error"
+    shed = envelope.parse_error(line)[0] is ServerOverloadedError
+    return "shed" if shed else "errors"
 
 
 def _arrivals(rate: float, duration: float, rng: random.Random) -> list:
@@ -197,10 +192,8 @@ def run_load(
     clock = time.monotonic
 
     def frame(msgid: int) -> bytes:
-        msg = [REQUEST, msgid, method, list(params)]
-        if tenant:
-            msg.append({"tenant": tenant})
-        return pack(msg)
+        return envelope.request(msgid, method, list(params),
+                                {"tenant": tenant} if tenant else None)
 
     def run_mux(conn: int, plan: list) -> None:
         from repro.rpc.mux import MuxTransport
@@ -220,16 +213,11 @@ def run_load(
 
                 def done(fut, scheduled=scheduled, msgid=i + 1):
                     latency = clock() - scheduled
-                    exc = fut.exception()
-                    if exc is not None:
-                        kind = ("shed" if isinstance(exc, ServerOverloadedError)
-                                else "errors")
-                        record(kind, latency, conn, msgid)
-                        return
-                    kind = _classify(fut.result())
-                    record("errors" if kind == "error" else
-                           ("shed" if kind == "shed" else "ok"),
-                           latency, conn, msgid)
+                    # A raw transport only fails as a transport; a shed is
+                    # a reply, classified like every other reply.
+                    kind = ("errors" if fut.exception() is not None
+                            else _classify(fut.result()))
+                    record(kind, latency, conn, msgid)
 
                 try:
                     fut = transport.submit(frame(i + 1))
@@ -264,9 +252,6 @@ def run_load(
                 scheduled = t0 + offset
                 try:
                     raw = transport.request(frame(i + 1))
-                except ServerOverloadedError:
-                    record("shed", clock() - scheduled, conn, i + 1)
-                    continue
                 except Exception:
                     # Dial refused / reset mid-call: error this request
                     # and re-dial for the next one — a refused connection
@@ -277,10 +262,7 @@ def run_load(
                     except Exception:
                         pass
                     continue
-                kind = _classify(raw)
-                record("errors" if kind == "error" else
-                       ("shed" if kind == "shed" else "ok"),
-                       clock() - scheduled, conn, i + 1)
+                record(_classify(raw), clock() - scheduled, conn, i + 1)
         finally:
             try:
                 transport.close()

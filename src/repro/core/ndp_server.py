@@ -744,7 +744,7 @@ class NDPServer:
         ``stop(drain_timeout=...)`` runs.
         """
         fair_queue = FairScheduler(
-            self.rpc.dispatch,
+            self.rpc.handle,
             workers=workers,
             weights=tenant_weights,
             max_tenant_inflight=tenant_inflight,

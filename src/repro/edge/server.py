@@ -32,9 +32,9 @@ facade the edge:
 Failure ladder when the upstream is unreachable at revalidation time:
 with ``serve_stale=True`` the edge serves the last-known-fresh entry (and
 counts it); otherwise the client receives the typed transport error line
-(``RPCTransportError:`` / ``CircuitOpenError:``), which its
-``_raise_remote`` maps back to the real exception type so fallback
-policies trigger exactly as on a direct connection.
+(``RPCTransportError:`` / ``CircuitOpenError:``), which
+:func:`repro.rpc.envelope.raise_remote` maps back to the real exception
+type so fallback policies trigger exactly as on a direct connection.
 """
 
 from __future__ import annotations
@@ -45,31 +45,18 @@ import time
 from repro.core.encoding import finish_reply
 from repro.core.filter_splits import SPLIT_FILTERS, require_point_scalar
 from repro.edge.coherence import CoherenceTracker
-from repro.errors import RPCError, RPCRemoteError
+from repro.errors import FormatError, RPCError, RPCRemoteError
 from repro.io.vgf import StoredBlock
 from repro.obs.metrics import Registry
 from repro.obs.trace import NULL_TRACER
+from repro.rpc import envelope
 from repro.rpc.client import RPCClient
-from repro.rpc.forward import FAILOVER_ERRORS, ForwardingHandler, classify_frame
-from repro.rpc.msgpack import pack, unpack
+from repro.rpc.forward import FAILOVER_ERRORS, ForwardingHandler
 from repro.rpc.mux import AsyncServerTransport
 from repro.rpc.server import RPCServer
-from repro.rpc.transport import RESPONSE
 from repro.storage.cache import ArrayCache, SelectionCache
 
 __all__ = ["EdgeCacheServer"]
-
-#: Error-line prefixes that describe a transient condition of the
-#: *upstream site*, not of the request: relayed to the asking client but
-#: never cached (retrying must be allowed to succeed).
-_UNCACHEABLE_ERROR_PREFIXES = (
-    "ServerOverloadedError",
-    "DeadlineExpiredError",
-    "RPCTimeoutError",
-    "RPCTransportError",
-    "CircuitOpenError",
-    "IntegrityError",
-)
 
 
 class _TransientReply(Exception):
@@ -264,22 +251,25 @@ class EdgeCacheServer:
     # the dispatcher: every client frame enters here
     # ------------------------------------------------------------------
     def dispatch(self, payload: bytes) -> bytes | None:
-        kind, msgid, method, params, ctx, message = classify_frame(payload)
-        if kind == "other":
+        return self.handle(envelope.parse_request(payload))
+
+    def handle(self, req: envelope.Request) -> bytes | None:
+        if req.kind is None:
             # Malformed frames get the local server's usual protocol error.
-            return self.rpc.dispatch(payload)
-        if kind == "notify":
+            return self.rpc.handle(req)
+        if req.kind == envelope.NOTIFY:
             try:
-                return self.forwarder.forward(payload, message)
+                return self.forwarder.handle(req)
             except FAILOVER_ERRORS:
                 return None
-        if method in self.LOCAL_METHODS:
-            return self.rpc.dispatch(payload)
+        if req.method in self.LOCAL_METHODS:
+            return self.rpc.handle(req)
         self._requests.inc()
         wall0 = time.perf_counter()
+        params = req.params
         try:
             if (
-                method in self.CACHEABLE_METHODS
+                req.method in self.CACHEABLE_METHODS
                 and self.reply_cache is not None
                 and not self._probe_unsupported
                 and isinstance(params, (list, tuple))
@@ -287,31 +277,29 @@ class EdgeCacheServer:
                 and isinstance(params[0], str)
                 and isinstance(params[1], str)
             ):
-                out = self._serve_cacheable(payload, message, msgid, method,
-                                            params, ctx)
+                out = self._serve_cacheable(req)
             else:
-                out = self.forwarder.forward(payload, message)
+                out = self.forwarder.handle(req)
         except Exception as exc:  # never kill the worker thread
-            out = pack([RESPONSE, msgid,
-                        f"{type(exc).__name__}: {exc}", None])
+            out = envelope.response(req.msgid, envelope.error_line(exc))
         self._latency.observe(time.perf_counter() - wall0)
         return out
 
     # ------------------------------------------------------------------
-    def _serve_cacheable(self, payload, message, msgid, method, params, ctx):
-        op = self.CACHEABLE_METHODS[method]
-        key, array = params[0], params[1]
+    def _serve_cacheable(self, req: envelope.Request):
+        op = self.CACHEABLE_METHODS[req.method]
+        key, array = req.params[0], req.params[1]
         try:
-            args = op.bind(params[2:])
+            args = op.bind(req.params[2:])
         except RPCError:
             # Malformed parameters: the upstream owns the error reply.
-            return self.forwarder.forward(payload, message)
+            return self.forwarder.handle(req)
         # Canonical, so spelling a default out is not a second entry.
         request_key = op.request_key(key, array, args)
         try:
             version, map_version = self.coherence.revalidate(key)
         except FAILOVER_ERRORS:
-            stale = self._try_serve_stale(msgid, request_key, key, ctx)
+            stale = self._try_serve_stale(req, request_key, key)
             if stale is not None:
                 return stale
             raise
@@ -321,7 +309,7 @@ class EdgeCacheServer:
                 # Upstream predates the coherence protocol: caching would
                 # risk staleness, so degrade to a pure forwarder.
                 self._probe_unsupported = True
-                return self.forwarder.forward(payload, message)
+                return self.forwarder.handle(req)
             # Missing object / degraded store: the probe's error line *is*
             # the version — deterministic errors become negative entries
             # keyed by it, and recovery changes the line or the token.
@@ -335,35 +323,31 @@ class EdgeCacheServer:
                                           map_version)
             if local is not None:
                 return ("ok", local)
-            raw = self.forwarder.forward(payload, message)
+            raw = self.forwarder.handle(req)
             try:
-                response = unpack(raw)
-            except Exception:
-                raise RPCError("upstream returned an undecodable frame")
-            if (
-                not isinstance(response, list)
-                or len(response) not in (4, 5)
-                or response[0] != RESPONSE
-            ):
-                raise RPCError("upstream returned a non-response frame")
+                reply = envelope.parse_response(raw)
+            except (FormatError, RPCError):
+                raise RPCError("upstream returned a non-response frame") from None
             raw_box.append(raw)
-            error, result = response[2], response[3]
-            if error is None:
-                if isinstance(result, dict):
+            if reply.error is None:
+                if isinstance(reply.result, dict):
                     self.coherence.note_map_version(
-                        key, result.get("map_version"))
-                return ("ok", result)
-            line = str(error).splitlines()[0] if str(error) else str(error)
-            if line.startswith(_UNCACHEABLE_ERROR_PREFIXES):
-                raise _TransientReply(str(error))
-            return ("err", str(error))
+                        key, reply.result.get("map_version"))
+                return ("ok", reply.result)
+            line = str(reply.error)
+            if envelope.parse_error(line)[0] is not None:
+                # A transient condition of the *upstream site*, not of the
+                # request: relayed to the asking client but never cached
+                # (retrying must be allowed to succeed).
+                raise _TransientReply(line)
+            return ("err", line)
 
         try:
             status, value = self.reply_cache.get_or_load(cache_key, load)
         except _TransientReply as exc:
             if raw_box:
                 return raw_box[0]
-            return pack([RESPONSE, msgid, exc.line, None])
+            return envelope.response(req.msgid, exc.line)
         if raw_box:
             # Leader with fresh upstream bytes: relay them verbatim, so a
             # cold request is byte-identical to a direct connection
@@ -371,27 +355,22 @@ class EdgeCacheServer:
             return raw_box[0]
         if status == "err":
             self._negative_hits.inc()
-            return self._pack_reply(msgid, value, None, ctx, cache="negative")
-        return self._pack_reply(msgid, None, value, ctx, cache="hit")
+            return self._pack_reply(req, value, None, cache="negative")
+        return self._pack_reply(req, None, value, cache="hit")
 
-    def _pack_reply(self, msgid, error, result, ctx, cache: str):
+    def _pack_reply(self, req: envelope.Request, error, result, cache: str):
         """Pack a cache-served reply, grafting a ``via``-tagged span when
         the request was traced (mirrors the forwarder's reply shape)."""
-        traced = (
-            bool(self.tracer)
-            and isinstance(ctx, dict)
-            and ctx.get("trace_id") is not None
-        )
-        if traced:
-            with self.tracer.activate(ctx, "edge.serve", via="edge",
+        trace_ctx = req.trace_ctx if self.tracer else None
+        spans = None
+        if trace_ctx is not None:
+            with self.tracer.activate(trace_ctx, "edge.serve", via="edge",
                                       cache=cache) as span:
                 pass
-            span_dict = getattr(span, "to_dict", lambda: None)()
-            if span_dict is not None:
-                return pack([RESPONSE, msgid, error, result, [span_dict]])
-        return pack([RESPONSE, msgid, error, result])
+            spans = [span.to_dict()]
+        return envelope.response(req.msgid, error, result, spans)
 
-    def _try_serve_stale(self, msgid, request_key, key, ctx):
+    def _try_serve_stale(self, req: envelope.Request, request_key, key):
         """Failure-ladder rung: upstream down, serve last-known-fresh."""
         if not self.serve_stale:
             return None
@@ -402,7 +381,7 @@ class EdgeCacheServer:
         if entry is None or entry[0] != "ok":
             return None
         self._stale_served.inc()
-        return self._pack_reply(msgid, None, entry[1], ctx, cache="stale")
+        return self._pack_reply(req, None, entry[1], cache="stale")
 
     # ------------------------------------------------------------------
     # local compute over cached blocks
@@ -603,7 +582,7 @@ class EdgeCacheServer:
         """Listen on TCP; returns the started listener (``.port`` is the
         bound port when ``port=0``)."""
         self._listener = AsyncServerTransport(
-            self.dispatch, host=host, port=port,
+            self.handle, host=host, port=port,
             max_connections=max_connections,
         ).start()
         if self.coherence.mode == "watch" and self.watch_interval:

@@ -186,6 +186,9 @@ class SLO:
 
 
 DEFAULT_SLO = SLO()
+#: Bound on tenant states nobody configured an objective for: the names
+#: come off the wire (same policy as ``rpc.fairshare.MAX_TENANTS``).
+MAX_TENANTS = 1024
 
 
 class _WindowCounts:
@@ -296,6 +299,17 @@ class SLOEngine:
         state = self._tenants.get(name)
         if state is None:
             with self._lock:
+                if name not in self._tenants and name not in self.objectives \
+                        and len(self._tenants) >= MAX_TENANTS:
+                    # Full: forget every tenant nobody configured whose
+                    # slow window has gone quiet.  If every state is live,
+                    # newcomers are accounted to the default tenant.
+                    self._tenants = {
+                        n: s for n, s in self._tenants.items()
+                        if n in self.objectives or s.slow.totals()[0]
+                    }
+                    if len(self._tenants) >= MAX_TENANTS:
+                        name = "default"
                 state = self._tenants.get(name)
                 if state is None:
                     state = _TenantState(

@@ -5,13 +5,15 @@ unmarshal data, alleviating interprocess-communication overhead" (Sec. VI).
 This package provides the same two layers from scratch:
 
 * :mod:`repro.rpc.msgpack` — a spec-complete MessagePack encoder/decoder,
+* :mod:`repro.rpc.envelope` — the one owner of frame shapes, ctx keys and
+  the error-line grammar every other module here builds and reads through,
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — function-registration
   RPC over pluggable transports (in-process for tests, TCP for real
   two-process runs, simulated for benchmark cost accounting),
 * :mod:`repro.rpc.resilience` — retry/backoff/deadline/circuit-breaker
   wrapper making the client<->storage hop fault tolerant,
 * :mod:`repro.rpc.admission` — server-side admission control / load
-  shedding and the deadline-propagation helpers shared by both sides.
+  shedding and deadline scopes.
 """
 
 from repro.rpc.admission import (
@@ -21,7 +23,7 @@ from repro.rpc.admission import (
     remaining_budget,
 )
 from repro.rpc.client import PendingCall, RPCClient
-from repro.rpc.fairshare import FairScheduler, inject_tenant
+from repro.rpc.fairshare import FairScheduler
 from repro.rpc.msgpack import ExtType, Timestamp, pack, unpack
 from repro.rpc.mux import AsyncServerTransport, MuxTransport
 from repro.rpc.pool import EndpointPool
@@ -52,7 +54,6 @@ __all__ = [
     "AsyncServerTransport",
     "FairScheduler",
     "FrameBuffer",
-    "inject_tenant",
     "ForwardingHandler",
     "SimulatedTransport",
     "ThrottledTransport",

@@ -2,7 +2,7 @@
 
 The NDP server is the shared storage-side resource the whole design
 concentrates load onto: one slow client stampede must not take it down
-for everyone else.  This module provides the three mechanisms the server
+for everyone else.  This module provides the two mechanisms the server
 layers use to survive:
 
 * :class:`AdmissionController` — a counting gate in front of request
@@ -21,11 +21,9 @@ layers use to survive:
   wraps handler execution in a scope and work between phases calls
   :func:`check_deadline` to abandon doomed work early.
 
-* :func:`inject_deadline` / :func:`sniff_overload` — the client-side
-  half.  ``ResilientTransport`` hands pre-packed frames to the inner
-  transport, so the deadline is spliced into the envelope per attempt by
-  rewriting the (small) request frame, and overload replies are detected
-  by sniffing response frames so the retry loop can back off.
+The client-side half — splicing the remaining budget into each attempt's
+frame and spotting a shed inside a successful exchange — is
+``ResilientTransport`` using :mod:`repro.rpc.envelope`.
 
 Wire compatibility: a request without a deadline and a reply without an
 overload error are byte-identical to pre-admission frames — both sides
@@ -34,14 +32,11 @@ treat the extra ctx key and the typed error line as optional.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from typing import Callable
 
-from repro.errors import DeadlineExpiredError, FormatError, ServerOverloadedError
-from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import REQUEST, RESPONSE
+from repro.errors import DeadlineExpiredError, ServerOverloadedError
 
 __all__ = [
     "AdmissionController",
@@ -49,11 +44,7 @@ __all__ = [
     "current_deadline",
     "remaining_budget",
     "check_deadline",
-    "inject_deadline",
-    "sniff_overload",
 ]
-
-_RETRY_AFTER_RE = re.compile(r"retry_after=([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
 
 
 class AdmissionController:
@@ -282,65 +273,3 @@ def check_deadline(phase: str = "processing") -> None:
             f"(budget {scope.budget:.3f}s exceeded by "
             f"{-scope.remaining():.3f}s); abandoning request"
         )
-
-
-# ---------------------------------------------------------------------------
-# Client-side frame helpers
-# ---------------------------------------------------------------------------
-
-
-def inject_deadline(payload: bytes, remaining: float) -> bytes:
-    """Splice the remaining budget into a packed request frame's ctx map.
-
-    Returns the payload unchanged when it is not a msgpack-rpc REQUEST
-    (notifications, hand-rolled test frames, foreign bytes): injection is
-    best-effort sugar, never a reason to fail a send.
-    """
-    try:
-        message = unpack(payload)
-    except FormatError:
-        return payload
-    if (
-        not isinstance(message, list)
-        or len(message) not in (4, 5)
-        or message[0] != REQUEST
-    ):
-        return payload
-    ctx = message[4] if len(message) == 5 else {}
-    if not isinstance(ctx, dict):
-        return payload
-    merged = dict(ctx)
-    merged["deadline"] = max(0.0, float(remaining))
-    return pack([message[0], message[1], message[2], message[3], merged])
-
-
-def sniff_overload(payload: bytes | None) -> ServerOverloadedError | None:
-    """Detect a shed reply inside a successful transport exchange.
-
-    ``ResilientTransport`` sees packed response bytes, not decoded
-    errors, so overload replies would otherwise slip through as
-    "success" and fail later at the client with a non-retryable
-    :class:`RPCRemoteError`.  Overload replies are tiny; the byte-marker
-    pre-check keeps the cost for normal traffic at one ``in`` scan.
-    """
-    if payload is None or len(payload) > 512:
-        return None
-    if b"ServerOverloadedError" not in payload:
-        return None
-    try:
-        message = unpack(payload)
-    except FormatError:
-        return None
-    if (
-        not isinstance(message, list)
-        or len(message) < 4
-        or message[0] != RESPONSE
-        or not isinstance(message[2], str)
-        or not message[2].startswith("ServerOverloadedError")
-    ):
-        return None
-    retry_after = None
-    match = _RETRY_AFTER_RE.search(message[2])
-    if match:
-        retry_after = float(match.group(1))
-    return ServerOverloadedError(message[2], retry_after=retry_after)

@@ -1,12 +1,11 @@
 """rpclib-style RPC client over any :class:`~repro.rpc.transport.Transport`.
 
 Tracing: constructed with a real :class:`~repro.obs.trace.Tracer`, every
-:meth:`RPCClient.call` runs inside an ``rpc.call`` span and appends the
-span's trace context as an optional fifth request-frame element,
-``[0, msgid, method, params, {"trace_id", "span_id"}]``.  A trace-aware
-server opens child spans under that context and returns their summaries
-as an optional fifth response element, which the client grafts into its
-own tracer — one tree across both processes.  With the default
+:meth:`RPCClient.call` runs inside an ``rpc.call`` span and sends the
+span's ids in the request's ctx (:mod:`repro.rpc.envelope`).  A
+trace-aware server opens child spans under that context and returns
+their summaries with the response, which the client grafts into its own
+tracer — one tree across both processes.  With the default
 :data:`~repro.obs.trace.NULL_TRACER` the frames are byte-identical to
 the plain 4-element protocol, so an untraced client works against any
 server, old or new.
@@ -15,67 +14,16 @@ server, old or new.
 from __future__ import annotations
 
 import itertools
-import re
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExpiredError,
-    IntegrityError,
-    RPCError,
-    RPCRemoteError,
-    RPCTimeoutError,
-    RPCTransportError,
-    ServerOverloadedError,
-)
+from repro.errors import RPCError, RPCTimeoutError
 from repro.obs.trace import NULL_TRACER
-from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import (
-    NOTIFY,
-    REQUEST,
-    RESPONSE,
-    InProcessTransport,
-    TCPTransport,
-    Transport,
-)
+from repro.rpc import envelope
+from repro.rpc.transport import InProcessTransport, TCPTransport, Transport
 
 __all__ = ["RPCClient", "PendingCall"]
-
-_RETRY_AFTER_RE = re.compile(r"retry_after=([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
-
-
-def _raise_remote(method: str, error_line: str) -> None:
-    """Map well-known remote error lines back to typed local exceptions.
-
-    The wire carries only ``ExcType: message`` strings; for the error
-    types the resilience layer must *react* to (shed → retry with
-    backoff, expired deadline → timeout semantics, corruption → re-read)
-    the type is reconstructed here.  Everything else stays the generic
-    :class:`RPCRemoteError` it always was.
-    """
-    if error_line.startswith("ServerOverloadedError"):
-        match = _RETRY_AFTER_RE.search(error_line)
-        raise ServerOverloadedError(
-            f"remote call {method!r} shed: {error_line}",
-            retry_after=float(match.group(1)) if match else None,
-        )
-    if error_line.startswith("DeadlineExpiredError"):
-        raise DeadlineExpiredError(f"remote call {method!r}: {error_line}")
-    if error_line.startswith("IntegrityError"):
-        raise IntegrityError(f"remote call {method!r}: {error_line}")
-    # A proxy tier (the edge cache) reports *its* upstream transport
-    # failures over the error channel; reconstructing the transport types
-    # lets a client's fallback ladder react to a dead storage site behind
-    # an otherwise-healthy edge exactly as it would to a dead direct link.
-    if error_line.startswith("CircuitOpenError"):
-        raise CircuitOpenError(f"remote call {method!r}: {error_line}")
-    if error_line.startswith("RPCTimeoutError"):
-        raise RPCTimeoutError(f"remote call {method!r}: {error_line}")
-    if error_line.startswith("RPCTransportError"):
-        raise RPCTransportError(f"remote call {method!r}: {error_line}")
-    raise RPCRemoteError(method, error_line)
 
 
 class RPCClient:
@@ -127,8 +75,15 @@ class RPCClient:
         return cls(InProcessTransport(server.dispatch), tracer=tracer)
 
     # ------------------------------------------------------------------
-    def _base_ctx(self) -> dict | None:
-        return {"tenant": self.tenant} if self.tenant else None
+    def _ctx(self, ctx_extra: dict | None) -> dict:
+        """The ctx map one call sends: the active span, the tenant, then
+        the caller's extras; empty means a classic 4-element frame."""
+        ctx = dict(self.tracer.inject() or {})
+        if self.tenant:
+            ctx["tenant"] = self.tenant
+        if ctx_extra:
+            ctx.update(ctx_extra)
+        return ctx
 
     def call(self, method: str, *params: Any, ctx_extra: dict | None = None) -> Any:
         """Invoke a remote method and return its result.
@@ -146,24 +101,11 @@ class RPCClient:
         RPCError
             On protocol violations (bad frame shape, msgid mismatch).
         """
-        if not self.tracer:
-            ctx = self._base_ctx()
-            if ctx_extra:
-                ctx = dict(ctx or {}, **ctx_extra)
-            return self._roundtrip(
-                next(self._msgid), method, list(params), ctx=ctx
-            )
         with self.tracer.span("rpc.call", method=method) as span:
-            ctx = dict(self.tracer.inject() or {})
-            if self.tenant:
-                ctx["tenant"] = self.tenant
-            if ctx_extra:
-                ctx.update(ctx_extra)
-            result = self._roundtrip(
-                next(self._msgid), method, list(params), ctx=ctx or None,
-                anchor=span,
-            )
-        return result
+            msgid = next(self._msgid)
+            raw = self._transport.request(envelope.request(
+                msgid, method, list(params), self._ctx(ctx_extra)))
+            return self._decode(raw, msgid, method, anchor=span)
 
     def call_async(self, method: str, *params: Any,
                    ctx_extra: dict | None = None) -> "PendingCall":
@@ -183,15 +125,8 @@ class RPCClient:
         drop it), the tenant, and any ``ctx_extra`` overrides.
         """
         msgid = next(self._msgid)
-        frame = [REQUEST, msgid, method, list(params)]
-        ctx = dict(self.tracer.inject() or {}) if self.tracer else {}
-        if self.tenant:
-            ctx["tenant"] = self.tenant
-        if ctx_extra:
-            ctx.update(ctx_extra)
-        if ctx:
-            frame.append(ctx)
-        payload = pack(frame)
+        payload = envelope.request(
+            msgid, method, list(params), self._ctx(ctx_extra))
         submit = getattr(self._transport, "submit", None)
         if submit is not None:
             future = submit(payload)
@@ -203,32 +138,17 @@ class RPCClient:
                 future.set_exception(exc)
         return PendingCall(self, msgid, method, future)
 
-    def _roundtrip(self, msgid: int, method: str, params: list,
-                   ctx: dict | None = None, anchor=None) -> Any:
-        frame = [REQUEST, msgid, method, params]
-        if ctx is not None:
-            frame.append(ctx)
-        payload = pack(frame)
-        raw = self._transport.request(payload)
-        return self._decode(raw, msgid, method, anchor=anchor)
-
     def _decode(self, raw: bytes, msgid: int, method: str, anchor=None) -> Any:
-        message = unpack(raw, zero_copy=self.zero_copy)
-        if (
-            not isinstance(message, list)
-            or len(message) not in (4, 5)
-            or message[0] != RESPONSE
-        ):
-            raise RPCError(f"invalid rpc response: {message!r}")
-        rid, error, result = message[1], message[2], message[3]
-        if rid != msgid:
-            raise RPCError(f"response msgid {rid} != request msgid {msgid}")
-        if len(message) == 5 and anchor is not None:
+        reply = envelope.parse_response(raw, zero_copy=self.zero_copy)
+        if reply.msgid != msgid:
+            raise RPCError(
+                f"response msgid {reply.msgid} != request msgid {msgid}")
+        if reply.spans is not None and anchor is not None:
             # The server's span summaries ride back as the 5th element.
-            self.tracer.adopt(message[4], anchor=anchor)
-        if error is not None:
-            _raise_remote(method, str(error))
-        return result
+            self.tracer.adopt(reply.spans, anchor=anchor)
+        if reply.error is not None:
+            envelope.raise_remote(method, str(reply.error))
+        return reply.result
 
     def pipeline(self, calls: list) -> list:
         """Issue ``[(method, *params), ...]`` back-to-back, gather in order.
@@ -242,8 +162,7 @@ class RPCClient:
 
     def notify(self, method: str, *params: Any) -> None:
         """Fire-and-forget call: per msgpack-rpc, no response frame exists."""
-        payload = pack([NOTIFY, method, list(params)])
-        self._transport.send(payload)
+        self._transport.send(envelope.notify(method, list(params)))
 
     def close(self) -> None:
         self._transport.close()

@@ -1,0 +1,276 @@
+"""The wire envelope: frame shapes, ctx keys and the error-line grammar.
+
+Every hop — client, listener, fair queue, RPC server, edge, forwarder,
+load generator — builds and reads msgpack-rpc frames through this module
+and nowhere else (``docs/ARCHITECTURE.md``, "Wire envelope", has the
+tables).  Element 0 of a frame is its type:
+
+* request  ``[0, msgid, method, params]`` plus an optional **ctx** map:
+  ``tenant`` (a ``str`` of 1..:data:`MAX_TENANT_LEN` chars, else the
+  :data:`DEFAULT_TENANT`), ``deadline`` (seconds left — a duration, so
+  clocks never need agreement), ``trace_id`` / ``span_id`` (the caller's
+  span), and any other key, which every hop relays untouched
+* response ``[1, msgid, error, result]`` plus, for a traced request, the
+  server-side span summaries; ``error`` is ``None`` or one line,
+  ``ExcType: message``, an overload line ending ``; retry_after=<s>``
+* notify   ``[2, method, params]`` — exactly 3 elements, never answered
+
+A request is decoded once per hop: :func:`parse_request` at intake, and
+the :class:`Request` travels from there.  :func:`peek` and
+:func:`peek_error` read only a frame's prefix (array header, type,
+unsigned msgid, then nil or a str), whatever the size of the result.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Any, NamedTuple
+
+from repro.errors import (
+    CircuitOpenError,
+    DeadlineExpiredError,
+    FormatError,
+    IntegrityError,
+    RPCError,
+    RPCRemoteError,
+    RPCTimeoutError,
+    RPCTransportError,
+    ServerOverloadedError,
+)
+from repro.rpc.msgpack import Unpacker, pack, unpack
+
+#: msgpack-rpc message types — element 0 of every frame payload.
+REQUEST = 0
+RESPONSE = 1
+NOTIFY = 2
+
+DEFAULT_TENANT = "default"
+#: Tenant names come off the wire and end up in shed lines, recorder
+#: events and stats keys; a longer one is treated like any malformed ctx.
+MAX_TENANT_LEN = 64
+
+#: Conditions of the serving site rather than of the request: a client
+#: rebuilds the exception from the line's ``ExcType`` (so retry, backoff
+#: and fallback react through any number of hops), a proxy never caches it.
+TYPED_ERRORS = {
+    cls.__name__: cls
+    for cls in (ServerOverloadedError, DeadlineExpiredError, IntegrityError,
+                CircuitOpenError, RPCTimeoutError, RPCTransportError)
+}
+
+_RETRY_AFTER = re.compile(r"retry_after=([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
+
+
+def request(msgid: Any, method: str, params: list, ctx: dict | None = None) -> bytes:
+    """Pack a REQUEST; an empty or absent ``ctx`` gives the 4-element form."""
+    if ctx:
+        return pack([REQUEST, msgid, method, params, ctx])
+    return pack([REQUEST, msgid, method, params])
+
+
+def response(msgid: Any, error: str | None = None, result: Any = None,
+             spans: list | None = None) -> bytes:
+    """Pack a RESPONSE; ``spans`` (even empty) adds the fifth element."""
+    if spans is not None:
+        return pack([RESPONSE, msgid, error, result, spans])
+    return pack([RESPONSE, msgid, error, result])
+
+
+def notify(method: str, params: list) -> bytes:
+    return pack([NOTIFY, method, params])
+
+
+class Request(NamedTuple):
+    """One decoded REQUEST or NOTIFY frame (``kind`` is ``None`` for bytes
+    that are neither).  ``error`` is set when the frame cannot be served:
+    the line to answer at msgid 0, or to log for a NOTIFY.  ``ctx`` is the
+    fifth element as sent; ``tenant`` and ``deadline`` are what it means.
+    """
+
+    kind: int | None
+    raw: bytes
+    msgid: Any = None
+    method: Any = None
+    params: Any = None
+    ctx: Any = None
+    tenant: str = DEFAULT_TENANT
+    deadline: float | None = None
+    error: str | None = None
+
+    @property
+    def trace_ctx(self) -> dict | None:
+        """The ctx map when it names a caller span, else ``None``."""
+        ctx = self.ctx
+        if isinstance(ctx, dict) and ctx.get("trace_id") is not None:
+            return ctx
+        return None
+
+
+def _frame_type(message: Any) -> int | None:
+    """Element 0 of a decoded frame — an ``int``: ``False`` and ``0.0``
+    equal 0 too, and :func:`peek` would never route them."""
+    if isinstance(message, list) and message and type(message[0]) is int:
+        return message[0]
+    return None
+
+
+def parse_request(payload: bytes) -> Request:
+    """Decode one inbound frame.  Never raises: what cannot be served
+    comes back with ``error`` set, so dispatch owns the reply."""
+    try:
+        message = unpack(payload)
+    except FormatError as exc:
+        return Request(None, payload, error=f"malformed request: {exc}")
+    mtype = _frame_type(message)
+    if mtype not in (REQUEST, NOTIFY):
+        return Request(None, payload, error=f"invalid rpc message: {message!r}")
+    if mtype == NOTIFY:
+        if len(message) != 3:
+            return Request(NOTIFY, payload, error=(
+                f"notify frame must have 3 elements, got {len(message)}"))
+        return Request(NOTIFY, payload, None, message[1], message[2])
+    if len(message) not in (4, 5):
+        return Request(None, payload, error=(
+            f"request frame must have 4 or 5 elements, got {len(message)}"))
+    ctx = message[4] if len(message) == 5 else None
+    tenant, deadline = DEFAULT_TENANT, None
+    if isinstance(ctx, dict):
+        name = ctx.get("tenant")
+        if isinstance(name, str) and 0 < len(name) <= MAX_TENANT_LEN:
+            tenant = name
+        if "deadline" in ctx:
+            try:
+                deadline = float(ctx["deadline"])
+            except (TypeError, ValueError):
+                pass
+    return Request(REQUEST, payload, message[1], message[2], message[3],
+                   ctx, tenant, deadline)
+
+
+class Response(NamedTuple):
+    msgid: Any
+    error: Any
+    result: Any
+    spans: Any = None
+
+
+def parse_response(payload: bytes, zero_copy: bool = False) -> Response:
+    """Decode one RESPONSE frame; :class:`RPCError` when it is not one
+    (:class:`FormatError` when it is not msgpack at all)."""
+    message = unpack(payload, zero_copy=zero_copy)
+    if _frame_type(message) != RESPONSE or len(message) not in (4, 5):
+        raise RPCError(f"invalid rpc response: {message!r}")
+    return Response(*message[1:])
+
+
+def with_ctx(payload: bytes, **keys: Any) -> bytes:
+    """Splice ctx keys into a packed REQUEST (existing keys keep their
+    place, new ones append; a ``deadline`` is clamped at zero).
+
+    Anything that is not a REQUEST with a map (or no) ctx passes through
+    untouched: splicing is sugar for wrappers holding pre-packed frames,
+    never a reason to fail a send.
+    """
+    req = parse_request(payload)
+    ctx = {} if req.ctx is None else req.ctx
+    if req.kind != REQUEST or req.error or not isinstance(ctx, dict):
+        return payload
+    if "deadline" in keys:
+        keys["deadline"] = max(0.0, float(keys["deadline"]))
+    return request(req.msgid, req.method, req.params, dict(ctx, **keys))
+
+
+_UINT_WIDTH = {0xCC: 1, 0xCD: 2, 0xCE: 4, 0xCF: 8}
+
+
+def _prefix(payload: bytes) -> tuple[int, int | None, int]:
+    """``(type, msgid, offset past them)`` from the array header on."""
+    try:
+        b0 = payload[0]
+        if 0x90 <= b0 <= 0x9F:
+            offset = 1
+        elif b0 == 0xDC:  # array16: legal even for small frames
+            offset = 3
+        else:
+            raise FormatError(f"not an rpc frame (first byte 0x{b0:02x})")
+        mtype = payload[offset]
+        if mtype not in (REQUEST, RESPONSE, NOTIFY):
+            raise FormatError(f"unknown rpc frame type {mtype}")
+        offset += 1
+        if mtype == NOTIFY:
+            return NOTIFY, None, offset
+        b = payload[offset]
+        offset += 1
+        if b <= 0x7F:
+            return mtype, b, offset
+        if b not in _UINT_WIDTH:
+            raise FormatError(f"msgid is not an unsigned int (0x{b:02x})")
+        end = offset + _UINT_WIDTH[b]
+        if end > len(payload):
+            raise FormatError("truncated rpc frame prefix")
+        return mtype, int.from_bytes(payload[offset:end], "big"), end
+    except (IndexError, TypeError) as exc:  # short, or not bytes at all
+        raise FormatError("truncated rpc frame prefix") from exc
+
+
+def peek(payload: bytes) -> tuple[int, int | None]:
+    """``(type, msgid)`` of a packed frame without decoding it.
+
+    This is what lets the demultiplexer route a multi-megabyte
+    ``read_array`` reply on its reader thread.  NOTIFY frames have no
+    msgid.  Raises :class:`FormatError` for anything that is not an rpc
+    frame prefix with an unsigned msgid.
+    """
+    return _prefix(payload)[:2]
+
+
+def peek_error(payload: bytes) -> str | None:
+    """The error line of a packed RESPONSE (``None`` on success), read
+    straight off the prefix — the result behind it is never touched.
+
+    Raises :class:`FormatError` when ``payload`` is not a response prefix
+    whose error element is nil or a str.
+    """
+    mtype, _, offset = _prefix(payload)
+    tag = payload[offset] if offset < len(payload) else None
+    if mtype != RESPONSE or tag is None:
+        raise FormatError("not an rpc response prefix")
+    if tag == 0xC0:
+        return None
+    if not (0xA0 <= tag <= 0xBF or tag in (0xD9, 0xDA, 0xDB)):
+        raise FormatError(f"response error is neither nil nor str (0x{tag:02x})")
+    reader = Unpacker(payload, zero_copy=True)  # a view: no copy of the frame
+    reader.offset = offset
+    return reader.unpack_one()
+
+
+def error_line(exc: BaseException) -> str:
+    """The stable wire form of a failure: type and message, never the
+    traceback."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def overloaded_line(detail: str, retry_after: float) -> str:
+    return f"ServerOverloadedError: {detail}; retry_after={retry_after}"
+
+
+def parse_error(line: str | None) -> tuple[type | None, float | None]:
+    """``(exception class, retry_after)`` for an error line: the class is
+    ``None`` unless the line's ``ExcType`` is one of
+    :data:`TYPED_ERRORS`; ``retry_after`` only rides overload lines."""
+    cls = TYPED_ERRORS.get((line or "").split(":", 1)[0])
+    match = _RETRY_AFTER.search(line) if cls is ServerOverloadedError else None
+    return cls, float(match.group(1)) if match else None
+
+
+def raise_remote(method: str, line: str) -> None:
+    """Raise the local exception a remote error line stands for: the
+    typed ones the resilience layer must *react* to (shed → back off,
+    expired → timeout semantics, corruption → re-read, a proxy's dead
+    upstream → fallback), :class:`RPCRemoteError` for everything else."""
+    cls, retry_after = parse_error(line)
+    if cls is None:
+        raise RPCRemoteError(method, line)
+    if cls is ServerOverloadedError:
+        raise cls(f"remote call {method!r} shed: {line}", retry_after=retry_after)
+    raise cls(f"remote call {method!r}: {line}")

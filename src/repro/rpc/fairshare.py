@@ -3,11 +3,13 @@
 A single flooding tenant must not starve everyone else out of the
 storage-side server.  :class:`FairScheduler` sits between the event-loop
 listener (:class:`~repro.rpc.mux.AsyncServerTransport`) and
-:meth:`~repro.rpc.server.RPCServer.dispatch`:
+:meth:`~repro.rpc.server.RPCServer.handle`:
 
-* every request is classified by the ``"tenant"`` key its ctx map carries
-  (the optional 5th frame element — absent means the ``"default"``
-  tenant, so classic clients keep working byte-identically),
+* every frame is decoded once, here at intake
+  (:func:`~repro.rpc.envelope.parse_request`), and classified by the
+  tenant its ctx names (absent means the ``"default"`` tenant, so classic
+  clients keep working byte-identically); the dispatcher receives the
+  decoded :class:`~repro.rpc.envelope.Request`,
 * each tenant gets its own FIFO queue; workers dequeue by **weighted
   virtual time** (start-time fair queuing: pick the eligible tenant with
   the smallest ``served / weight``), so a tenant with weight 3 gets 3x
@@ -32,77 +34,16 @@ from __future__ import annotations
 import collections
 import threading
 import time
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from repro.errors import FormatError
 from repro.obs.flightrec import NULL_RECORDER
-from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
+from repro.rpc import envelope
 
-__all__ = ["FairScheduler", "sniff_request", "inject_tenant", "DEFAULT_TENANT"]
+__all__ = ["FairScheduler", "MAX_TENANTS"]
 
-DEFAULT_TENANT = "default"
 #: Bound on tenants nobody configured a weight for: their names come off
 #: the wire, and the picker and ``info()`` walk the whole table.
 MAX_TENANTS = 1024
-
-
-class RequestInfo(NamedTuple):
-    mtype: int | None
-    msgid: int | None
-    tenant: str
-
-
-def sniff_request(payload: bytes) -> RequestInfo:
-    """Classify one frame: type, msgid, and the tenant its ctx names.
-
-    Tolerant by design — malformed bytes, notifications, and foreign
-    frames classify as the default tenant with ``mtype``/``msgid`` of
-    ``None``/``None``; they flow through dispatch, which owns the error
-    contract.
-    """
-    try:
-        message = unpack(payload)
-    except FormatError:
-        return RequestInfo(None, None, DEFAULT_TENANT)
-    if not isinstance(message, list) or not message:
-        return RequestInfo(None, None, DEFAULT_TENANT)
-    if message[0] == NOTIFY:
-        return RequestInfo(NOTIFY, None, DEFAULT_TENANT)
-    if message[0] != REQUEST or len(message) not in (4, 5):
-        return RequestInfo(None, None, DEFAULT_TENANT)
-    msgid = message[1] if isinstance(message[1], int) else None
-    tenant = DEFAULT_TENANT
-    if len(message) == 5 and isinstance(message[4], dict):
-        t = message[4].get("tenant")
-        if isinstance(t, str) and t:
-            tenant = t
-    return RequestInfo(REQUEST, msgid, tenant)
-
-
-def inject_tenant(payload: bytes, tenant: str) -> bytes:
-    """Splice a tenant id into a packed request frame's ctx map.
-
-    Mirrors :func:`~repro.rpc.admission.inject_deadline`: best-effort
-    sugar for load generators and proxies — non-request frames pass
-    through untouched.
-    """
-    try:
-        message = unpack(payload)
-    except FormatError:
-        return payload
-    if (
-        not isinstance(message, list)
-        or len(message) not in (4, 5)
-        or message[0] != REQUEST
-    ):
-        return payload
-    ctx = message[4] if len(message) == 5 else {}
-    if not isinstance(ctx, dict):
-        return payload
-    merged = dict(ctx)
-    merged["tenant"] = tenant
-    return pack([message[0], message[1], message[2], message[3], merged])
 
 
 class _Tenant:
@@ -127,7 +68,7 @@ class FairScheduler:
     Parameters
     ----------
     dispatcher:
-        ``bytes -> bytes | None`` (normally ``RPCServer.dispatch``).
+        ``Request -> bytes | None`` (normally ``RPCServer.handle``).
     workers:
         Worker-thread count — the global dispatch concurrency.
     weights:
@@ -162,7 +103,7 @@ class FairScheduler:
 
     def __init__(
         self,
-        dispatcher: Callable[[bytes], bytes | None],
+        dispatcher: Callable[[envelope.Request], bytes | None],
         workers: int = 8,
         weights: dict[str, float] | None = None,
         default_weight: float = 1.0,
@@ -246,68 +187,58 @@ class FairScheduler:
         """Queue one frame; ``respond`` is called exactly once with the
         response payload (or ``None`` for notifications), possibly on a
         worker thread, possibly immediately for shed requests."""
-        info = sniff_request(payload)
-        sheddable = info.mtype == REQUEST and info.msgid is not None
+        req = envelope.parse_request(payload)
+        sheddable = req.kind == envelope.REQUEST
         # Burn state is read outside the scheduler lock: the SLO engine
         # has its own locking and never calls back into the scheduler.
         burning = (
             self.slo_shed
             and self.slo is not None
             and sheddable
-            and self.slo.burning(info.tenant)
+            and self.slo.burning(req.tenant)
         )
-        shed_reply = None
-        shed_error = None
+        shed_detail = None
         slo_decided = False
         with self._cond:
-            tenant = self._tenant_locked(info.tenant)
-            if (
-                sheddable
-                and self.max_tenant_pending > 0
-                and len(tenant.queue) >= self.max_tenant_pending
-            ):
-                tenant.shed += 1
-                self._sheds += 1
-                if self.admission is not None:
-                    self.admission.record_shed()
-                shed_error = (
-                    f"ServerOverloadedError: tenant {tenant.name!r} over "
-                    f"fair-share capacity (pending="
-                    f"{len(tenant.queue)}/{self.max_tenant_pending}); "
-                    f"retry_after={self.retry_after}"
+            tenant = self._tenant_locked(req.tenant)
+            backlog = len(tenant.queue)
+            if sheddable and 0 < self.max_tenant_pending <= backlog:
+                shed_detail = (
+                    f"tenant {tenant.name!r} over fair-share capacity "
+                    f"(pending={backlog}/{self.max_tenant_pending})"
                 )
-            elif burning and len(tenant.queue) > 0:
+            elif burning and backlog > 0:
                 # SLO-aware shedding: a budget-burning tenant keeps its
                 # in-flight and queued work but may not grow its backlog.
-                tenant.shed += 1
-                tenant.slo_shed += 1
-                self._sheds += 1
-                self._slo_sheds += 1
-                if self.admission is not None:
-                    self.admission.record_shed()
                 slo_decided = True
-                shed_error = (
-                    f"ServerOverloadedError: tenant {tenant.name!r} is "
-                    f"burning its error budget (backlog="
-                    f"{len(tenant.queue)}); retry_after={self.retry_after}"
+                tenant.slo_shed += 1
+                self._slo_sheds += 1
+                shed_detail = (
+                    f"tenant {tenant.name!r} is burning its error budget "
+                    f"(backlog={backlog})"
                 )
-            else:
-                tenant.queue.append((payload, respond))
+            if shed_detail is None:
+                tenant.queue.append((req, respond))
                 tenant.enqueued += 1
                 self._total_pending += 1
                 self._cond.notify()
-        if shed_error is not None:
-            shed_reply = pack([RESPONSE, info.msgid, shed_error, None])
+            else:
+                tenant.shed += 1
+                self._sheds += 1
+                if self.admission is not None:
+                    self.admission.record_shed()
+        if shed_detail is not None:
+            shed_error = envelope.overloaded_line(shed_detail, self.retry_after)
             if self.recorder:
                 self.recorder.record(
-                    "tenant.shed", tenant=info.tenant, msgid=info.msgid,
+                    "tenant.shed", tenant=req.tenant, msgid=req.msgid,
                     slo=slo_decided, error=shed_error,
                 )
             if self.slo is not None:
                 if slo_decided:
-                    self.slo.record_slo_shed(info.tenant)
-                self.slo.observe(info.tenant, 0.0, error=True)
-            respond(shed_reply)
+                    self.slo.record_slo_shed(req.tenant)
+                self.slo.observe(req.tenant, 0.0, error=True)
+            respond(envelope.response(req.msgid, shed_error))
 
     def _tenant_locked(self, name: str) -> _Tenant:
         tenant = self._tenants.get(name)
@@ -322,7 +253,7 @@ class FairScheduler:
                 if t.queue or t.inflight or n in self._weights
             }
             if len(self._tenants) >= MAX_TENANTS:
-                name = DEFAULT_TENANT
+                name = envelope.DEFAULT_TENANT
                 if name in self._tenants:
                     return self._tenants[name]
         # Joining tenants start at the current virtual clock so a
@@ -360,7 +291,7 @@ class FairScheduler:
                     tenant = self._pick_locked()
                 if self._stopping and not self._finish_queue:
                     return
-                payload, respond = tenant.queue.popleft()
+                req, respond = tenant.queue.popleft()
                 self._total_pending -= 1
                 tenant.inflight += 1
                 self._total_inflight += 1
@@ -368,13 +299,11 @@ class FairScheduler:
                 self._vclock = start
                 tenant.vtime = start + 1.0 / tenant.weight
             try:
-                response = self._dispatcher(payload)
-            except Exception as exc:  # dispatch's contract is "never raise"
-                info = sniff_request(payload)
-                response = (
-                    pack([RESPONSE, info.msgid,
-                          f"{type(exc).__name__}: {exc}", None])
-                    if info.msgid is not None else None
+                reply = self._dispatcher(req)
+            except Exception as exc:  # the dispatcher's contract is "never raise"
+                reply = (
+                    envelope.response(req.msgid, envelope.error_line(exc))
+                    if req.kind == envelope.REQUEST else None
                 )
             finally:
                 with self._cond:
@@ -384,7 +313,7 @@ class FairScheduler:
                     self._served += 1
                     self._cond.notify()
             try:
-                respond(response)
+                respond(reply)
             except Exception:
                 pass  # a dead connection must not take down the worker
 

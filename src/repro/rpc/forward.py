@@ -25,40 +25,15 @@ back on the error channel, and are never retried here.
 
 from __future__ import annotations
 
-from repro.errors import CircuitOpenError, RPCError, RPCTransportError
+from repro.errors import CircuitOpenError, FormatError, RPCError, RPCTransportError
 from repro.obs.trace import NULL_TRACER
-from repro.rpc.msgpack import pack, unpack
-from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
+from repro.rpc import envelope
 
-__all__ = ["ForwardingHandler", "classify_frame"]
+__all__ = ["ForwardingHandler"]
 
 #: Failures that mean "this upstream, right now" rather than "this
 #: request": the chain advances instead of reporting them.
 FAILOVER_ERRORS = (RPCTransportError, CircuitOpenError)
-
-
-def classify_frame(payload: bytes):
-    """(kind, msgid, method, params, ctx, message) for one request frame.
-
-    ``kind`` is ``"request"``, ``"notify"``, or ``"other"`` (malformed or
-    unexpected frames — let the local server produce its usual protocol
-    error).  ``ctx`` is the optional 5th-element dict, ``None`` when the
-    frame is classic 4-element.
-    """
-    try:
-        message = unpack(payload)
-    except Exception:
-        return ("other", None, None, None, None, None)
-    if not isinstance(message, list) or not message:
-        return ("other", None, None, None, None, message)
-    if message[0] == NOTIFY and len(message) == 3:
-        return ("notify", None, message[1], message[2], None, message)
-    if message[0] == REQUEST and len(message) in (4, 5):
-        ctx = message[4] if len(message) == 5 else None
-        if ctx is not None and not isinstance(ctx, dict):
-            return ("other", None, None, None, None, message)
-        return ("request", message[1], message[2], message[3], ctx, message)
-    return ("other", None, None, None, None, message)
 
 
 class ForwardingHandler:
@@ -96,11 +71,14 @@ class ForwardingHandler:
         if counter is not None:
             counter.inc()
 
-    def _request_upstream(self, payload: bytes) -> bytes:
+    def _relay(self, payload: bytes, one_way: bool = False) -> bytes | None:
+        """Try each upstream in turn; raise the last transport error when
+        the whole chain fails."""
         last_error = None
         for transport in self.transports:
             try:
-                raw = transport.request(payload)
+                raw = (transport.send(payload) if one_way
+                       else transport.request(payload))
                 self._count("forwards")
                 return raw
             except FAILOVER_ERRORS as exc:
@@ -109,62 +87,37 @@ class ForwardingHandler:
         raise last_error
 
     # ------------------------------------------------------------------
-    def forward(self, payload: bytes, message=None) -> bytes | None:
+    def forward(self, payload: bytes) -> bytes | None:
+        """Decode one frame and :meth:`handle` it (in-process fronts; the
+        TCP listener decodes at intake and calls :meth:`handle`)."""
+        return self.handle(envelope.parse_request(payload))
+
+    def handle(self, req: envelope.Request) -> bytes | None:
         """Relay one frame; returns the raw response (``None`` for NOTIFY).
 
-        ``message`` is the already-unpacked frame when the caller has it
-        (the edge dispatcher classifies frames anyway); passing it skips a
-        second decode.
+        Bytes that are not an rpc frame go upstream like any request: the
+        terminal server owns the protocol error.
 
         Raises the last upstream transport error when every upstream in
         the chain fails — the caller turns that into a typed error reply.
         """
-        if message is None:
-            kind, _msgid, _method, _params, ctx, message = classify_frame(payload)
-        else:
-            ctx = message[4] if len(message) == 5 else None
-            kind = "notify" if message[0] == NOTIFY else "request"
-        if kind == "notify":
-            last_error = None
-            for transport in self.transports:
-                try:
-                    transport.send(payload)
-                    self._count("forwards")
-                    return None
-                except FAILOVER_ERRORS as exc:
-                    self._count("upstream_errors")
-                    last_error = exc
-            raise last_error
-        traced = (
-            bool(self.tracer)
-            and isinstance(ctx, dict)
-            and ctx.get("trace_id") is not None
-        )
-        if not traced:
-            return self._request_upstream(payload)
-        method = message[2] if isinstance(message, list) and len(message) > 2 else None
+        if req.kind == envelope.NOTIFY:
+            return self._relay(req.raw, one_way=True)
+        trace_ctx = req.trace_ctx if self.tracer else None
+        if trace_ctx is None:
+            return self._relay(req.raw)
         with self.tracer.activate(
-            ctx, "rpc.forward", method=method, via=self.via
+            trace_ctx, "rpc.forward", method=req.method, via=self.via
         ) as span:
-            raw = self._request_upstream(payload)
+            raw = self._relay(req.raw)
         return self._append_span(raw, span)
 
     # ------------------------------------------------------------------
     def _append_span(self, raw: bytes, span) -> bytes:
         """Graft the proxy's span onto a response's span list."""
-        span_dict = getattr(span, "to_dict", lambda: None)()
-        if span_dict is None:
-            return raw
         try:
-            response = unpack(raw)
-        except Exception:
+            reply = envelope.parse_response(raw)
+        except (FormatError, RPCError):
             return raw
-        if (
-            not isinstance(response, list)
-            or len(response) not in (4, 5)
-            or response[0] != RESPONSE
-        ):
-            return raw
-        spans = list(response[4]) if len(response) == 5 else []
-        spans.append(span_dict)
-        return pack([response[0], response[1], response[2], response[3], spans])
+        return envelope.response(reply.msgid, reply.error, reply.result,
+                                 list(reply.spans or []) + [span.to_dict()])

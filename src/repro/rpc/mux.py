@@ -8,7 +8,7 @@
   :class:`~repro.rpc.fairshare.FairScheduler`, which adds per-tenant
   weighted fair queuing).  Responses are written back as each dispatch
   completes, so one slow request never blocks the pipeline behind it.
-  How bytes on a socket become ``dispatch(frame)`` calls, and how a
+  How bytes on a socket become ``handle(request)`` calls, and how a
   drain ends, is decided here and nowhere else.
 * :class:`MuxTransport` — a client transport that pipelines many requests
   over **one** TCP connection.  The correlation id is the msgpack-rpc
@@ -35,12 +35,9 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.errors import FormatError, RPCError, RPCTimeoutError, RPCTransportError
+from repro.rpc import envelope
 from repro.rpc.fairshare import FairScheduler
-from repro.rpc.msgpack import pack
 from repro.rpc.transport import (
-    NOTIFY,
-    REQUEST,
-    RESPONSE,
     FrameBuffer,
     Transport,
     encode_frame,
@@ -48,44 +45,7 @@ from repro.rpc.transport import (
     write_frame,
 )
 
-__all__ = ["peek_frame", "MuxTransport", "AsyncServerTransport"]
-
-
-def peek_frame(payload: bytes) -> tuple[int, int | None]:
-    """Read ``(type, msgid)`` from a packed rpc frame without decoding it.
-
-    Parses only the msgpack array header and the first one/two integer
-    elements — O(1) regardless of payload size, which is what lets the
-    demultiplexer route multi-megabyte ``read_array`` responses without
-    decoding them on the reader thread.  NOTIFY frames have no msgid and
-    return ``(2, None)``.  Raises :class:`~repro.errors.FormatError` for
-    anything that is not a well-formed rpc frame prefix.
-    """
-    try:
-        b0 = payload[0]
-        if 0x90 <= b0 <= 0x9F:
-            offset = 1
-        elif b0 == 0xDC:  # array16: legal even for small frames
-            offset = 3
-        else:
-            raise FormatError(f"not an rpc frame (first byte 0x{b0:02x})")
-        mtype = payload[offset]
-        if mtype not in (REQUEST, RESPONSE, NOTIFY):
-            raise FormatError(f"unknown rpc frame type {mtype}")
-        offset += 1
-        if mtype == NOTIFY:
-            return (NOTIFY, None)
-        b = payload[offset]
-        offset += 1
-        if b <= 0x7F:
-            return (mtype, b)
-        widths = {0xCC: 1, 0xCD: 2, 0xCE: 4, 0xCF: 8}
-        if b not in widths:
-            raise FormatError(f"msgid is not an unsigned int (0x{b:02x})")
-        n = widths[b]
-        return (mtype, int.from_bytes(payload[offset : offset + n], "big"))
-    except IndexError as exc:
-        raise FormatError("truncated rpc frame prefix") from exc
+__all__ = ["MuxTransport", "AsyncServerTransport"]
 
 
 class MuxTransport(Transport):
@@ -167,12 +127,12 @@ class MuxTransport(Transport):
             while True:
                 frame = read_frame(sock)
                 try:
-                    mtype, msgid = peek_frame(frame)
+                    mtype, msgid = envelope.peek(frame)
                 except FormatError:
                     raise RPCTransportError(
                         "undecodable response frame on multiplexed connection"
                     )
-                if mtype != RESPONSE or msgid is None:
+                if mtype != envelope.RESPONSE or msgid is None:
                     continue  # server never sends these; tolerate garbage
                 with self._lock:
                     entry = self._pending.pop(msgid, None)
@@ -211,10 +171,10 @@ class MuxTransport(Transport):
 
     def _submit(self, payload: bytes) -> tuple[int, Future]:
         try:
-            mtype, msgid = peek_frame(payload)
+            mtype, msgid = envelope.peek(payload)
         except FormatError as exc:
             raise RPCError(f"cannot multiplex frame: {exc}") from exc
-        if mtype != REQUEST or msgid is None:
+        if mtype != envelope.REQUEST or msgid is None:
             raise RPCError(
                 "only REQUEST frames can be multiplexed (use send() for NOTIFY)"
             )
@@ -347,7 +307,7 @@ class _Conn:
             return self.inflight == 0 and not self.out
 
 
-def _reply_frame(response: bytes) -> bytes | None:
+def _reply_frame(reply: bytes) -> bytes | None:
     """Length-prefix one reply.
 
     A reply too large to frame becomes a typed error line for the same
@@ -355,17 +315,16 @@ def _reply_frame(response: bytes) -> bytes | None:
     be sent; ``None`` when the reply names no msgid to answer.
     """
     try:
-        return encode_frame(response)
+        return encode_frame(reply)
     except RPCTransportError as exc:
         try:
-            msgid = peek_frame(response)[1]
+            msgid = envelope.peek(reply)[1]
         except FormatError:
             msgid = None
         if msgid is None:
             return None
         return encode_frame(
-            pack([RESPONSE, msgid, f"RPCError: reply not sent: {exc}", None])
-        )
+            envelope.response(msgid, f"RPCError: reply not sent: {exc}"))
 
 
 class AsyncServerTransport:
@@ -381,8 +340,10 @@ class AsyncServerTransport:
     Parameters
     ----------
     dispatcher:
-        ``bytes -> bytes | None``, normally
-        :meth:`repro.rpc.server.RPCServer.dispatch`.  Used only when no
+        ``Request -> bytes | None``, normally
+        :meth:`repro.rpc.server.RPCServer.handle`: the scheduler decodes
+        each frame once and hands over the
+        :class:`~repro.rpc.envelope.Request`.  Used only when no
         ``scheduler`` is given.
     scheduler:
         An object with ``submit(payload, respond)``, ``start()``,

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from repro.errors import (
     CircuitOpenError,
+    FormatError,
     RPCError,
     RPCTimeoutError,
     RPCTransportError,
@@ -45,7 +46,7 @@ from repro.errors import (
 )
 from repro.obs.flightrec import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
-from repro.rpc.admission import inject_deadline, sniff_overload
+from repro.rpc import envelope
 from repro.rpc.transport import Transport
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "ResilientTransport"]
@@ -352,17 +353,21 @@ class ResilientTransport(Transport):
             if self._propagate_deadline and policy.deadline is not None:
                 # Each attempt ships what is *left* of the budget, so the
                 # server stops spending effort exactly when we stop waiting.
-                wire = inject_deadline(
-                    payload, policy.deadline - (self._clock() - start)
+                wire = envelope.with_ctx(
+                    payload, deadline=policy.deadline - (self._clock() - start)
                 )
             try:
                 response = self._inner.request(wire)
-                shed = sniff_overload(response)
-                if shed is not None:
+                try:
+                    line = envelope.peek_error(response)
+                except FormatError:
+                    line = None  # not ours to judge; the client decodes it
+                shed, retry_after = envelope.parse_error(line)
+                if shed is ServerOverloadedError:
                     # A shed reply is a successful *exchange* but a failed
                     # *request*: surface it here so the normal retry path
                     # below handles it (it is an RPCTransportError).
-                    raise shed
+                    raise shed(line, retry_after=retry_after)
             except self._retryable as exc:
                 last_exc = exc
                 overloaded = isinstance(exc, ServerOverloadedError)

@@ -1,19 +1,9 @@
 """rpclib-style RPC server: register functions, dispatch msgpack-rpc frames.
 
-Wire protocol (the msgpack-rpc convention rpclib implements):
-
-* request:  ``[0, msgid, method, params]``, optionally followed by a ctx
-  map as a fifth element carrying trace context (``"trace_id"``,
-  ``"span_id"``) and/or a ``"deadline"`` budget in seconds
-* response: ``[1, msgid, error, result]`` (``error`` is ``None`` on success,
-  else a one-line ``ExcType: message`` string); when the request carried
-  trace context *and* this server has a tracer, a fifth element lists
-  the server-side span summaries for that request
-* notify:   ``[2, method, params]`` (exactly 3 elements, **no** response)
-
-Untraced clients send plain 4-element frames and always get 4-element
-responses — the classic protocol is the zero-trace special case.  A ctx
-map carrying only a deadline likewise gets a classic 4-element response.
+Frames, ctx keys and error lines are :mod:`repro.rpc.envelope`'s: untraced
+clients send plain 4-element frames and always get 4-element responses —
+the classic protocol is the zero-trace special case — and a ctx map that
+names no caller span (tenant- or deadline-only) likewise gets one.
 
 Survivability: an optional :class:`~repro.rpc.admission.AdmissionController`
 gates REQUEST dispatch — shed requests are answered immediately with a
@@ -39,13 +29,12 @@ import time
 import traceback
 from typing import Any, Callable
 
-from repro.errors import FormatError, RPCError, ServerOverloadedError
+from repro.errors import DeadlineExpiredError, RPCError, ServerOverloadedError
 from repro.obs.flightrec import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
+from repro.rpc import envelope
 from repro.rpc.admission import AdmissionController, DeadlineScope
-from repro.rpc.msgpack import pack, unpack
 from repro.rpc.mux import AsyncServerTransport
-from repro.rpc.transport import NOTIFY, REQUEST, RESPONSE
 
 __all__ = ["RPCServer"]
 
@@ -141,189 +130,138 @@ class RPCServer:
 
     # ------------------------------------------------------------------
     def dispatch(self, payload: bytes) -> bytes | None:
-        """Decode one frame, invoke the handler, encode the response.
+        """Decode one frame and :meth:`handle` it (in-process transports;
+        the TCP listener decodes at intake and calls :meth:`handle`)."""
+        return self.handle(envelope.parse_request(payload))
+
+    def handle(self, req: envelope.Request) -> bytes | None:
+        """Invoke the handler for one decoded frame, encode the response.
 
         Returns ``None`` for NOTIFY frames — per msgpack-rpc a
         notification produces *no* response frame, and transports must
         not write one.  Malformed NOTIFY frames (wrong element count)
         are reported to the error hook and dropped instead of killing
-        the worker thread.
+        the worker thread; any other malformed frame is answered at
+        msgid 0.
         """
-        try:
-            message = unpack(payload)
-        except FormatError as exc:
-            return pack([RESPONSE, 0, f"malformed request: {exc}", None])
-
-        if (
-            not isinstance(message, list)
-            or not message
-            or message[0] not in (REQUEST, NOTIFY)
-        ):
-            return pack([RESPONSE, 0, f"invalid rpc message: {message!r}", None])
-
-        if message[0] == NOTIFY:
-            if len(message) != 3:
-                self._report_error(
-                    "<notify>",
-                    RPCError(f"notify frame must have 3 elements, got {len(message)}"),
-                    f"invalid notify frame: {message!r}",
-                )
-                return None
-            _, method, params = message
-            self._invoke(method, params)
+        if req.error is not None:
+            if req.kind != envelope.NOTIFY:
+                return envelope.response(0, req.error)
+            self._report_error("<notify>", RPCError(req.error), req.error)
+            return None
+        if req.kind == envelope.NOTIFY:
+            self._invoke(req.method, req.params)
             return None
 
-        if len(message) not in (4, 5):
-            return pack(
-                [RESPONSE, 0,
-                 f"request frame must have 4 or 5 elements, got {len(message)}",
-                 None]
-            )
-        msgid, method, params = message[1], message[2], message[3]
-        ctx = message[4] if len(message) == 5 else None
-        budget = None
-        tenant = "default"
-        if isinstance(ctx, dict):
-            if "deadline" in ctx:
-                try:
-                    budget = float(ctx["deadline"])
-                except (TypeError, ValueError):
-                    budget = None
-            t = ctx.get("tenant")
-            if isinstance(t, str) and t:
-                tenant = t
+        if isinstance(req.ctx, dict):
             for flag, count in self.ctx_counters.items():
-                if ctx.get(flag):
+                if req.ctx.get(flag):
                     with contextlib.suppress(Exception):
                         count()
-        method_name = method if isinstance(method, str) else repr(method)
+        method_name = req.method if isinstance(req.method, str) else repr(req.method)
         if self.recorder:
             self.recorder.record(
-                "request.begin", method=method_name, msgid=msgid,
-                tenant=tenant,
+                "request.begin", method=method_name, msgid=req.msgid,
+                tenant=req.tenant,
             )
 
         if self.admission is None:
-            return self._respond(msgid, method, params, ctx, budget, tenant)
+            return self._respond(req, method_name)
         if (
             self.slo_shed
             and self.slo is not None
             and self.admission.saturated()
-            and self.slo.burning(tenant)
+            and self.slo.burning(req.tenant)
         ):
             # SLO-aware shedding: under saturation, a tenant torching its
             # error budget is refused before it costs anyone a slot.
             self.admission.record_shed()
-            self.slo.record_slo_shed(tenant)
-            error = (
-                f"ServerOverloadedError: tenant {tenant!r} is burning its "
-                f"error budget under overload; "
-                f"retry_after={self.admission.retry_after}"
-            )
-            return self._shed_reply(msgid, method_name, tenant, error)
+            self.slo.record_slo_shed(req.tenant)
+            return self._shed_reply(req, method_name, envelope.overloaded_line(
+                f"tenant {req.tenant!r} is burning its error budget under "
+                f"overload", self.admission.retry_after,
+            ))
         try:
             self.admission.acquire()
         except ServerOverloadedError as exc:
             # Shed *before* any work: the whole point is answering fast.
-            return self._shed_reply(
-                msgid, method_name, tenant, f"ServerOverloadedError: {exc}"
-            )
+            return self._shed_reply(req, method_name, envelope.error_line(exc))
         try:
-            return self._respond(msgid, method, params, ctx, budget, tenant)
+            return self._respond(req, method_name)
         finally:
             self.admission.release()
 
-    def _shed_reply(
-        self, msgid: Any, method_name: str, tenant: str, error: str
-    ) -> bytes:
+    def _shed_reply(self, req: envelope.Request, method_name: str,
+                    error: str) -> bytes:
         if self.recorder:
             self.recorder.record(
-                "request.shed", method=method_name, msgid=msgid,
-                tenant=tenant, error=error,
+                "request.shed", method=method_name, msgid=req.msgid,
+                tenant=req.tenant, error=error,
             )
         if self.slo is not None:
-            self.slo.observe(tenant, 0.0, error=True)
-        return pack([RESPONSE, msgid, error, None])
+            self.slo.observe(req.tenant, 0.0, error=True)
+        return envelope.response(req.msgid, error)
 
-    def _respond(
-        self, msgid: Any, method: Any, params: Any, ctx: Any,
-        budget: float | None, tenant: str = "default",
-    ) -> bytes:
+    def _respond(self, req: envelope.Request, method_name: str) -> bytes:
         """Run one admitted request with begin/end accounting around the
         deadline scope, trace capture, and invoke."""
         t0 = time.perf_counter()
-        error, payload = self._respond_inner(msgid, method, params, ctx, budget)
+        error, payload = self._respond_inner(req, method_name)
         latency = time.perf_counter() - t0
+        expired = envelope.parse_error(error)[0] is DeadlineExpiredError
+        if expired and self.admission is not None:
+            self.admission.record_expired()
         if self.recorder:
-            method_name = method if isinstance(method, str) else repr(method)
             if error is None:
                 self.recorder.record(
-                    "request.end", method=method_name, msgid=msgid,
-                    tenant=tenant, latency=latency,
+                    "request.end", method=method_name, msgid=req.msgid,
+                    tenant=req.tenant, latency=latency,
                 )
             else:
-                kind = (
-                    "deadline.expired"
-                    if error.startswith("DeadlineExpiredError")
-                    else "request.error"
-                )
                 self.recorder.record(
-                    kind, method=method_name, msgid=msgid, tenant=tenant,
+                    "deadline.expired" if expired else "request.error",
+                    method=method_name, msgid=req.msgid, tenant=req.tenant,
                     latency=latency, error=error,
                 )
         if self.slo is not None:
-            self.slo.observe(tenant, latency, error=error is not None)
+            self.slo.observe(req.tenant, latency, error=error is not None)
         return payload
 
     def _respond_inner(
-        self, msgid: Any, method: Any, params: Any, ctx: Any, budget: float | None
+        self, req: envelope.Request, method_name: str
     ) -> tuple[str | None, bytes]:
         """Run one admitted request: deadline scope, trace capture, invoke."""
+        budget = req.deadline
         if budget is not None and budget <= 0:
-            self._count_expired()
-            error = (
-                "DeadlineExpiredError: request deadline already expired on "
-                f"arrival (budget {budget:.3f}s); nothing attempted"
-            )
-            return error, pack([RESPONSE, msgid, error, None])
+            error = envelope.error_line(DeadlineExpiredError(
+                "request deadline already expired on arrival "
+                f"(budget {budget:.3f}s); nothing attempted"))
+            return error, envelope.response(req.msgid, error)
         scope = (
             DeadlineScope(budget, clock=self._clock)
             if budget is not None
             else contextlib.nullcontext()
         )
-        # Trace path whenever a tracer is present and the ctx is not a
-        # plain map lacking trace context: real trace ctx gets a remote
-        # parent, malformed ctx gets a fresh local root (tolerated by
-        # ``activate``), but a deadline-only map stays on the classic
-        # 4-element path — deadline clients aren't opted into spans.
-        traced = bool(self.tracer) and ctx is not None and not (
-            isinstance(ctx, dict) and "trace_id" not in ctx
-        )
+        # Only a request that names its caller's span is traced: tenant-
+        # or deadline-only ctx stays on the classic 4-element path —
+        # those clients aren't opted into spans.
+        trace_ctx = req.trace_ctx if self.tracer else None
         with scope:
-            if not traced:
-                error, result = self._invoke(method, params)
-                if error is not None and error.startswith("DeadlineExpiredError"):
-                    self._count_expired()
-                return error, pack([RESPONSE, msgid, error, result])
+            if trace_ctx is None:
+                error, result = self._invoke(req.method, req.params)
+                return error, envelope.response(req.msgid, error, result)
             with self.tracer.collect() as captured:
                 with self.tracer.activate(
-                    ctx, "rpc.dispatch",
-                    method=method if isinstance(method, str) else repr(method),
+                    trace_ctx, "rpc.dispatch", method=method_name,
                 ) as dispatch_span:
-                    error, result = self._invoke(method, params)
+                    error, result = self._invoke(req.method, req.params)
                     if error is not None:
                         # _invoke swallows handler exceptions into the error
                         # string; mirror it onto the span so the trace shows
                         # the failing dispatch, not a clean one.
                         dispatch_span.error = str(error)
-        if error is not None and error.startswith("DeadlineExpiredError"):
-            self._count_expired()
         spans = [span.to_dict() for span in captured.spans]
-        return error, pack([RESPONSE, msgid, error, result, spans])
-
-    def _count_expired(self) -> None:
-        if self.admission is not None:
-            self.admission.record_expired()
+        return error, envelope.response(req.msgid, error, result, spans)
 
     def _invoke(self, method: Any, params: Any) -> tuple[str | None, Any]:
         if not isinstance(method, str) or method not in self._handlers:
@@ -334,8 +272,7 @@ class RPCServer:
             return (None, self._handlers[method](*params))
         except Exception as exc:
             self._report_error(method, exc, traceback.format_exc(limit=8))
-            # Stable wire contract: type + message only, never the traceback.
-            return (f"{type(exc).__name__}: {exc}", None)
+            return (envelope.error_line(exc), None)
 
     def _report_error(self, method: str, exc: BaseException, tb_text: str) -> None:
         if self._on_error is not None:
@@ -350,7 +287,7 @@ class RPCServer:
     def serve_tcp(self, host: str = "127.0.0.1", port: int = 0,
                   workers: int = 8, scheduler=None,
                   max_connections: int | None = None) -> AsyncServerTransport:
-        """Start the TCP listener feeding :meth:`dispatch`; returns it started.
+        """Start the TCP listener feeding :meth:`handle`; returns it started.
 
         One I/O thread owns every connection and ``workers`` threads run
         dispatch (or pass a configured
@@ -358,6 +295,6 @@ class RPCServer:
         queuing); requests pipelined on one connection overlap.
         """
         return AsyncServerTransport(
-            self.dispatch, host=host, port=port, workers=workers,
+            self.handle, host=host, port=port, workers=workers,
             scheduler=scheduler, max_connections=max_connections,
         ).start()

@@ -15,8 +15,7 @@ Three implementations cover the library's needs:
   paper's 1 GbE client-storage hop without owning two machines.
 
 Frame format on the wire: ``uint32 BE payload length | payload``, where
-the payload is one msgpack-rpc message whose first element is its type
-(:data:`REQUEST`, :data:`RESPONSE` or :data:`NOTIFY`).
+the payload is one msgpack-rpc message (see :mod:`repro.rpc.envelope`).
 """
 
 from __future__ import annotations
@@ -40,15 +39,7 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "write_frame",
-    "REQUEST",
-    "RESPONSE",
-    "NOTIFY",
 ]
-
-#: msgpack-rpc message types — element 0 of every frame payload.
-REQUEST = 0
-RESPONSE = 1
-NOTIFY = 2
 
 _LEN = struct.Struct(">I")
 #: Upper bound on a single frame; guards against garbage length prefixes.

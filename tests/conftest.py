@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.grid import DataArray, UniformGrid
+
+# CI runs tests/rpc/test_envelope.py with --hypothesis-profile=envelope-ci:
+# more examples than a developer run, and the same ones every time.
+settings.register_profile(
+    "envelope-ci", max_examples=2000, derandomize=True, deadline=None)
 
 
 @pytest.fixture

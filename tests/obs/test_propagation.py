@@ -142,13 +142,13 @@ class TestCompat:
     def test_untraced_client_sends_plain_frames_over_tcp(self):
         seen = []
         srv = RPCServer({"echo": lambda x: x})
-        original = srv.dispatch
+        original = srv.handle
 
-        def spy(payload):
-            seen.append(unpack(payload))
-            return original(payload)
+        def spy(req):
+            seen.append(unpack(req.raw))
+            return original(req)
 
-        srv.dispatch = spy
+        srv.handle = spy
         listener = srv.serve_tcp()
         try:
             cli = RPCClient.connect_tcp(listener.host, listener.port)

@@ -11,7 +11,7 @@ flood tenant (torching its budget) sheds while a trickle tenant
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.slo import SLO, SLOEngine, RollingSketch
+from repro.obs.slo import MAX_TENANTS, SLO, SLOEngine, RollingSketch
 from repro.rpc.msgpack import pack, unpack
 
 
@@ -218,6 +218,47 @@ class TestBurnMath:
         assert munpack(mpack(eng.snapshot())) == eng.snapshot()
 
 
+class TestTenantTableIsBounded:
+    """Tenant names come off the wire; the engine's table must not grow
+    with them (the policy ``FairScheduler`` applies to its own)."""
+
+    def test_live_tenants_overflow_into_the_default_state(self):
+        eng = _engine(FakeMono(), objectives={"gold": SLO(0.5, 0.9)})
+        eng.observe("gold", 0.01)
+        for i in range(MAX_TENANTS + 50):  # every one live in the window
+            eng.observe(f"busy{i}", 0.01)
+        tenants = eng.snapshot()["tenants"]
+        assert len(tenants) == MAX_TENANTS + 1
+        assert tenants["default"]["total"] == 51
+        assert tenants["gold"]["latency_slo"] == 0.5  # configured: kept
+
+    def test_idle_states_are_reclaimed_first(self):
+        clock = FakeMono()
+        eng = _engine(clock, objectives={"gold": SLO(0.5, 0.9)})
+        eng.observe("gold", 0.01)
+        for i in range(MAX_TENANTS - 1):
+            eng.observe(f"old{i}", 0.01)
+        clock.advance(301.0)  # every slow window has gone quiet
+        eng.observe("fresh", 0.01)
+        tenants = eng.snapshot()["tenants"]
+        assert set(tenants) == {"gold", "fresh"}
+        assert "default" not in tenants  # room was made; nobody overflowed
+
+    def test_stats_slo_block_stays_bounded_over_the_wire(self):
+        from repro.core import NDPServer
+        from repro.rpc import RPCClient
+        from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
+
+        store = ObjectStore(MemoryBackend())
+        store.create_bucket("sim")
+        server = NDPServer(S3FileSystem(store, "sim"))
+        for i in range(MAX_TENANTS + 50):
+            server.dispatch(_frame(f"t{i}", msgid=i, method="health", params=()))
+        slo = RPCClient.in_process(server).call("stats")["collected"]["slo"]
+        assert len(slo["tenants"]) <= MAX_TENANTS + 1
+        assert slo["tenants"]["default"]["total"] >= 50
+
+
 def _frame(tenant, msgid=1, method="echo", params=("hi",)):
     return pack([0, msgid, method, list(params), {"tenant": tenant}])
 
@@ -329,7 +370,7 @@ class TestFairSchedulerSLOShed:
         # Never started: submissions stay queued, so backlog state is
         # fully deterministic.
         return FairScheduler(
-            dispatcher=lambda payload: payload, slo=engine, slo_shed=True,
+            dispatcher=lambda req: req.raw, slo=engine, slo_shed=True,
             **kwargs,
         )
 
@@ -386,7 +427,7 @@ class TestFairSchedulerSLOShed:
 
         engine = _engine(FakeMono())
         sched = FairScheduler(
-            dispatcher=lambda payload: payload, workers=2, slo=engine,
+            dispatcher=lambda req: req.raw, workers=2, slo=engine,
             slo_shed=True,
         ).start()
         try:

@@ -15,16 +15,22 @@ from repro.errors import (
     RPCTransportError,
     ServerOverloadedError,
 )
-from repro.rpc import RPCServer, pack, unpack
+from repro.rpc import (
+    InProcessTransport,
+    ResilientTransport,
+    RetryPolicy,
+    RPCServer,
+    pack,
+    unpack,
+)
 from repro.rpc.admission import (
     AdmissionController,
     DeadlineScope,
     check_deadline,
     current_deadline,
-    inject_deadline,
     remaining_budget,
-    sniff_overload,
 )
+from repro.rpc.envelope import with_ctx
 
 from tests.faults import FakeClock
 
@@ -141,16 +147,16 @@ class TestDeadlineScope:
 class TestInjectDeadline:
     def test_plain_request_gains_ctx_map(self):
         frame = pack([0, 7, "ping", []])
-        out = unpack(inject_deadline(frame, 1.25))
+        out = unpack(with_ctx(frame, deadline=1.25))
         assert out == [0, 7, "ping", [], {"deadline": 1.25}]
 
     def test_existing_ctx_is_merged_not_replaced(self):
         frame = pack([0, 7, "ping", [], {"trace_id": "t", "span_id": "s"}])
-        out = unpack(inject_deadline(frame, 0.5))
+        out = unpack(with_ctx(frame, deadline=0.5))
         assert out[4] == {"trace_id": "t", "span_id": "s", "deadline": 0.5}
 
     def test_negative_remaining_clamps_to_zero(self):
-        out = unpack(inject_deadline(pack([0, 1, "m", []]), -3.0))
+        out = unpack(with_ctx(pack([0, 1, "m", []]), deadline=-3.0))
         assert out[4]["deadline"] == 0.0
 
     @pytest.mark.parametrize(
@@ -163,7 +169,7 @@ class TestInjectDeadline:
         ],
     )
     def test_non_request_frames_pass_through_untouched(self, payload):
-        assert inject_deadline(payload, 1.0) == payload
+        assert with_ctx(payload, deadline=1.0) == payload
 
     def test_no_deadline_means_byte_identical_wire(self):
         """The compat contract: not injecting leaves pre-PR bytes exact."""
@@ -171,6 +177,17 @@ class TestInjectDeadline:
         frame = pack([0, 3, "ping", []])
         response = server.dispatch(frame)
         assert unpack(response) == [1, 3, None, "pong"]  # classic 4 elements
+
+
+def shed_in_exchange(reply):
+    """The shed a ``ResilientTransport`` finds inside one exchange."""
+    transport = ResilientTransport(
+        InProcessTransport(lambda _: reply), retry=RetryPolicy(max_attempts=1))
+    try:
+        transport.request(pack([0, 9, "m", []]))
+    except ServerOverloadedError as exc:
+        return exc
+    return None
 
 
 class TestSniffOverload:
@@ -184,26 +201,26 @@ class TestSniffOverload:
         raise AssertionError("gate did not shed")
 
     def test_detects_shed_reply_and_parses_hint(self):
-        shed = sniff_overload(self._shed_reply())
+        shed = shed_in_exchange(self._shed_reply())
         assert isinstance(shed, ServerOverloadedError)
         assert shed.retry_after == pytest.approx(0.05)
 
     def test_normal_replies_are_not_overloads(self):
-        assert sniff_overload(pack([1, 9, None, {"big": "result"}])) is None
-        assert sniff_overload(pack([1, 9, "ValueError: nope", None])) is None
-        assert sniff_overload(None) is None
+        assert shed_in_exchange(pack([1, 9, None, {"big": "result"}])) is None
+        assert shed_in_exchange(pack([1, 9, "ValueError: nope", None])) is None
+        assert shed_in_exchange(None) is None
 
     def test_marker_in_result_payload_is_not_an_overload(self):
         # The marker string appearing in *data* must not trigger shedding.
         reply = pack([1, 9, None, "docs about ServerOverloadedError"])
-        assert sniff_overload(reply) is None
+        assert shed_in_exchange(reply) is None
 
     def test_large_payloads_skip_the_scan(self):
         reply = pack([1, 9, None, b"x" * 1024 + b"ServerOverloadedError"])
-        assert sniff_overload(reply) is None
+        assert shed_in_exchange(reply) is None
 
     def test_garbage_bytes_are_ignored(self):
-        assert sniff_overload(b"ServerOverloadedError \xff\xfe") is None
+        assert shed_in_exchange(b"ServerOverloadedError \xff\xfe") is None
 
 
 class TestServerSideAdmission:

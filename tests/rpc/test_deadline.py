@@ -12,7 +12,8 @@ from repro.core import NDPServer
 from repro.errors import DeadlineExpiredError, RPCRemoteError
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient, RPCServer, pack, unpack
-from repro.rpc.admission import AdmissionController, inject_deadline
+from repro.rpc.admission import AdmissionController
+from repro.rpc.envelope import with_ctx
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.transport import Transport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
@@ -29,7 +30,7 @@ class DeadlineStamper(Transport):
         self.remaining = remaining
 
     def request(self, payload: bytes) -> bytes:
-        return self.inner.request(inject_deadline(payload, self.remaining))
+        return self.inner.request(with_ctx(payload, deadline=self.remaining))
 
 
 class RecordingTransport(Transport):

@@ -122,7 +122,7 @@ class TestGracefulDrain:
 
         server = RPCServer({"hold": hold})
         listener = AsyncServerTransport(
-            server.dispatch, max_connections=1
+            server.handle, max_connections=1
         ).start()
         first = TCPTransport(listener.host, listener.port)
         holder = threading.Thread(

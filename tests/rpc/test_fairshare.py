@@ -14,14 +14,15 @@ import pytest
 
 from repro.errors import ServerOverloadedError
 from repro.rpc import RPCClient, RPCServer, pack, unpack
-from repro.rpc.admission import AdmissionController, sniff_overload
-from repro.rpc.fairshare import (
+from repro.rpc.admission import AdmissionController
+from repro.rpc.envelope import (
     DEFAULT_TENANT,
-    MAX_TENANTS,
-    FairScheduler,
-    inject_tenant,
-    sniff_request,
+    parse_error,
+    parse_request,
+    peek_error,
+    with_ctx,
 )
+from repro.rpc.fairshare import MAX_TENANTS, FairScheduler
 from repro.rpc.mux import AsyncServerTransport
 
 
@@ -39,36 +40,36 @@ def req(msgid, method="m", params=None, ctx=None):
 
 class TestSniffRequest:
     def test_classic_frame_is_default_tenant(self):
-        info = sniff_request(req(3))
-        assert (info.mtype, info.msgid, info.tenant) == (0, 3, DEFAULT_TENANT)
+        info = parse_request(req(3))
+        assert (info.kind, info.msgid, info.tenant) == (0, 3, DEFAULT_TENANT)
 
     def test_tenant_ctx_extracted(self):
-        info = sniff_request(req(4, ctx={"tenant": "gold", "deadline": 1.0}))
+        info = parse_request(req(4, ctx={"tenant": "gold", "deadline": 1.0}))
         assert (info.msgid, info.tenant) == (4, "gold")
 
     def test_malformed_and_foreign_frames_tolerated(self):
         for payload in (b"", b"\xc1garbage", pack("hi"), pack([2, "m", []])):
-            info = sniff_request(payload)
+            info = parse_request(payload)
             assert info.tenant == DEFAULT_TENANT
             assert info.msgid is None
 
     def test_non_string_tenant_ignored(self):
-        info = sniff_request(req(5, ctx={"tenant": 42}))
+        info = parse_request(req(5, ctx={"tenant": 42}))
         assert info.tenant == DEFAULT_TENANT
 
 
 class TestInjectTenant:
     def test_adds_ctx_map(self):
-        out = unpack(inject_tenant(req(1, "m", [7]), "gold"))
+        out = unpack(with_ctx(req(1, "m", [7]), tenant="gold"))
         assert out == [0, 1, "m", [7], {"tenant": "gold"}]
 
     def test_merges_with_existing_ctx(self):
-        out = unpack(inject_tenant(req(1, ctx={"deadline": 2.0}), "gold"))
+        out = unpack(with_ctx(req(1, ctx={"deadline": 2.0}), tenant="gold"))
         assert out[4] == {"deadline": 2.0, "tenant": "gold"}
 
     def test_non_request_passes_through(self):
         notify = pack([2, "m", []])
-        assert inject_tenant(notify, "gold") == notify
+        assert with_ctx(notify, tenant="gold") == notify
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,8 @@ class TestFairSchedulerUnits:
         served_by = {"gold": 0, "bronze": 0}
         gate = threading.Event()
 
-        def dispatcher(payload):
+        def dispatcher(info):
             gate.wait(timeout=10.0)
-            info = sniff_request(payload)
             served_by[info.tenant] += 1
             time.sleep(0.001)
             return pack([1, info.msgid, None, None])
@@ -120,8 +120,7 @@ class TestFairSchedulerUnits:
     def test_every_backlogged_tenant_advances(self):
         served = set()
 
-        def dispatcher(payload):
-            info = sniff_request(payload)
+        def dispatcher(info):
             served.add(info.tenant)
             return pack([1, info.msgid, None, None])
 
@@ -143,9 +142,8 @@ class TestFairSchedulerUnits:
     def test_pending_cap_sheds_with_retry_after(self):
         release = threading.Event()
 
-        def dispatcher(payload):
+        def dispatcher(info):
             release.wait(timeout=10.0)
-            info = sniff_request(payload)
             return pack([1, info.msgid, None, "ok"])
 
         admission = AdmissionController(retry_after=0.123)
@@ -159,9 +157,9 @@ class TestFairSchedulerUnits:
         sheds = [r for r in responses if b"ServerOverloadedError" in r]
         assert len(sheds) >= 3
         for raw in sheds:
-            err = sniff_overload(raw)
-            assert isinstance(err, ServerOverloadedError)
-            assert err.retry_after == pytest.approx(0.123)
+            cls, retry_after = parse_error(peek_error(raw))
+            assert cls is ServerOverloadedError
+            assert retry_after == pytest.approx(0.123)
         # ... and the fair-queue sheds land on the admission ledger.
         assert admission.info()["shed"] == len(sheds)
         release.set()
@@ -176,8 +174,7 @@ class TestFairSchedulerUnits:
         release = threading.Event()
         lock = threading.Lock()
 
-        def dispatcher(payload):
-            info = sniff_request(payload)
+        def dispatcher(info):
             with lock:
                 running.append(info.tenant)
             release.wait(timeout=10.0)
@@ -222,7 +219,7 @@ class TestFairSchedulerUnits:
         """Tenant names come off the wire: 10 000 of them must not grow
         the table the picker walks, and ``health`` must still answer."""
         server = RPCServer({"ping": lambda: "pong"})
-        sched = FairScheduler(server.dispatch, workers=2,
+        sched = FairScheduler(server.handle, workers=2,
                               weights={"gold": 3.0})
         server.bind("health", sched.info)
         listener = server.serve_tcp(scheduler=sched)
@@ -249,9 +246,9 @@ class TestFairSchedulerUnits:
     def test_full_table_of_busy_tenants_shares_the_default_queue(self):
         gate = threading.Event()
 
-        def dispatcher(payload):
+        def dispatcher(info):
             gate.wait(timeout=10.0)
-            return pack([1, unpack(payload)[1], None, "ok"])
+            return pack([1, info.msgid, None, "ok"])
 
         sched = FairScheduler(dispatcher, workers=1)
         responses, respond = gather_responses()
@@ -279,10 +276,10 @@ class TestFloodVsTrickle:
         server = RPCServer(
             {"work": lambda ms: (time.sleep(ms / 1000.0), "done")[1]},
         )
-        sched = FairScheduler(server.dispatch, workers=2,
+        sched = FairScheduler(server.handle, workers=2,
                               weights={"trickle": 1.0, "flood": 1.0},
                               max_tenant_pending=16)
-        listener = AsyncServerTransport(server.dispatch, scheduler=sched).start()
+        listener = AsyncServerTransport(server.handle, scheduler=sched).start()
         try:
             flood = RPCClient.connect_mux(listener.host, listener.port,
                                           timeout=30.0, tenant="flood")
@@ -324,3 +321,88 @@ class TestFloodVsTrickle:
             trickle.close()
         finally:
             listener.stop()
+
+
+# ---------------------------------------------------------------------------
+# A shed must reach the client's retry loop, whatever its size
+# ---------------------------------------------------------------------------
+
+
+class TestShedReachesTheRetryLoop:
+    """``ResilientTransport`` used to ignore any reply over 512 bytes, and
+    tenant names came off the wire unbounded: a shed naming a 600-character
+    tenant counted as a *successful* exchange (no backoff, no ``overloads``
+    count, a success on the breaker) and failed later, unretried."""
+
+    def test_long_tenant_shed_is_retried_and_counted(self):
+        import queue
+
+        from repro.rpc import CircuitBreaker, ResilientTransport, RetryPolicy
+        from repro.rpc.envelope import MAX_TENANT_LEN
+        from repro.rpc.transport import Transport
+        from repro.storage.metrics import ResilienceStats
+
+        gate = threading.Event()
+        server = RPCServer({"work": lambda: gate.wait(timeout=10.0) and "done"})
+        sched = FairScheduler(server.handle, workers=1,
+                              max_tenant_pending=1).start()
+
+        class ViaScheduler(Transport):
+            def __init__(self):
+                self.replies = []
+
+            def request(self, payload):
+                box = queue.Queue()
+                sched.submit(payload, box.put)
+                self.replies.append(box.get(timeout=10.0))
+                return self.replies[-1]
+
+        def backoff(_delay):  # the client waits; the backlog drains
+            gate.set()
+            deadline = time.monotonic() + 10.0
+            while not sched.quiescent() and time.monotonic() < deadline:
+                time.sleep(0.005)
+
+        tenant = "t" * 600
+        try:
+            _, respond = gather_responses()
+            sched.submit(req(1, "work", ctx={"tenant": tenant}), respond)
+            deadline = time.monotonic() + 5.0
+            while sched.inflight < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            sched.submit(req(2, "work", ctx={"tenant": tenant}), respond)
+
+            wire, stats = ViaScheduler(), ResilienceStats()
+            breaker = CircuitBreaker(failure_threshold=1)
+            transport = ResilientTransport(
+                wire, retry=RetryPolicy(max_attempts=3, deadline=None),
+                breaker=breaker, sleep=backoff, stats=stats)
+            reply = transport.request(req(3, "work", ctx={"tenant": tenant}))
+            assert unpack(reply) == [1, 3, None, "done"]
+            assert stats.get("overloads") == 1
+            assert stats.get("retries") == 1
+            assert stats.get("successes") == 1
+            assert breaker.failures == 0  # a live server asking for backoff
+            # The over-long name never became a table key or a shed line.
+            assert list(sched.info()["tenants"]) == [DEFAULT_TENANT]
+            assert len(wire.replies[0]) < 200 + MAX_TENANT_LEN
+        finally:
+            gate.set()
+            sched.stop(timeout=5.0)
+
+    def test_a_shed_line_of_any_length_is_seen(self):
+        from repro.rpc import InProcessTransport, ResilientTransport, RetryPolicy
+        from repro.storage.metrics import ResilienceStats
+
+        shed = pack([1, 7, "ServerOverloadedError: tenant '" + "t" * 600 + "' "
+                     "over fair-share capacity (pending=16/16); "
+                     "retry_after=0.05", None])
+        replies = [shed, pack([1, 7, None, "done"])]
+        slept, stats = [], ResilienceStats()
+        transport = ResilientTransport(
+            InProcessTransport(lambda _: replies.pop(0)),
+            retry=RetryPolicy(max_attempts=2, deadline=None, jitter=0.0),
+            sleep=slept.append, stats=stats)
+        assert unpack(transport.request(req(7))) == [1, 7, None, "done"]
+        assert stats.get("overloads") == 1
+        assert slept and slept[0] >= 0.05  # the hint floors the backoff

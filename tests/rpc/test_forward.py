@@ -21,7 +21,8 @@ from repro.errors import (
 )
 from repro.obs.trace import Tracer
 from repro.rpc import InProcessTransport, RPCClient, RPCServer
-from repro.rpc.forward import ForwardingHandler, classify_frame
+from repro.rpc.envelope import NOTIFY, REQUEST, parse_request
+from repro.rpc.forward import ForwardingHandler
 from repro.rpc.msgpack import pack, unpack
 
 
@@ -49,20 +50,19 @@ class TestClassifyFrame:
     def test_request_with_ctx(self):
         ctx = {"trace_id": "t", "span_id": "s", "tenant": "acme",
                "deadline": 1.5}
-        kind, msgid, method, params, got_ctx, _ = classify_frame(
-            pack([0, 7, "m", [1, 2], ctx]))
-        assert (kind, msgid, method, params) == ("request", 7, "m", [1, 2])
-        assert got_ctx == ctx
+        req = parse_request(pack([0, 7, "m", [1, 2], ctx]))
+        assert (req.kind, req.msgid, req.method, req.params) == \
+            (REQUEST, 7, "m", [1, 2])
+        assert req.ctx == ctx
 
     def test_classic_request(self):
-        kind, msgid, method, params, ctx, _ = classify_frame(
-            pack([0, 1, "m", []]))
-        assert (kind, ctx) == ("request", None)
+        req = parse_request(pack([0, 1, "m", []]))
+        assert (req.kind, req.ctx) == (REQUEST, None)
 
     def test_notify_and_garbage(self):
-        assert classify_frame(pack([2, "m", [1]]))[0] == "notify"
-        assert classify_frame(b"\xff\xfe")[0] == "other"
-        assert classify_frame(pack({"not": "a frame"}))[0] == "other"
+        assert parse_request(pack([2, "m", [1]])).kind == NOTIFY
+        assert parse_request(b"\xff\xfe").kind is None
+        assert parse_request(pack({"not": "a frame"})).kind is None
 
 
 class TestByteFidelity:

@@ -144,7 +144,7 @@ class Owner:
     def serve(self, **kwargs):
         if isinstance(self.server, ForwardingHandler):
             self.listener = AsyncServerTransport(
-                self.server.forward, **kwargs).start()
+                self.server.handle, **kwargs).start()
         else:
             self.listener = self.server.serve_tcp(**kwargs)
         return self.listener
@@ -459,8 +459,6 @@ def client_frames(monkeypatch_setattr) -> dict:
             for traced in (False, True):
                 wire = RecordingTransport(
                     lambda payload: pack([1, unpack(payload)[1], None, None]))
-                wire.send = lambda payload, wire=wire: \
-                    wire.frames.append(bytes(payload))
                 client = RPCClient(
                     ResilientTransport(
                         wire, retry=RetryPolicy(deadline=deadline),
@@ -484,11 +482,5 @@ def test_client_request_frames_match_the_golden_hex(monkeypatch):
 
 
 if __name__ == "__main__":  # re-record: python -m tests.rpc.test_listener_contract
-    import repro.obs.trace as _trace_mod
-
-    _real = _trace_mod.new_id
-    try:
-        GOLDEN.write_text(json.dumps(client_frames(setattr), indent=1) + "\n")
-    finally:
-        _trace_mod.new_id = _real
+    GOLDEN.write_text(json.dumps(client_frames(setattr), indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -2,7 +2,7 @@
 
 Families:
 
-* frame peeking / incremental framing units (``peek_frame``,
+* frame peeking / incremental framing units (``envelope.peek``,
   ``FrameBuffer``),
 * pipelining over one connection — out-of-order completion rehydrated by
   correlation id, thread-shared transports, NOTIFY,
@@ -32,7 +32,8 @@ from repro.errors import (
 from repro.io import write_vgf
 from repro.rpc import RPCClient, RPCServer, pack, unpack
 from repro.rpc.admission import AdmissionController
-from repro.rpc.mux import AsyncServerTransport, MuxTransport, peek_frame
+from repro.rpc.envelope import peek
+from repro.rpc.mux import AsyncServerTransport, MuxTransport
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.transport import FrameBuffer, InProcessTransport, TCPTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
@@ -69,30 +70,30 @@ def make_server(**kwargs):
 
 class TestPeekFrame:
     def test_request_fixint_msgid(self):
-        assert peek_frame(pack([0, 7, "m", []])) == (0, 7)
+        assert peek(pack([0, 7, "m", []])) == (0, 7)
 
     def test_response_wide_msgids(self):
         for msgid in (0, 127, 128, 255, 256, 65535, 65536, 2**32 - 1, 2**32):
-            assert peek_frame(pack([1, msgid, None, "x"])) == (1, msgid)
+            assert peek(pack([1, msgid, None, "x"])) == (1, msgid)
 
     def test_notify_has_no_msgid(self):
-        assert peek_frame(pack([2, "m", []])) == (2, None)
+        assert peek(pack([2, "m", []])) == (2, None)
 
     def test_array16_header(self):
         # Hand-built array16 encoding of [0, 5, "m", []] — legal msgpack
         # even though the canonical packer would use a fixarray.
         frame = b"\xdc\x00\x04" + pack(0)[0:1] + pack(5) + pack("m") + pack([])
-        assert peek_frame(frame) == (0, 5)
+        assert peek(frame) == (0, 5)
 
     def test_garbage_rejected(self):
         for bad in (b"", b"\xc0", b"\x93", pack("hello"), pack([9, 1, "m", []])):
             with pytest.raises(FormatError):
-                peek_frame(bad)
+                peek(bad)
 
     def test_large_payload_is_not_decoded(self):
         big = pack([1, 42, None, b"\x00" * 4_000_000])
         t0 = time.perf_counter()
-        assert peek_frame(big) == (1, 42)
+        assert peek(big) == (1, 42)
         assert time.perf_counter() - t0 < 0.01  # O(1), not O(payload)
 
 

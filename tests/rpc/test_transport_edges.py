@@ -254,9 +254,9 @@ class TestZeroLengthFrames:
         """End to end: empty payloads are legal frames both ways."""
         seen = []
 
-        def dispatcher(payload: bytes) -> bytes:
-            seen.append(payload)
-            return b"" if payload else b"was empty"
+        def dispatcher(req) -> bytes:
+            seen.append(req.raw)
+            return b"" if req.raw else b"was empty"
 
         with AsyncServerTransport(dispatcher) as server:
             client = TCPTransport(server.host, server.port, timeout=5.0)
