@@ -89,7 +89,7 @@ def test_ext_cache_warm_sweep(benchmark, env):
     )
 
     # The caches must actually be doing the work they claim.
-    stats = warm.call("server_stats")
+    stats = warm.call("stats")["collected"]
     assert stats["array_cache"]["hits"] >= 1
     assert stats["array_cache"]["misses"] == 1  # one decode for the whole sweep
     assert stats["selection_cache"]["hits"] == (ROUNDS - 1) * len(VALUES)

@@ -144,7 +144,7 @@ def test_ext_edge_wan(benchmark, env, bench_record):
     # Nearby-ROI contours ride the promoted block: also LAN-like.
     assert direct_p50 >= 5.0 * roi_p50
     # The warm path really did stay off the WAN.
-    info = edge.server_stats()
+    info = edge.stats_snapshot()["collected"]["edge"]
     assert info["hits"] >= REPEATS
     assert info["local_computes"] >= REPEATS
     assert info["block_promotions"] == 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.filter_splits import DEFAULT_WIRE_CODEC
 from repro.core.ndp_server import NDPServer
 from repro.core.prefilter import prefilter_contour, selection_rate
 from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
@@ -177,7 +178,7 @@ class BenchEnv:
         values,
         mode: str = "cell-closure",
         encoding: str = "auto",
-        wire_codec: str = "lz4",
+        wire_codec: str = DEFAULT_WIRE_CODEC,
     ) -> tuple[dict, LoadResult]:
         """Offloaded pre-filter load; returns the encoded selection + cost."""
         tb = self.testbed

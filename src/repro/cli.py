@@ -17,7 +17,9 @@ so a downstream user can drive the system without writing Python.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import partial
 
 from repro.core.ndp_client import FallbackPolicy, ndp_contour
 from repro.core.ndp_server import NDPServer
@@ -28,15 +30,15 @@ from repro.io.ppm import write_ppm
 from repro.io.vgf import read_vgf_info, write_vgf
 from repro.obs.export import prometheus_text, write_chrome_trace, write_jsonl
 from repro.obs.flightrec import FlightRecorder, install_signal_dump
-from repro.obs.metrics import Registry, merge_snapshots
+from repro.obs.metrics import Registry, Tally, merge_snapshots, snapshot_quantile
 from repro.obs.profile import SamplingProfiler
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.trace import Tracer
 from repro.rpc.client import RPCClient
+from repro.rpc.mux import DEFAULT_DRAIN_TIMEOUT
 from repro.rpc.pool import parse_address
 from repro.rpc.resilience import CircuitBreaker, ResilientTransport, RetryPolicy
 from repro.rpc.transport import TCPTransport
-from repro.storage.metrics import ResilienceStats
 from repro.storage.object_store import DirectoryBackend, ObjectStore
 from repro.storage.s3fs import S3FileSystem
 
@@ -128,9 +130,6 @@ def cmd_info(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import signal
-    import threading
-
     fs = _open_fs(args.store, args.bucket)
     tracer = Tracer(process="server") if args.trace_out else None
     recorder = (
@@ -194,32 +193,46 @@ def cmd_serve(args) -> int:
           f"{obs[0]}, {obs[1]}, {obs[2]}"
           f"{', tracing on' if tracer else ''})")
 
+    clean = _serve_until_stopped(
+        [partial(listener.stop, drain_timeout=args.drain_timeout)],
+        args.timeout)
+    info = server.admission.info()
+    print(f"stopped ({'clean' if clean else 'forced'}; "
+          f"{info['admitted']} requests served, {info['shed']} shed)")
+    if tracer is not None:
+        _write_trace(tracer, args.trace_out)
+    return 0 if clean else 1
+
+
+def _serve_until_stopped(stops, timeout: float) -> bool:
+    """The one shutdown path of ``serve``, ``serve-cluster`` and
+    ``serve-edge``: block until SIGTERM / SIGINT or ``timeout`` seconds
+    (0 = forever), then call every ``stop() -> clean`` in ``stops``.
+
+    Returns True when every listener drained without force.  Signal
+    handlers can only be installed from the main thread; when driven
+    from a worker thread (tests, embedding) ``timeout`` still provides
+    shutdown.
+    """
+    import signal
+    import threading
+
     stop = threading.Event()
-    # Graceful drain on SIGTERM/SIGINT.  Signal handlers can only be
-    # installed from the main thread; when driven from a worker thread
-    # (tests, embedding) the --timeout path still provides shutdown.
     if threading.current_thread() is threading.main_thread():
         def _on_signal(signum, _frame):
-            print(f"\nsignal {signum}: draining (in-flight requests get up "
-                  f"to {args.drain_timeout:.1f}s)")
+            print(f"\nsignal {signum}: draining in-flight requests",
+                  flush=True)
             stop.set()
 
         signal.signal(signal.SIGTERM, _on_signal)
         signal.signal(signal.SIGINT, _on_signal)
-    clean = True
     try:
-        stop.wait(args.timeout if args.timeout > 0 else None)
+        stop.wait(timeout if timeout > 0 else None)
     except KeyboardInterrupt:
         pass
-    finally:
-        clean = listener.stop(drain_timeout=args.drain_timeout)
-        shed = server.admission.info()["shed"]
-        print(f"stopped ({'clean' if clean else 'forced'}; "
-              f"{server.admission.info()['admitted']} requests served, "
-              f"{shed} shed)")
-        if tracer is not None:
-            _write_trace(tracer, args.trace_out)
-    return 0 if clean else 1
+    # A list, not a generator: short-circuiting would leave later
+    # listeners running after one reports a forced stop.
+    return all([stop_one() for stop_one in stops])
 
 
 def _parse_tenant_weights(spec: str) -> dict | None:
@@ -355,8 +368,6 @@ def cmd_serve_cluster(args) -> int:
     ``repro rebalance --apply`` shows up in reply ``map_version`` tokens
     without a restart.
     """
-    import threading
-
     from repro.cluster import ManifestWatcher
 
     fs = _open_fs(args.store, args.bucket)
@@ -396,23 +407,16 @@ def cmd_serve_cluster(args) -> int:
           f"{args.manifest} @ map_version {manifest.map_version} "
           f"(connect with: repro contour --cluster {args.manifest} "
           f"--connect {','.join(endpoints)})", flush=True)
-    stop = threading.Event()
-    try:
-        stop.wait(args.timeout if args.timeout > 0 else None)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        # Materialize first: short-circuiting would leave later
-        # listeners running after one reports a forced stop.
-        clean = all([
-            ln.stop(drain_timeout=args.drain_timeout) for ln in listeners
-        ])
-        print(f"stopped {len(listeners)} shard(s) "
-              f"({'clean' if clean else 'forced'})")
+    clean = _serve_until_stopped(
+        [partial(ln.stop, drain_timeout=args.drain_timeout)
+         for ln in listeners],
+        args.timeout)
+    print(f"stopped {len(listeners)} shard(s) "
+          f"({'clean' if clean else 'forced'})")
     return 0 if clean else 1
 
 
-def _resilience_from_args(args) -> tuple[RetryPolicy, CircuitBreaker | None, ResilienceStats]:
+def _resilience_from_args(args) -> tuple[RetryPolicy, CircuitBreaker | None, Tally]:
     retry = RetryPolicy(
         max_attempts=max(1, args.retries),
         base_delay=args.backoff,
@@ -426,7 +430,7 @@ def _resilience_from_args(args) -> tuple[RetryPolicy, CircuitBreaker | None, Res
         if args.breaker_threshold > 0
         else None
     )
-    return retry, breaker, ResilienceStats()
+    return retry, breaker, Tally()
 
 
 def cmd_contour(args) -> int:
@@ -567,7 +571,7 @@ def _cluster_contour(args, values, retry, breaker, rstats, tracer) -> int:
     return rc
 
 
-def _report_contour(args, polydata, stats, rstats: ResilienceStats) -> int:
+def _report_contour(args, polydata, stats, rstats: Tally) -> int:
     print(
         f"contour: {polydata.triangles().shape[0]} triangles, "
         f"{polydata.num_points} points"
@@ -680,7 +684,7 @@ def cmd_health(args) -> int:
     addresses = _split_addresses(args.connect)
     if addresses is None:
         return 2
-    rstats = ResilienceStats()
+    rstats = Tally()
     results, failures = _call_addresses(addresses, args, "health", rstats)
     if len(addresses) > 1:
         return _health_table(addresses, results, failures)
@@ -782,14 +786,8 @@ def _hist_summary(hist: dict) -> str:
     mean = hist.get("sum", 0.0) / count
 
     def quantile(q: float) -> str:
-        rank = q * count
-        seen = 0
-        for bucket in hist.get("buckets", []):
-            seen += int(bucket.get("count", 0))
-            if seen >= rank:
-                le = bucket.get("le")
-                return "+Inf" if le == "+Inf" else f"{float(le) * 1e3:.3g}ms"
-        return "+Inf"
+        le = snapshot_quantile(hist, q, overflow=math.inf)
+        return "+Inf" if le == math.inf else f"{le * 1e3:.3g}ms"
 
     return (
         f"count={count} mean={mean * 1e3:.3g}ms "
@@ -826,9 +824,6 @@ def cmd_serve_edge(args) -> int:
     through a named latency/bandwidth model — handy for demonstrating the
     edge win on one machine.
     """
-    import signal
-    import threading
-
     from repro.edge import EdgeCacheServer
     from repro.rpc.transport import ThrottledTransport
     from repro.storage.netsim import WAN_PROFILES
@@ -878,28 +873,17 @@ def cmd_serve_edge(args) -> int:
           f"serve_stale={'on' if args.serve_stale else 'off'}"
           f"{', tracing on' if tracer else ''})", flush=True)
 
-    stop = threading.Event()
-    if threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, _frame):
-            print(f"\nsignal {signum}: stopping edge")
-            stop.set()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-    try:
-        stop.wait(args.timeout if args.timeout > 0 else None)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-        info = server.server_stats()
-        print(f"stopped edge ({info['requests']} requests, "
-              f"hit_rate {info['hit_rate']:.0%}, "
-              f"{info['forwards']} forwards, "
-              f"{info['upstream_errors']} upstream errors)")
-        if tracer is not None:
-            _write_trace(tracer, args.trace_out)
-    return 0
+    clean = _serve_until_stopped([server.close], args.timeout)
+    snap = server.stats_snapshot()
+    info = snap["collected"]["edge"]
+    print(f"stopped edge ({'clean' if clean else 'forced'}; "
+          f"{int(snap['counters']['requests'])} requests, "
+          f"hit_rate {info['hit_rate']:.0%}, "
+          f"{info['forwards']} forwards, "
+          f"{info['upstream_errors']} upstream errors)")
+    if tracer is not None:
+        _write_trace(tracer, args.trace_out)
+    return 0 if clean else 1
 
 
 def cmd_stats(args) -> int:
@@ -912,7 +896,7 @@ def cmd_stats(args) -> int:
     addresses = _split_addresses(args.connect)
     if addresses is None:
         return 2
-    rstats = ResilienceStats()
+    rstats = Tally()
     results, failures = _call_addresses(addresses, args, "stats", rstats)
     for label, exc in failures:
         if len(addresses) == 1:
@@ -1039,7 +1023,7 @@ def cmd_dump(args) -> int:
     addresses = _split_addresses(args.connect)
     if addresses is None:
         return 2
-    rstats = ResilienceStats()
+    rstats = Tally()
     results, failures = _call_addresses(
         addresses, args, "dump", rstats,
         params=(args.reason, args.last if args.last > 0 else None),
@@ -1074,7 +1058,7 @@ def cmd_prof(args) -> int:
     addresses = _split_addresses(args.connect)
     if addresses is None:
         return 2
-    rstats = ResilienceStats()
+    rstats = Tally()
     results, failures = _call_addresses(
         addresses, args, "profile", rstats,
         params=(args.top if args.top > 0 else None,),
@@ -1234,7 +1218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-connections", type=int, default=0,
                    help="refuse TCP connections beyond this many concurrent "
                         "(0 = unlimited)")
-    p.add_argument("--drain-timeout", type=float, default=5.0,
+    p.add_argument("--drain-timeout", type=float,
+                   default=DEFAULT_DRAIN_TIMEOUT,
                    help="on shutdown, seconds to let in-flight requests "
                         "finish before forcing connections closed")
     p.add_argument("--verify-checksums", choices=["on", "off"], default="on",
@@ -1349,7 +1334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--timeout", type=float, default=0,
                    help="exit after N seconds (0 = run forever)")
-    p.add_argument("--drain-timeout", type=float, default=5.0)
+    p.add_argument("--drain-timeout", type=float,
+                   default=DEFAULT_DRAIN_TIMEOUT)
     p.add_argument("--endpoints-out", default="", metavar="FILE",
                    help="write the shard host:port list here, one per line")
     p.add_argument("--sign-key", default="",

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.cluster.manifest import ShardManifest, write_manifest
 from repro.errors import ReproError
+from repro.obs.metrics import snapshot_quantile
 
 __all__ = [
     "ShardLoad",
@@ -121,22 +122,6 @@ class RebalancePlan:
 # ---------------------------------------------------------------------------
 
 
-def _hist_p99(hist: dict) -> float:
-    count = int(hist.get("count", 0))
-    if count == 0:
-        return 0.0
-    rank = 0.99 * count
-    seen, last = 0, 0.0
-    for bucket in hist.get("buckets", []):
-        le = bucket.get("le")
-        seen += int(bucket.get("count", 0))
-        if le != "+Inf":
-            last = float(le)
-        if seen >= rank:
-            return last if le == "+Inf" else float(le)
-    return last
-
-
 def loads_from_polls(polls) -> dict[int, ShardLoad]:
     """Shard loads from one ``poll_stats`` round (shard ``i`` = poll ``i``).
 
@@ -151,7 +136,8 @@ def loads_from_polls(polls) -> dict[int, ShardLoad]:
         loads[shard] = ShardLoad(
             shard=shard,
             score=float(counters.get("requests", 0)),
-            p99=_hist_p99(hists.get("request_latency_seconds") or {}),
+            p99=snapshot_quantile(
+                hists.get("request_latency_seconds") or {}, 0.99),
         )
     return loads
 

@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cluster.manifest import ShardManifest, load_manifest
 from repro.cluster.stitch import stitch_selections
 from repro.core.encoding import decode_selection
+from repro.core.filter_splits import DEFAULT_WIRE_CODEC
 from repro.core.prefilter import prefilter_contour
 from repro.core.postfilter import postfilter_contour
 from repro.errors import (
@@ -101,7 +102,8 @@ class ClusterClient:
 
     def __init__(self, pool, manifest: ShardManifest, fallback_fs=None, *,
                  mode: str = "cell-closure", encoding: str = "auto",
-                 wire_codec: str = "lz4", tracer=None, max_workers=None,
+                 wire_codec: str = DEFAULT_WIRE_CODEC, tracer=None,
+                 max_workers=None,
                  recorder=None, manifest_fs=None, sign_key=None,
                  hedge: bool = True, hedge_quantile: float = 0.95,
                  hedge_floor: float = 0.005, hedge_cap: float = 1.0):

@@ -47,6 +47,7 @@ from repro.grid.selection import PointSelection
 from repro.grid.uniform import UniformGrid
 
 __all__ = [
+    "DEFAULT_WIRE_CODEC",
     "SPLIT_FILTERS",
     "SplitFilter",
     "bind_request",
@@ -159,8 +160,11 @@ def _roi(value) -> Bounds | None:
     return Bounds(*map(float, value))
 
 
+#: the reply codec every client asks for unless told otherwise
+DEFAULT_WIRE_CODEC = "lz4"
+
 _ENCODING = ("encoding", str, "auto")
-_WIRE_CODEC = ("wire_codec", str, "lz4")
+_WIRE_CODEC = ("wire_codec", str, DEFAULT_WIRE_CODEC)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ so both the writer and any reader can derive it without a catalog.
 from __future__ import annotations
 
 from repro.core.encoding import decode_selection, encode_selection, wire_size
+from repro.core.filter_splits import DEFAULT_WIRE_CODEC
 from repro.core.postfilter import postfilter_contour
 from repro.core.prefilter import prefilter_contour
 from repro.errors import NoSuchObjectError
@@ -53,7 +54,7 @@ def precompute_selections(
     arrays: list[str],
     values,
     mode: str = "cell-closure",
-    wire_codec: str = "lz4",
+    wire_codec: str = DEFAULT_WIRE_CODEC,
 ) -> list[tuple[str, int]]:
     """Pre-filter stored data and persist the encoded selections.
 

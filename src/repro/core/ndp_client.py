@@ -16,14 +16,19 @@ resilient transport's retries, or its circuit breaker is open), the client
 falls back to the paper's *baseline* placement — a full-array read through
 its own s3fs mount, contoured locally.  The pre/post-filter invariant
 guarantees the geometry is identical either way; only the cost differs,
-and that difference is surfaced through
-:class:`~repro.storage.metrics.ResilienceStats`.
+and that difference is surfaced through the policy's
+:class:`~repro.obs.metrics.Tally`.
 """
 
 from __future__ import annotations
 
 from repro.core.encoding import decode_selection
-from repro.core.filter_splits import SPLIT_FILTERS, bind_request, wire_request
+from repro.core.filter_splits import (
+    DEFAULT_WIRE_CODEC,
+    SPLIT_FILTERS,
+    bind_request,
+    wire_request,
+)
 from repro.errors import (
     CircuitOpenError,
     IntegrityError,
@@ -33,9 +38,9 @@ from repro.errors import (
 from repro.filters.contour import _values_unset, contour_grid, normalize_values
 from repro.grid.polydata import PolyData
 from repro.grid.selection import PointSelection
+from repro.obs.metrics import Tally
 from repro.pipeline.source import Source
 from repro.rpc.client import RPCClient
-from repro.storage.metrics import ResilienceStats
 
 __all__ = [
     "NDPContourSource",
@@ -69,7 +74,7 @@ class NDPContourSource(Source):
         values=(),
         mode: str = "cell-closure",
         encoding: str = "auto",
-        wire_codec: str = "lz4",
+        wire_codec: str = DEFAULT_WIRE_CODEC,
     ):
         super().__init__()
         self._client = client
@@ -149,9 +154,9 @@ class FallbackPolicy:
         baseline read would hit the same problem — so falling back would
         only mask them.
     stats:
-        Optional shared :class:`~repro.storage.metrics.ResilienceStats`;
-        records ``fallbacks`` / ``ndp_successes`` / ``fallback_bytes`` and
-        keeps the last fallback reason for operator visibility.
+        Optional shared :class:`~repro.obs.metrics.Tally` (typically the
+        one the resilient transport records into); gains ``fallbacks`` /
+        ``ndp_successes`` / ``fallback_bytes``.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; a degrade records an
         ``ndp.fallback`` event on the current span and times the baseline
@@ -166,15 +171,17 @@ class FallbackPolicy:
             CircuitOpenError,
             IntegrityError,
         ),
-        stats: ResilienceStats | None = None,
+        stats: Tally | None = None,
         tracer=None,
     ):
         from repro.obs.trace import NULL_TRACER
 
         self.fs = fs
         self.triggers = tuple(triggers)
-        self.stats = stats if stats is not None else ResilienceStats()
+        self.stats = stats if stats is not None else Tally()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: human-readable reason for the most recent baseline fallback
+        self.last_fallback_reason: str | None = None
 
     def should_fallback(self, exc: BaseException) -> bool:
         return isinstance(exc, self.triggers)
@@ -182,6 +189,13 @@ class FallbackPolicy:
     # ------------------------------------------------------------------
     def record_ndp_success(self) -> None:
         self.stats.record("ndp_successes")
+
+    @property
+    def fallback_rate(self) -> float:
+        """Fraction of completed NDP requests served by the baseline path."""
+        fallbacks = self.stats.get("fallbacks")
+        done = fallbacks + self.stats.get("ndp_successes")
+        return fallbacks / done if done else 0.0
 
     def contour(
         self, key: str, array_name: str, values, roi=None, reason: BaseException | None = None
@@ -209,7 +223,7 @@ class FallbackPolicy:
             polydata = contour_grid(grid, array_name, values, roi=roi)
         self.stats.record("fallbacks")
         self.stats.record("fallback_bytes", entry.stored_bytes)
-        self.stats.last_fallback_reason = (
+        self.last_fallback_reason = (
             f"{type(reason).__name__}: {reason}" if reason is not None else None
         )
         stats = {
@@ -218,7 +232,7 @@ class FallbackPolicy:
             # The whole stored block crossed the client's mount: with no
             # pre-filter there is no reduction to report.
             "wire_bytes": entry.stored_bytes,
-            "fallback_reason": self.stats.last_fallback_reason,
+            "fallback_reason": self.last_fallback_reason,
         }
         return polydata, stats
 
@@ -241,7 +255,7 @@ def ndp_threshold(
     array_name: str,
     lower: float,
     upper: float,
-    wire_codec: str = "lz4",
+    wire_codec: str = DEFAULT_WIRE_CODEC,
 ) -> tuple[PolyData, dict | None]:
     """Offloaded threshold filter: vertices for every in-range point."""
     return _offload(client, "threshold", key, array_name,
@@ -254,7 +268,7 @@ def ndp_slice(
     array_name: str,
     axis: int,
     coordinate: float,
-    wire_codec: str = "lz4",
+    wire_codec: str = DEFAULT_WIRE_CODEC,
 ) -> tuple[PolyData, dict | None]:
     """Offloaded axis-aligned slice: interpolated plane geometry."""
     return _offload(client, "slice", key, array_name,
@@ -292,7 +306,7 @@ def ndp_contour(
     values,
     mode: str = "cell-closure",
     encoding: str = "auto",
-    wire_codec: str = "lz4",
+    wire_codec: str = DEFAULT_WIRE_CODEC,
     roi=None,
     fallback: FallbackPolicy | None = None,
 ) -> tuple[PolyData, dict | None]:

@@ -186,8 +186,8 @@ class NDPServer:
             if selection_cache_bytes > 0
             else None
         )
-        # Lifetime request counters, unified behind the registry: the
-        # legacy ``server_stats`` endpoint reads the same instruments.
+        # Lifetime request counters; scanned vs shipped bytes is the
+        # server's aggregate view of the paper's data-reduction claim.
         self._requests = self.registry.counter(
             "requests", "total pre-filter requests served")
         self._prefilter_calls = self.registry.counter(
@@ -236,7 +236,6 @@ class NDPServer:
                 "describe": self.describe,
                 "object_version": self.object_version,
                 "read_block": self.read_block,
-                "server_stats": self.server_stats,
                 "stats": self.stats_snapshot,
                 "health": self.health,
                 "dump": self.dump_flight,
@@ -526,37 +525,6 @@ class NDPServer:
     @staticmethod
     def _cache_info(cache) -> dict:
         return cache.info() if cache is not None else {"enabled": False}
-
-    def server_stats(self) -> dict:
-        """Lifetime counters: offload calls, bytes scanned vs shipped.
-
-        The scanned-to-shipped ratio is the server's aggregate view of the
-        paper's data-reduction claim.  Reads the same registry instruments
-        :meth:`stats_snapshot` exposes — one source of truth.
-        """
-        out = {
-            "requests": int(self._requests.value),
-            "prefilter_calls": int(self._prefilter_calls.value),
-            "raw_bytes_scanned": int(self._raw_bytes_scanned.value),
-            "wire_bytes_sent": int(self._wire_bytes_sent.value),
-            "selected_points": int(self._selected_points.value),
-        }
-        scanned = out["raw_bytes_scanned"]
-        out["reduction_ratio"] = (
-            scanned / out["wire_bytes_sent"] if out["wire_bytes_sent"] else 0.0
-        )
-        out["array_cache"] = self._cache_info(self.array_cache)
-        out["selection_cache"] = self._cache_info(self.selection_cache)
-        out["admission"] = self.admission.info()
-        if self._listener is not None:
-            out["fair_queue"] = self._listener.scheduler.info()
-        out["integrity_failures"] = int(self._integrity_failures.value)
-        out["hedged_requests"] = int(self._hedged_requests.value)
-        out["failover_requests"] = int(self._failover_requests.value)
-        version = self._current_map_version()
-        if version is not None:
-            out["map_version"] = version
-        return out
 
     def stats_snapshot(self) -> dict:
         """The unified registry snapshot (the ``stats`` RPC endpoint).

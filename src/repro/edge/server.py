@@ -52,7 +52,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.rpc import envelope
 from repro.rpc.client import RPCClient
 from repro.rpc.forward import FAILOVER_ERRORS, ForwardingHandler
-from repro.rpc.mux import AsyncServerTransport
+from repro.rpc.mux import DEFAULT_DRAIN_TIMEOUT, AsyncServerTransport
 from repro.rpc.server import RPCServer
 from repro.storage.cache import ArrayCache, SelectionCache
 
@@ -106,7 +106,7 @@ class EdgeCacheServer:
     """
 
     #: methods answered from the edge's own state
-    LOCAL_METHODS = frozenset({"stats", "health", "server_stats"})
+    LOCAL_METHODS = frozenset({"stats", "health"})
     #: methods whose replies are cacheable under a version token, with
     #: the split filter each one serves
     CACHEABLE_METHODS = {op.method: op for op in SPLIT_FILTERS.values()}
@@ -220,7 +220,6 @@ class EdgeCacheServer:
             {
                 "stats": self.stats_snapshot,
                 "health": self.health,
-                "server_stats": self.server_stats,
             },
             tracer=self.tracer,
         )
@@ -492,11 +491,6 @@ class EdgeCacheServer:
         """The ``stats`` RPC endpoint: the edge's own registry snapshot."""
         return self.registry.snapshot()
 
-    def server_stats(self) -> dict:
-        out = {"kind": "edge", "requests": int(self._requests.value)}
-        out.update(self._edge_info())
-        return out
-
     def _edge_info(self) -> dict:
         reply = (self.reply_cache.info() if self.reply_cache is not None
                  else {"enabled": False})
@@ -589,11 +583,16 @@ class EdgeCacheServer:
             self.start_watch()
         return self._listener
 
-    def close(self) -> None:
+    def close(self) -> bool:
+        """Stop the watch loop and drain the listener: in-flight requests
+        get :data:`~repro.rpc.mux.DEFAULT_DRAIN_TIMEOUT` seconds to finish
+        and flush.  Returns True when nothing had to be forced."""
         self._watch_stop.set()
         if self._watch_thread is not None:
             self._watch_thread.join(timeout=1.0)
             self._watch_thread = None
+        clean = True
         if self._listener is not None:
-            self._listener.stop()
+            clean = self._listener.stop(drain_timeout=DEFAULT_DRAIN_TIMEOUT)
             self._listener = None
+        return clean

@@ -7,10 +7,11 @@ of hand-placed timers:
 * :mod:`repro.obs.trace` — span-based tracing over wall *and* simulated
   clocks, with trace-context propagation across the RPC boundary so a
   single contour request yields one client+server tree,
-* :mod:`repro.obs.metrics` — named Counter/Gauge/Histogram instruments
-  and a :class:`Registry` that absorbs the legacy ``CacheStats`` /
-  ``ResilienceStats`` / ``ByteCounter`` objects behind one
-  ``snapshot()``,
+* :mod:`repro.obs.metrics` — the one metrics model: named
+  Counter/Gauge/Histogram instruments, the :class:`Tally` count bag
+  caches and resilient clients record into, the single bucket-quantile
+  routine, and a :class:`Registry` whose ``snapshot()`` is the ``stats``
+  endpoint's reply,
 * :mod:`repro.obs.export` — JSONL span logs, Chrome trace-event JSON
   (Perfetto-loadable), and Prometheus text exposition.
 
@@ -37,8 +38,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Registry,
+    Tally,
+    bucket_quantile,
     exponential_buckets,
     merge_snapshots,
+    snapshot_quantile,
 )
 from repro.obs.profile import NULL_PROFILER, NullProfiler, SamplingProfiler
 from repro.obs.slo import DEFAULT_SLO, SLO, RollingSketch, SLOEngine
@@ -54,6 +58,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
+    "Tally",
+    "bucket_quantile",
+    "snapshot_quantile",
     "exponential_buckets",
     "merge_snapshots",
     "chrome_trace",

@@ -1,15 +1,26 @@
-"""Named metric instruments and the unified registry.
+"""Named metric instruments and the unified registry — the one
+metrics model.
 
-Before this module the repo's counters were scattered: ``CacheStats``
-per cache, ``ResilienceStats`` per transport, ``ByteCounter`` in the
-storage layer, ad-hoc dicts in ``NDPServer._stats``.  A
-:class:`Registry` pulls them behind one surface: code creates named
-:class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
-(get-or-create, so callsites never coordinate), legacy stats objects
-attach as *collectors* (any zero-arg callable returning a flat dict),
-and :meth:`Registry.snapshot` renders everything as one plain-dict
-tree — msgpack-safe, so a server can ship its whole registry over RPC
-in one call.
+Every count in ``src/`` is one of the instruments defined here, and
+this is the only module that turns bucket counts into a quantile:
+
+* :class:`Counter` / :class:`Gauge` / :class:`Histogram` — named
+  instruments a :class:`Registry` hands out get-or-create, so callsites
+  never coordinate;
+* :class:`Tally` — a locked bag of named integer counts for an owner
+  that counts several events together (a cache's hits / misses /
+  evictions / coalesced, a resilient transport's retries and timeouts,
+  a fallback policy's fallbacks and bytes);
+* *collectors* — any zero-arg callable returning a dict
+  (``Tally.as_dict``, a cache's ``info``), attached with
+  :meth:`Registry.register`;
+* :func:`bucket_quantile` and :func:`snapshot_quantile` — the single
+  walk from cumulative bucket counts to a rank, for live instruments
+  and for the ``{"buckets": [{"le", "count"}, …]}`` snapshot shape.
+
+:meth:`Registry.snapshot` renders everything as one plain-dict tree —
+msgpack-safe, so a server ships its whole registry over RPC in one call
+(the ``stats`` endpoint).
 
 Histograms use exponential bucket boundaries by default (microseconds
 to minutes), matching how request latencies actually spread.
@@ -28,8 +39,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
+    "Tally",
+    "bucket_quantile",
     "exponential_buckets",
     "merge_snapshots",
+    "snapshot_quantile",
 ]
 
 
@@ -42,6 +56,90 @@ def exponential_buckets(start: float = 1e-4, factor: float = 4.0,
             f"invalid bucket spec start={start} factor={factor} count={count}"
         )
     return tuple(start * factor**i for i in range(count))
+
+
+def bucket_quantile(bounds, counts, q: float,
+                    overflow: float | None = None) -> float:
+    """Bucket-resolution quantile: the upper bound of the bucket that
+    holds the ``q``-th observation.
+
+    ``bounds`` are the finite upper bounds and ``counts`` the per-bucket
+    (not cumulative) observation counts, with the ``+Inf`` bucket's
+    count last.  No observations is 0.0.  A rank that lands in the
+    ``+Inf`` bucket reports ``overflow`` when given, else the last
+    finite bound.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ReproError(f"quantile must be in [0, 1], got {q}")
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    rank = q * total
+    seen = 0
+    for idx, c in enumerate(counts):
+        seen += c
+        if seen >= rank:
+            break
+    if idx < len(bounds):
+        return bounds[idx]
+    if overflow is not None:
+        return overflow
+    return bounds[-1] if bounds else 0.0
+
+
+def snapshot_quantile(hist: dict, q: float,
+                      overflow: float | None = None) -> float:
+    """:func:`bucket_quantile` of a :meth:`Histogram.as_dict` payload
+    (what ``stats`` replies and :func:`merge_snapshots` carry)."""
+    buckets = hist.get("buckets") or []
+    return bucket_quantile(
+        [float(b["le"]) for b in buckets if b.get("le") != "+Inf"],
+        [int(b.get("count", 0)) for b in buckets],
+        q, overflow,
+    )
+
+
+class Tally:
+    """Thread-safe bag of named integer counts.
+
+    With ``fields`` the names are fixed up front and an unknown one is a
+    :class:`ReproError` in :meth:`record` and :meth:`get` alike — a typo
+    at the callsite, not a zero.  Without, names appear on first use and
+    an unseen name reads 0.
+    """
+
+    __slots__ = ("_lock", "_counts", "_fixed")
+
+    def __init__(self, fields: tuple[str, ...] | None = None):
+        self._lock = threading.Lock()
+        self._fixed = fields is not None
+        self._counts: dict[str, int] = dict.fromkeys(fields or (), 0)
+
+    def _check(self, name: str) -> None:
+        # A fixed bag's keys never change, so this read needs no lock.
+        if self._fixed and name not in self._counts:
+            raise ReproError(
+                f"unknown count {name!r}; use {tuple(self._counts)}")
+
+    def record(self, name: str, n: int = 1) -> None:
+        self._check(name)
+        if n < 0:
+            raise ReproError(f"cannot record {n} occurrences of {name!r}")
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + n
+
+    def get(self, name: str) -> int:
+        self._check(name)
+        with self._lock:
+            return self._counts.get(name, 0)
+
+    def as_dict(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
+        return f"Tally({inner})"
 
 
 class Counter:
@@ -147,22 +245,10 @@ class Histogram:
             return self._sum
 
     def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation; +Inf bucket reports the last bound)."""
-        if not 0.0 <= q <= 1.0:
-            raise ReproError(f"quantile must be in [0, 1], got {q}")
+        """Bucket-resolution quantile estimate (see :func:`bucket_quantile`)."""
         with self._lock:
-            total = self._count
             counts = list(self._counts)
-        if total == 0:
-            return 0.0
-        rank = q * total
-        seen = 0
-        for idx, c in enumerate(counts):
-            seen += c
-            if seen >= rank:
-                return self.buckets[min(idx, len(self.buckets) - 1)]
-        return self.buckets[-1]
+        return bucket_quantile(self.buckets, counts, q)
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -181,12 +267,11 @@ class Histogram:
 
 
 class Registry:
-    """Get-or-create instrument registry plus legacy-stats collectors.
+    """Get-or-create instrument registry plus collectors.
 
     ``register(name, fn)`` attaches any zero-arg callable returning a
-    dict — ``CacheStats.as_dict``, ``ResilienceStats.as_dict``,
-    ``ByteCounter.as_dict`` — so existing stats objects surface in
-    :meth:`snapshot` without being rewritten.
+    dict — ``Tally.as_dict``, a cache's ``info`` — so an owner's counts
+    surface in :meth:`snapshot` under ``collected[name]``.
     """
 
     def __init__(self, namespace: str = "repro"):
@@ -221,7 +306,7 @@ class Registry:
             return inst
 
     def register(self, name: str, collector: Callable[[], dict]) -> None:
-        """Attach a legacy stats source under ``name`` (last one wins)."""
+        """Attach a collector under ``name`` (last one wins)."""
         if not callable(collector):
             raise ReproError(f"collector for {name!r} is not callable")
         with self._lock:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ReproError
-from repro.obs.metrics import exponential_buckets
+from repro.obs.metrics import bucket_quantile, exponential_buckets
 
 __all__ = ["RollingSketch", "SLO", "SLOEngine", "DEFAULT_SLO"]
 
@@ -121,19 +121,8 @@ class RollingSketch:
 
     def quantile(self, q: float, merged: dict | None = None) -> float:
         """Bucket-resolution quantile over the current window."""
-        if not 0.0 <= q <= 1.0:
-            raise ReproError(f"quantile must be in [0, 1], got {q}")
         data = merged if merged is not None else self.merged()
-        total = data["count"]
-        if total == 0:
-            return 0.0
-        rank = q * total
-        seen = 0
-        for idx, c in enumerate(data["counts"]):
-            seen += c
-            if seen >= rank:
-                return self.buckets[min(idx, len(self.buckets) - 1)]
-        return self.buckets[-1]
+        return bucket_quantile(self.buckets, data["counts"], q)
 
     @staticmethod
     def merge_dicts(dicts: list[dict]) -> dict:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import time
 
+from repro.obs.metrics import snapshot_quantile
+
 __all__ = ["TopModel", "render", "poll_stats", "run_top"]
 
 
@@ -44,24 +46,6 @@ def poll_stats(pool, addresses: list[str]) -> list[dict]:
                 "breaker": state_of(i),
             })
     return polls
-
-
-def _hist_quantile(hist: dict, q: float) -> float:
-    """Bucket-resolution quantile of a snapshot histogram dict."""
-    count = int(hist.get("count", 0))
-    if count == 0:
-        return 0.0
-    rank = q * count
-    seen = 0
-    last = 0.0
-    for bucket in hist.get("buckets", []):
-        le = bucket.get("le")
-        seen += int(bucket.get("count", 0))
-        if le != "+Inf":
-            last = float(le)
-        if seen >= rank:
-            return last if le == "+Inf" else float(le)
-    return last
 
 
 def _cache_rates(collected: dict) -> tuple[int, int]:
@@ -134,8 +118,8 @@ class TopModel:
                     "stale_served": int(edge.get("stale_served", 0)),
                     "upstream_errors": int(edge.get("upstream_errors", 0)),
                     "local_computes": int(edge.get("local_computes", 0)),
-                    "p50": _hist_quantile(latency, 0.50),
-                    "p99": _hist_quantile(latency, 0.99),
+                    "p50": snapshot_quantile(latency, 0.50),
+                    "p99": snapshot_quantile(latency, 0.99),
                     "breaker": poll.get("breaker", "none"),
                 })
                 total_requests += requests
@@ -158,8 +142,8 @@ class TopModel:
                 "inflight": inflight,
                 "shed": shed,
                 "cache_hit_rate": (served_hits / lookups) if lookups else None,
-                "p50": _hist_quantile(latency, 0.50),
-                "p99": _hist_quantile(latency, 0.99),
+                "p50": snapshot_quantile(latency, 0.50),
+                "p99": snapshot_quantile(latency, 0.99),
                 "integrity_failures": int(
                     counters.get("integrity_failures", 0)),
                 "breaker": poll.get("breaker", "none"),

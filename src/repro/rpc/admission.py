@@ -189,7 +189,7 @@ class AdmissionController:
             return self._pending
 
     def info(self) -> dict:
-        """Snapshot for ``server_stats`` / obs collectors."""
+        """Snapshot for ``health`` and the registry's ``admission`` collector."""
         with self._cond:
             return {
                 "max_inflight": self.max_inflight,

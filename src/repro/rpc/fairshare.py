@@ -329,7 +329,7 @@ class FairScheduler:
             return self._total_inflight
 
     def info(self) -> dict:
-        """Snapshot for the registry / ``health`` / ``server_stats``."""
+        """Snapshot for the registry and ``health``."""
         with self._cond:
             return {
                 "workers": self.workers,

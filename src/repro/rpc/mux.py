@@ -47,6 +47,22 @@ from repro.rpc.transport import (
 
 __all__ = ["MuxTransport", "AsyncServerTransport"]
 
+#: seconds the serve commands give in-flight requests before forcing
+DEFAULT_DRAIN_TIMEOUT = 5.0
+
+
+def _shutdown_and_close(sock: socket.socket) -> None:
+    """Close ``sock`` so that a thread blocked in ``recv`` on it wakes:
+    on Linux ``close()`` alone leaves it parked until the *peer* closes."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer already reset it
+    try:
+        sock.close()
+    except OSError:
+        pass
+
 
 class MuxTransport(Transport):
     """Pipelined client transport: many requests in flight on one socket.
@@ -87,10 +103,7 @@ class MuxTransport(Transport):
     # -- connection management -----------------------------------------
     def _redial_locked(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _shutdown_and_close(self._sock)
         try:
             sock = socket.create_connection(
                 (self._host, self._port), timeout=self._timeout
@@ -266,10 +279,7 @@ class MuxTransport(Transport):
             self._sock = None
             self._dead = True
         if sock is not None:
-            try:
-                sock.close()  # unblocks the reader, which fails the pending
-            except OSError:
-                pass
+            _shutdown_and_close(sock)  # the reader wakes and fails the pending
         if reader is not None and reader is not threading.current_thread():
             reader.join(timeout=2.0)
         # A reader that never started (lazy, never dialed) leaves pending

@@ -34,11 +34,11 @@ from repro.errors import (
     RPCTransportError,
 )
 from repro.obs.flightrec import NULL_RECORDER
+from repro.obs.metrics import Tally
 from repro.obs.slo import RollingSketch
 from repro.rpc.client import RPCClient
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.transport import TCPTransport
-from repro.storage.metrics import ResilienceStats
 
 __all__ = ["EndpointPool", "EndpointHealth", "HedgedCall", "HedgedResult",
            "parse_address", "FAILOVER_ERRORS"]
@@ -393,8 +393,8 @@ class EndpointPool:
         Zero-arg callable producing a fresh circuit breaker **per
         endpoint**; ``None`` disables breakers.
     stats:
-        Shared :class:`ResilienceStats`; a fresh one is created when
-        omitted so callers can always read pool-wide counters.
+        Shared :class:`~repro.obs.metrics.Tally`; a fresh one is created
+        when omitted so callers can always read pool-wide counters.
     resilient:
         Set ``False`` to skip the resilience wrapper entirely (tests that
         inject their own wrapped transports).
@@ -404,13 +404,13 @@ class EndpointPool:
     """
 
     def __init__(self, transports, retry: RetryPolicy | None = None,
-                 breaker_factory=None, stats: ResilienceStats | None = None,
+                 breaker_factory=None, stats: Tally | None = None,
                  tracer=None, clock=time.monotonic, sleep=time.sleep,
                  resilient: bool = True, recorder=None, addresses=None):
         transports = list(transports)
         if not transports:
             raise ReproError("endpoint pool needs at least one transport")
-        self.stats = stats if stats is not None else ResilienceStats()
+        self.stats = stats if stats is not None else Tally()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._retry = retry
         self._breaker_factory = breaker_factory
@@ -418,7 +418,7 @@ class EndpointPool:
         self._clock = clock
         self._sleep = sleep
         self._resilient = resilient
-        self._dial = None  # (timeout, mux) once connect_tcp configured us
+        self._dial_timeout = None  # set once connect_tcp configured us
         self._transports = []
         self._clients = []
         self._health: list[EndpointHealth] = []
@@ -448,8 +448,7 @@ class EndpointPool:
 
     # ------------------------------------------------------------------
     @classmethod
-    def connect_tcp(cls, addresses, timeout: float = 30.0, mux: bool = False,
-                    **kwargs):
+    def connect_tcp(cls, addresses, timeout: float = 30.0, **kwargs):
         """Build a pool from ``host:port`` strings or ``(host, port)`` pairs.
 
         Endpoints dial lazily (on first use): a shard that is down when
@@ -458,40 +457,27 @@ class EndpointPool:
         Addresses go through :func:`parse_address`, so bracketed IPv6
         works and malformed ports fail loudly here rather than at dial
         time.
-
-        ``mux=True`` dials each shard over a multiplexed
-        :class:`~repro.rpc.mux.MuxTransport` instead of a blocking
-        :class:`TCPTransport`: scatter threads share one pipelined socket
-        per shard, and the resilience wrapper's reconnects become
-        dead-socket-only (see ``MuxTransport.reconnect_if_broken``).
         """
-        from repro.rpc.mux import MuxTransport
-
         parsed = [parse_address(addr) for addr in addresses]
-        factory = MuxTransport if mux else TCPTransport
         transports = [
-            factory(host, port, timeout=timeout, lazy=True)
+            TCPTransport(host, port, timeout=timeout, lazy=True)
             for host, port in parsed
         ]
         pool = cls(transports,
                    addresses=[f"{host}:{port}" for host, port in parsed],
                    **kwargs)
-        pool._dial = (timeout, mux)
+        pool._dial_timeout = timeout
         return pool
 
     def add_address(self, addr) -> int:
         """Dial one more endpoint into a TCP-built pool (live map growth)."""
-        if self._dial is None:
+        if self._dial_timeout is None:
             raise ReproError(
                 "pool was not built by connect_tcp; cannot add endpoints live"
             )
-        from repro.rpc.mux import MuxTransport
-
         host, port = parse_address(addr)
-        timeout, mux = self._dial
-        factory = MuxTransport if mux else TCPTransport
         idx = self._add_transport(
-            factory(host, port, timeout=timeout, lazy=True)
+            TCPTransport(host, port, timeout=self._dial_timeout, lazy=True)
         )
         if self.addresses is not None:
             self.addresses.append(f"{host}:{port}")

@@ -219,7 +219,7 @@ class ResilientTransport(Transport):
         reproducible schedules.
     stats:
         Optional recorder with a ``record(event, n=1)`` method — in
-        practice a :class:`repro.storage.metrics.ResilienceStats`.  Events
+        practice a :class:`repro.obs.metrics.Tally`.  Events
         emitted: ``attempts``, ``retries``, ``reconnects``, ``failures``,
         ``successes``, ``timeouts``, ``overloads``,
         ``breaker_rejections``, ``breaker_trips``.

@@ -7,21 +7,12 @@ Substitutes for the paper's testbed pieces:
   file-like mount over an object store reached through a transport,
 * :mod:`~repro.storage.netsim` — simulated clock + device/link models that
   reproduce the paper's 1 GbE / local-SSD cost structure on one machine,
-* :mod:`~repro.storage.metrics` — phase timers and byte counters that
-  benches aggregate into the paper's "data load time" breakdowns,
 * :mod:`~repro.storage.cache` — storage-side LRU caches with single-flight
   coalescing, the NDP server's shield against repeated and concurrent
   reads of one object.
 """
 
 from repro.storage.cache import ArrayCache, SelectionCache, SingleFlightCache
-from repro.storage.metrics import (
-    ByteCounter,
-    CacheStats,
-    LoadBreakdown,
-    PhaseTimer,
-    ResilienceStats,
-)
 from repro.storage.netsim import (
     PAPER_TESTBED,
     CodecTiming,
@@ -45,11 +36,6 @@ __all__ = [
     "DirectoryBackend",
     "S3FileSystem",
     "S3File",
-    "ByteCounter",
-    "CacheStats",
-    "PhaseTimer",
-    "LoadBreakdown",
-    "ResilienceStats",
     "SingleFlightCache",
     "ArrayCache",
     "SelectionCache",

@@ -33,8 +33,8 @@ from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 from repro.errors import ReproError
+from repro.obs.metrics import Tally
 from repro.obs.trace import NULL_TRACER
-from repro.storage.metrics import CacheStats
 
 __all__ = ["SingleFlightCache", "ArrayCache", "SelectionCache"]
 
@@ -103,7 +103,10 @@ class SingleFlightCache:
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._inflight: dict[Hashable, _InFlight] = {}
         self._current_bytes = 0
-        self.stats = CacheStats(name=name)
+        #: ``coalesced`` counts lookups that piggybacked on another
+        #: thread's in-flight load; ``hits + misses + coalesced`` is the
+        #: total number of lookups.
+        self.stats = Tally(("hits", "misses", "evictions", "coalesced"))
         self.tracer = tracer if tracer is not None else NULL_TRACER
         from repro.obs.flightrec import NULL_RECORDER
 
@@ -205,8 +208,16 @@ class SingleFlightCache:
         with self._lock:
             return len(self._entries)
 
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served without a store load (hit or coalesced)."""
+        counts = self.stats.as_dict()
+        served = counts["hits"] + counts["coalesced"]
+        total = served + counts["misses"]
+        return served / total if total else 0.0
+
     def info(self) -> dict:
-        """Counters + occupancy, in the shape ``server_stats`` exposes."""
+        """Counters + occupancy, as ``stats`` and ``health`` expose them."""
         with self._lock:
             occupancy = {
                 "entries": len(self._entries),

@@ -67,7 +67,7 @@ class TestArrayCache:
             client.call("prefilter_contour", "g.vgf", "r", [v])
         assert backend.get_calls == cold_reads
 
-        stats = client.call("server_stats")
+        stats = client.call("stats")["collected"]
         assert stats["array_cache"]["hits"] == 3
         assert stats["array_cache"]["misses"] == 1
         assert stats["selection_cache"]["misses"] == 4
@@ -96,9 +96,10 @@ class TestArrayCache:
         first = client.call("prefilter_contour", "g.vgf", "r", [4.0])
         second = client.call("prefilter_contour", "g.vgf", "r", [4.0])
         assert first == second
-        stats = client.call("server_stats")
-        assert stats["selection_cache"]["hits"] == 1
-        assert stats["requests"] == 2  # hits still count as served requests
+        stats = client.call("stats")
+        assert stats["collected"]["selection_cache"]["hits"] == 1
+        # hits still count as served requests
+        assert stats["counters"]["requests"] == 2
 
     def test_value_order_is_canonicalized_in_the_key(self):
         grid = make_wave_grid(12)
@@ -106,7 +107,8 @@ class TestArrayCache:
         client = RPCClient(InProcessTransport(server.dispatch))
         client.call("prefilter_contour", "g.vgf", "f", [0.0, 0.4])
         client.call("prefilter_contour", "g.vgf", "f", [0.4, 0.0])
-        assert client.call("server_stats")["selection_cache"]["hits"] == 1
+        stats = client.call("stats")["collected"]
+        assert stats["selection_cache"]["hits"] == 1
 
     def test_overwrite_invalidates_via_version_token(self):
         grid = make_sphere_grid(10)
@@ -134,7 +136,7 @@ class TestArrayCache:
         client.call("prefilter_slice", "g.vgf", "r", 2, 5.0)
         client.call("prefilter_slice", "g.vgf", "r", 2, 5.0)
         assert backend.get_calls == reads  # array block read exactly once
-        stats = client.call("server_stats")
+        stats = client.call("stats")["collected"]
         assert stats["selection_cache"]["hits"] == 2
 
     def test_read_array_and_statistics_share_the_cache(self):
@@ -273,7 +275,7 @@ class TestConcurrencySingleFlight:
     def test_stampede_over_tcp_reads_store_once(self):
         """Many threads hammering one (key, array) through ``serve_tcp``
         produce exactly one store read, correct results on every thread,
-        and consistent ``server_stats`` counters."""
+        and consistent ``stats`` counters."""
         grid = make_sphere_grid(14)
         # A slow store makes the stampede window real: every thread
         # arrives while the first load is still in flight.
@@ -333,13 +335,14 @@ class TestConcurrencySingleFlight:
             assert pd is not None
             assert np.array_equal(expected.points, pd.points)
 
-        stats = server.server_stats()
+        snap = server.stats_snapshot()
+        stats = snap["counters"]
         assert stats["requests"] == n_threads
         assert stats["prefilter_calls"] == n_threads
-        sel = stats["selection_cache"]
+        sel = snap["collected"]["selection_cache"]
         assert sel["misses"] == 1
         assert sel["hits"] + sel["coalesced"] == n_threads - 1
-        arr = stats["array_cache"]
+        arr = snap["collected"]["array_cache"]
         assert arr["misses"] == 1
         assert arr["hits"] + arr["coalesced"] == 0  # all folded into selection
         # Every request was accounted, scanned bytes reflect N requests.

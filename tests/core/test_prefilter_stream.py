@@ -200,7 +200,7 @@ class TestServerFusedPath:
                 "prefilter_batch", key, [wire_request(op, "s", args)])[0],
             "edge-local": client(edge.dispatch).call(op.method, *params),
         }
-        assert edge.server_stats()["local_computes"] == 1
+        assert edge.stats_snapshot()["collected"]["edge"]["local_computes"] == 1
         return out
 
     @pytest.mark.parametrize("encoding", ["auto", "ids", "bitmap"])

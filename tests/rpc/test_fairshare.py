@@ -340,7 +340,7 @@ class TestShedReachesTheRetryLoop:
         from repro.rpc import CircuitBreaker, ResilientTransport, RetryPolicy
         from repro.rpc.envelope import MAX_TENANT_LEN
         from repro.rpc.transport import Transport
-        from repro.storage.metrics import ResilienceStats
+        from repro.obs.metrics import Tally
 
         gate = threading.Event()
         server = RPCServer({"work": lambda: gate.wait(timeout=10.0) and "done"})
@@ -372,7 +372,7 @@ class TestShedReachesTheRetryLoop:
                 time.sleep(0.005)
             sched.submit(req(2, "work", ctx={"tenant": tenant}), respond)
 
-            wire, stats = ViaScheduler(), ResilienceStats()
+            wire, stats = ViaScheduler(), Tally()
             breaker = CircuitBreaker(failure_threshold=1)
             transport = ResilientTransport(
                 wire, retry=RetryPolicy(max_attempts=3, deadline=None),
@@ -392,13 +392,13 @@ class TestShedReachesTheRetryLoop:
 
     def test_a_shed_line_of_any_length_is_seen(self):
         from repro.rpc import InProcessTransport, ResilientTransport, RetryPolicy
-        from repro.storage.metrics import ResilienceStats
+        from repro.obs.metrics import Tally
 
         shed = pack([1, 7, "ServerOverloadedError: tenant '" + "t" * 600 + "' "
                      "over fair-share capacity (pending=16/16); "
                      "retry_after=0.05", None])
         replies = [shed, pack([1, 7, None, "done"])]
-        slept, stats = [], ResilienceStats()
+        slept, stats = [], Tally()
         transport = ResilientTransport(
             InProcessTransport(lambda _: replies.pop(0)),
             retry=RetryPolicy(max_attempts=2, deadline=None, jitter=0.0),

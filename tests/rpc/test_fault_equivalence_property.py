@@ -26,7 +26,8 @@ from repro.rpc import (
     RetryPolicy,
     RPCClient,
 )
-from repro.storage import MemoryBackend, ObjectStore, ResilienceStats, S3FileSystem
+from repro.obs.metrics import Tally
+from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.faults import FakeClock, FaultSchedule, FaultyTransport
 
@@ -59,7 +60,7 @@ def run_faulted_ndp(field, values, schedule, use_breaker):
     server = NDPServer(fs)
 
     clock = FakeClock()
-    stats = ResilienceStats()
+    stats = Tally()
     breaker = (
         CircuitBreaker(failure_threshold=2, reset_timeout=60.0, clock=clock)
         if use_breaker
@@ -76,10 +77,9 @@ def run_faulted_ndp(field, values, schedule, use_breaker):
             stats=stats,
         )
     )
-    pd, st_out = ndp_contour(
-        client, "g.vgf", "f", values, fallback=FallbackPolicy(fs, stats=stats)
-    )
-    return grid, pd, st_out, stats
+    fallback = FallbackPolicy(fs, stats=stats)
+    pd, st_out = ndp_contour(client, "g.vgf", "f", values, fallback=fallback)
+    return grid, pd, st_out, fallback
 
 
 @given(
@@ -96,7 +96,9 @@ def test_ndp_with_faults_matches_baseline_geometry(
     schedule = FaultSchedule.random(
         fault_seed, length=6, drop=drop_rate, delay=0.2, delay_seconds=0.8
     )
-    grid, pd, st_out, stats = run_faulted_ndp(field, values, schedule, use_breaker)
+    grid, pd, st_out, fallback = run_faulted_ndp(
+        field, values, schedule, use_breaker)
+    stats = fallback.stats
     baseline = contour_grid(grid, "f", values)
 
     assert np.array_equal(baseline.points, pd.points)
@@ -113,9 +115,9 @@ def test_ndp_with_faults_matches_baseline_geometry(
 @settings(max_examples=15, deadline=None)
 def test_permanent_outage_always_falls_back_identically(field, values):
     schedule = FaultSchedule.permanently_down()
-    grid, pd, st_out, stats = run_faulted_ndp(field, values, schedule, True)
+    grid, pd, st_out, fallback = run_faulted_ndp(field, values, schedule, True)
     baseline = contour_grid(grid, "f", values)
     assert st_out["path"] == "fallback"
-    assert stats.fallback_rate == 1.0
+    assert fallback.fallback_rate == 1.0
     assert np.array_equal(baseline.points, pd.points)
     assert np.array_equal(baseline.polys.connectivity, pd.polys.connectivity)

@@ -37,7 +37,7 @@ from repro.rpc.mux import AsyncServerTransport, MuxTransport
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.transport import FrameBuffer, InProcessTransport, TCPTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
-from repro.storage.metrics import ResilienceStats
+from repro.obs.metrics import Tally
 
 from tests.conftest import make_sphere_grid
 
@@ -401,7 +401,7 @@ class TestRetryIsolation:
         listener = server.serve_tcp(workers=4)
         try:
             mux = MuxTransport(listener.host, listener.port, timeout=10.0)
-            stats = ResilienceStats()
+            stats = Tally()
             resilient = ResilientTransport(
                 mux, retry=RetryPolicy(max_attempts=8, base_delay=0.01,
                                        jitter=0.0),
@@ -454,6 +454,47 @@ class TestRetryIsolation:
             assert unpack(resilient.request(pack([0, 2, "echo", [2]])))[3] == 2
             assert mux.generation == 2
             resilient.close()
+        finally:
+            listener.stop()
+
+
+class TestClientClose:
+    """``socket.close()`` does not wake a thread blocked in ``recv`` on
+    Linux: without a ``shutdown`` first, ``close()`` sat out its whole
+    2 s reader join and left the reader parked until the peer closed."""
+
+    @staticmethod
+    def readers():
+        return [t for t in threading.enumerate()
+                if t.name.startswith("mux-reader-")]
+
+    def test_close_returns_at_once_and_leaves_no_reader(self):
+        listener = make_server().serve_tcp(workers=2)
+        try:
+            before = self.readers()
+            mux = MuxTransport(listener.host, listener.port, timeout=5.0)
+            assert unpack(mux.request(pack([0, 1, "echo", [1]])))[3] == 1
+            t0 = time.perf_counter()
+            mux.close()
+            assert time.perf_counter() - t0 < 0.2
+            assert self.readers() == before
+        finally:
+            listener.stop()
+
+    def test_redial_retires_the_old_reader(self):
+        listener = make_server().serve_tcp(workers=2)
+        try:
+            mux = MuxTransport(listener.host, listener.port, timeout=5.0)
+            old_reader = mux._reader
+            # What a failed write leaves behind: the connection is marked
+            # dead while its reader is still parked in recv.
+            with mux._lock:
+                mux._dead = True
+            assert mux.reconnect_if_broken() is True
+            old_reader.join(timeout=2.0)
+            assert not old_reader.is_alive()
+            assert unpack(mux.request(pack([0, 2, "echo", [2]])))[3] == 2
+            mux.close()
         finally:
             listener.stop()
 

@@ -21,7 +21,8 @@ from repro.errors import (
 from repro.filters.contour import contour_grid
 from repro.io import write_vgf
 from repro.rpc import CircuitBreaker, InProcessTransport, ResilientTransport, RetryPolicy, RPCClient
-from repro.storage import MemoryBackend, ObjectStore, ResilienceStats, S3FileSystem
+from repro.obs.metrics import Tally
+from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.conftest import make_sphere_grid
 from tests.faults import (
@@ -92,7 +93,7 @@ class TestRetry:
         """Acceptance: '2 transport drops then success' rides the retries."""
         grid, _, fs, server = env
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         client, faulty, _ = build_client(
             server, FaultSchedule(drops(2)), clock,
             retry=RetryPolicy(max_attempts=4, jitter=0.0), stats=stats,
@@ -209,7 +210,7 @@ class TestDeadline:
     def test_timeout_triggers_fallback(self, env):
         grid, _, fs, server = env
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         client, _, _ = build_client(
             server,
             FaultSchedule([Delay(5.0)]),
@@ -233,7 +234,7 @@ class TestCircuitBreaker:
     def test_trips_after_threshold_and_rejects_locally(self, env):
         _, _, _, server = env
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         breaker = CircuitBreaker(failure_threshold=3, reset_timeout=30.0, clock=clock)
         client, faulty, _ = build_client(
             server,
@@ -322,7 +323,7 @@ class TestFallback:
         """Acceptance: breaker trips, baseline s3fs read serves the contour."""
         grid, _, fs, server = env
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60.0, clock=clock)
         client, faulty, _ = build_client(
             server,
@@ -342,7 +343,7 @@ class TestFallback:
         assert breaker.state == CircuitBreaker.OPEN
         assert stats.get("fallbacks") == 1
         assert stats.get("fallback_bytes") == st["stored_bytes"] > 0
-        assert stats.fallback_rate == 1.0
+        assert fallback.fallback_rate == 1.0
         assert clock.sleeps  # retried with injected backoff first
 
         # Subsequent calls short-circuit on the open breaker: no new wire
@@ -376,7 +377,7 @@ class TestFallback:
         from repro.errors import RPCRemoteError
 
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         client, _, _ = build_client(server, FaultSchedule(), clock, stats=stats)
         with pytest.raises(RPCRemoteError):
             ndp_contour(
@@ -427,7 +428,7 @@ class TestHealthAndStats:
     def test_stats_events_accumulate(self, env):
         _, _, _, server = env
         clock = FakeClock()
-        stats = ResilienceStats()
+        stats = Tally()
         client, _, _ = build_client(
             server, FaultSchedule(drops(2)), clock,
             retry=RetryPolicy(max_attempts=4, jitter=0.0), stats=stats,

@@ -162,7 +162,7 @@ class TestReconnect:
         (via :meth:`TCPTransport.reconnect`), so the retry lands on a fresh
         connection and succeeds."""
         from repro.rpc.resilience import ResilientTransport, RetryPolicy
-        from repro.storage.metrics import ResilienceStats
+        from repro.obs.metrics import Tally
 
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -187,7 +187,7 @@ class TestReconnect:
 
         thread = threading.Thread(target=flaky_server, daemon=True)
         thread.start()
-        stats = ResilienceStats()
+        stats = Tally()
         client = ResilientTransport(
             TCPTransport("127.0.0.1", port, timeout=5.0),
             retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0,

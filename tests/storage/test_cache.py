@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ReproError
-from repro.storage import ArrayCache, CacheStats, SelectionCache, SingleFlightCache
+from repro.storage import ArrayCache, SelectionCache, SingleFlightCache
 
 
 class TestBasics:
@@ -192,26 +192,26 @@ class TestSpecializedCaches:
 
 class TestCacheStats:
     def test_unknown_event_rejected(self):
-        stats = CacheStats()
-        with pytest.raises(ReproError, match="unknown cache event"):
+        stats = SingleFlightCache(100).stats
+        with pytest.raises(ReproError, match="unknown count 'nope'"):
             stats.record("nope")
 
     def test_get_unknown_event_rejected(self):
         # get() used to silently return 0 for a typo'd event name while
         # record() raised; both directions now share the same contract.
-        stats = CacheStats()
-        with pytest.raises(ReproError, match="unknown cache event"):
+        stats = SingleFlightCache(100).stats
+        with pytest.raises(ReproError, match="unknown count 'hit'"):
             stats.get("hit")  # singular typo for "hits"
         assert stats.get("hits") == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ReproError):
-            CacheStats().record("hits", -1)
+            SingleFlightCache(100).stats.record("hits", -1)
 
     def test_hit_rate(self):
-        stats = CacheStats()
-        assert stats.hit_rate == 0.0
-        stats.record("misses")
-        stats.record("hits", 2)
-        stats.record("coalesced")
-        assert stats.hit_rate == pytest.approx(3 / 4)
+        cache = SingleFlightCache(100)
+        assert cache.hit_rate == 0.0
+        cache.stats.record("misses")
+        cache.stats.record("hits", 2)
+        cache.stats.record("coalesced")
+        assert cache.hit_rate == pytest.approx(3 / 4)

@@ -1,150 +1,51 @@
-"""Unit tests for byte counters and phase timers."""
+"""The byte-counting and resilience-counting contracts, held by the one
+bag (:class:`repro.obs.metrics.Tally`) and by ``FallbackPolicy``."""
 
 import pytest
 
+from repro.core import FallbackPolicy
 from repro.errors import ReproError
-from repro.storage import (
-    ByteCounter,
-    LoadBreakdown,
-    PhaseTimer,
-    ResilienceStats,
-    SimClock,
-)
+from repro.obs.metrics import Tally
 
 
 class TestByteCounter:
     def test_accumulates_by_category(self):
-        c = ByteCounter()
-        c.add("net", 100)
-        c.add("net", 50)
-        c.add("ssd", 10)
+        c = Tally()
+        c.record("net", 100)
+        c.record("net", 50)
+        c.record("ssd", 10)
         assert c.get("net") == 150
-        assert c.total == 160
         assert c.as_dict() == {"net": 150, "ssd": 10}
 
     def test_missing_category_zero(self):
-        assert ByteCounter().get("x") == 0
+        assert Tally().get("x") == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ReproError):
-            ByteCounter().add("net", -1)
+            Tally().record("net", -1)
 
     def test_thread_safety_under_concurrent_adds(self):
-        # The unlocked get+assign in add() used to lose increments when
-        # several TCP connection threads recorded bytes concurrently.
+        # An unlocked get+assign loses increments when several worker
+        # threads record bytes concurrently.
         import threading
 
-        c = ByteCounter()
+        c = Tally()
 
         def hammer():
             for _ in range(1000):
-                c.add("net", 1)
+                c.record("net", 1)
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert c.get("net") == 8000
-        assert c.total == 8000
-
-
-class TestLoadBreakdown:
-    def test_add_and_total(self):
-        b = LoadBreakdown()
-        b.add("read", 1.0)
-        b.add("read", 0.5)
-        b.add("decompress", 0.25)
-        assert b.phases["read"] == 1.5
-        assert b.total == 1.75
-
-    def test_negative_rejected(self):
-        with pytest.raises(ReproError):
-            LoadBreakdown().add("read", -0.1)
-
-    def test_merge(self):
-        a = LoadBreakdown({"read": 1.0})
-        b = LoadBreakdown({"read": 2.0, "net": 3.0})
-        merged = a.merge(b)
-        assert merged.phases == {"read": 3.0, "net": 3.0}
-        assert a.phases == {"read": 1.0}  # inputs untouched
-
-    def test_repr(self):
-        b = LoadBreakdown({"read": 1.0})
-        assert "read" in repr(b)
-
-
-class TestPhaseTimer:
-    def test_attributes_clock_deltas(self):
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        with timer.phase("read"):
-            clock.advance(2.0)
-        with timer.phase("net"):
-            clock.advance(1.0)
-        with timer.phase("read"):
-            clock.advance(0.5)
-        assert timer.breakdown.phases == {"read": 2.5, "net": 1.0}
-
-    def test_nothing_advanced_is_zero(self):
-        timer = PhaseTimer(SimClock())
-        with timer.phase("idle"):
-            pass
-        assert timer.breakdown.phases["idle"] == 0.0
-
-    def test_nested_phases_do_not_double_count(self):
-        # A nested phase() used to attribute its interval to BOTH the
-        # inner and the outer phase, inflating the breakdown total past
-        # the real clock interval.  Each phase now records exclusive
-        # (self) time, so the total matches the clock exactly.
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        with timer.phase("load"):
-            clock.advance(1.0)
-            with timer.phase("decompress"):
-                clock.advance(3.0)
-            clock.advance(0.5)
-        assert timer.breakdown.phases == {"load": 1.5, "decompress": 3.0}
-        assert timer.breakdown.total == pytest.approx(clock.now)
-
-    def test_deep_nesting_sums_to_clock(self):
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        with timer.phase("a"):
-            clock.advance(1.0)
-            with timer.phase("b"):
-                clock.advance(1.0)
-                with timer.phase("c"):
-                    clock.advance(1.0)
-                clock.advance(1.0)
-            clock.advance(1.0)
-        assert timer.breakdown.phases == {"a": 2.0, "b": 2.0, "c": 1.0}
-        assert timer.breakdown.total == pytest.approx(5.0)
-
-    def test_nested_sibling_phases(self):
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        with timer.phase("outer"):
-            with timer.phase("read"):
-                clock.advance(2.0)
-            with timer.phase("filter"):
-                clock.advance(1.0)
-        assert timer.breakdown.phases == {"outer": 0.0, "read": 2.0, "filter": 1.0}
-
-    def test_nested_repeated_name_accumulates_exclusive(self):
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        for _ in range(2):
-            with timer.phase("load"):
-                clock.advance(0.5)
-                with timer.phase("io"):
-                    clock.advance(1.0)
-        assert timer.breakdown.phases == {"load": 1.0, "io": 2.0}
+        assert c.as_dict() == {"net": 8000}
 
 
 class TestResilienceStats:
     def test_records_and_reads_events(self):
-        s = ResilienceStats()
+        s = Tally()
         s.record("retries")
         s.record("retries")
         s.record("fallback_bytes", 4096)
@@ -156,19 +57,19 @@ class TestResilienceStats:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ReproError):
-            ResilienceStats().record("retries", -1)
+            Tally().record("retries", -1)
 
     def test_fallback_rate(self):
-        s = ResilienceStats()
-        assert s.fallback_rate == 0.0  # no traffic yet
-        s.record("ndp_successes", 3)
-        s.record("fallbacks", 1)
-        assert s.fallback_rate == pytest.approx(0.25)
+        policy = FallbackPolicy(fs=None)
+        assert policy.fallback_rate == 0.0  # no traffic yet
+        policy.stats.record("ndp_successes", 3)
+        policy.stats.record("fallbacks", 1)
+        assert policy.fallback_rate == pytest.approx(0.25)
 
     def test_thread_safety_under_concurrent_records(self):
         import threading
 
-        s = ResilienceStats()
+        s = Tally()
 
         def hammer():
             for _ in range(1000):

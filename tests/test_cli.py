@@ -483,3 +483,43 @@ class TestTopSubcommand:
         dead = f"127.0.0.1:{TestResilienceFlags._dead_port()}"
         rc = main(["top", "--connect", dead, "--once", "--json"])
         assert rc == 1
+
+
+class TestServeShutdown:
+    def test_serve_cluster_drains_on_sigterm(self, store):
+        """``serve-cluster`` used to install no handler: SIGTERM killed it
+        at -15 with no drain and no ``stopped`` line."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.rpc.client import RPCClient
+        from repro.rpc.pool import parse_address
+
+        assert main(["shard", "asteroid/ts00000.vgf", "--store", store,
+                     "--blocks", "2x1x1", "--shards", "2"]) == 0
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-cluster", "--store", store,
+             "--manifest", "asteroid/ts00000.manifest.json", "--shard", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()  # "shard 0: host:port (...)"
+            assert banner.startswith("shard 0: "), banner
+            # The last start-up line, then one served request: the handler
+            # is installed right after that line is printed.
+            assert "1 shard(s) of 2" in proc.stdout.readline()
+            host, port = parse_address(banner.split()[2])
+            client = RPCClient.connect_tcp(host, port)
+            assert client.call("health")["status"] == "ok"
+            client.close()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, out
+        assert "stopped 1 shard(s) (clean)" in out
