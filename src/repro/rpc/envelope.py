@@ -18,7 +18,8 @@ tables).  Element 0 of a frame is its type:
 A request is decoded once per hop: :func:`parse_request` at intake, and
 the :class:`Request` travels from there.  :func:`peek` and
 :func:`peek_error` read only a frame's prefix (array header, type,
-unsigned msgid, then nil or a str), whatever the size of the result.
+non-negative msgid, then nil or a str), whatever the size of the result,
+through the same format table a full decode walks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.errors import (
     RPCTransportError,
     ServerOverloadedError,
 )
-from repro.rpc.msgpack import Unpacker, pack, unpack
+from repro.rpc.msgpack import ARRAY, NIL, SINT, STR, UINT, Unpacker, pack, unpack
 
 #: msgpack-rpc message types — element 0 of every frame payload.
 REQUEST = 0
@@ -180,37 +181,28 @@ def with_ctx(payload: bytes, **keys: Any) -> bytes:
     return request(req.msgid, req.method, req.params, dict(ctx, **keys))
 
 
-_UINT_WIDTH = {0xCC: 1, 0xCD: 2, 0xCE: 4, 0xCF: 8}
+def _prefix(payload: bytes) -> tuple[int, int | None, Unpacker]:
+    """``(type, msgid, reader just past them)`` from the array header on.
 
-
-def _prefix(payload: bytes) -> tuple[int, int | None, int]:
-    """``(type, msgid, offset past them)`` from the array header on."""
+    Headers are read the way a full decode reads them, so every array
+    width and every int form of a frame type or non-negative msgid that
+    :func:`parse_response` would decode is accepted here too.
+    """
     try:
-        b0 = payload[0]
-        if 0x90 <= b0 <= 0x9F:
-            offset = 1
-        elif b0 == 0xDC:  # array16: legal even for small frames
-            offset = 3
-        else:
-            raise FormatError(f"not an rpc frame (first byte 0x{b0:02x})")
-        mtype = payload[offset]
-        if mtype not in (REQUEST, RESPONSE, NOTIFY):
-            raise FormatError(f"unknown rpc frame type {mtype}")
-        offset += 1
-        if mtype == NOTIFY:
-            return NOTIFY, None, offset
-        b = payload[offset]
-        offset += 1
-        if b <= 0x7F:
-            return mtype, b, offset
-        if b not in _UINT_WIDTH:
-            raise FormatError(f"msgid is not an unsigned int (0x{b:02x})")
-        end = offset + _UINT_WIDTH[b]
-        if end > len(payload):
-            raise FormatError("truncated rpc frame prefix")
-        return mtype, int.from_bytes(payload[offset:end], "big"), end
-    except (IndexError, TypeError) as exc:  # short, or not bytes at all
+        reader = Unpacker(payload, zero_copy=True)  # a view: no copy of the frame
+    except TypeError as exc:  # not bytes at all
         raise FormatError("truncated rpc frame prefix") from exc
+    if reader.header()[0] is not ARRAY:
+        raise FormatError(f"not an rpc frame (first byte 0x{payload[0]:02x})")
+    kind, mtype = reader.header()
+    if kind not in (UINT, SINT) or mtype not in (REQUEST, RESPONSE, NOTIFY):
+        raise FormatError(f"unknown rpc frame type ({kind} {mtype})")
+    if mtype == NOTIFY:
+        return NOTIFY, None, reader
+    kind, msgid = reader.header()
+    if kind not in (UINT, SINT) or msgid < 0:
+        raise FormatError(f"msgid is not a non-negative int ({kind} {msgid})")
+    return mtype, msgid, reader
 
 
 def peek(payload: bytes) -> tuple[int, int | None]:
@@ -219,7 +211,7 @@ def peek(payload: bytes) -> tuple[int, int | None]:
     This is what lets the demultiplexer route a multi-megabyte
     ``read_array`` reply on its reader thread.  NOTIFY frames have no
     msgid.  Raises :class:`FormatError` for anything that is not an rpc
-    frame prefix with an unsigned msgid.
+    frame prefix with a non-negative int msgid.
     """
     return _prefix(payload)[:2]
 
@@ -231,16 +223,14 @@ def peek_error(payload: bytes) -> str | None:
     Raises :class:`FormatError` when ``payload`` is not a response prefix
     whose error element is nil or a str.
     """
-    mtype, _, offset = _prefix(payload)
-    tag = payload[offset] if offset < len(payload) else None
-    if mtype != RESPONSE or tag is None:
+    mtype, _, reader = _prefix(payload)
+    if mtype != RESPONSE:
         raise FormatError("not an rpc response prefix")
-    if tag == 0xC0:
-        return None
-    if not (0xA0 <= tag <= 0xBF or tag in (0xD9, 0xDA, 0xDB)):
-        raise FormatError(f"response error is neither nil nor str (0x{tag:02x})")
-    reader = Unpacker(payload, zero_copy=True)  # a view: no copy of the frame
-    reader.offset = offset
+    start = reader.offset
+    kind, _ = reader.header()
+    if kind is not NIL and kind is not STR:
+        raise FormatError(f"response error is neither nil nor str ({kind})")
+    reader.offset = start
     return reader.unpack_one()
 
 

@@ -28,6 +28,7 @@ bin32, so NumPy buffers round-trip without any per-element cost.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Any, NamedTuple
 
@@ -89,56 +90,112 @@ class Timestamp(NamedTuple):
 _TIMESTAMP_EXT = -1
 
 
-_pack_into = struct.pack
+# ---------------------------------------------------------------------------
+# The format table
+# ---------------------------------------------------------------------------
+
+UINT, SINT, FLOAT, STR, BIN, EXT, ARRAY, MAP = (
+    "uint", "int", "float", "str", "bin", "ext", "array", "map")
+NIL, FALSE, TRUE = "nil", "false", "true"
+
+#: One row per MessagePack format, ``(first, last, kind, nbytes, fixed)``
+#: — the only description of the byte format in ``src/``; the decoder,
+#: the encoder and the envelope's prefix reads all go through it.  A
+#: first byte in ``first..last`` opens a value of ``kind`` whose number N
+#: is ``nbytes`` big-endian bytes after it (two's complement for
+#: ``SINT``) or, with no such bytes, ``fixed`` when the row names one and
+#: otherwise the first byte's offset into the row.  N is an int's value,
+#: the payload length of a str / bin / ext / float, the element count of
+#: an array and the pair count of a map.
+FORMATS = (
+    (0x00, 0x7F, UINT, 0, None),   # positive fixint
+    (0x80, 0x8F, MAP, 0, None),    # fixmap
+    (0x90, 0x9F, ARRAY, 0, None),  # fixarray
+    (0xA0, 0xBF, STR, 0, None),    # fixstr
+    (0xC0, 0xC0, NIL, 0, None),
+    # 0xC1 is never used
+    (0xC2, 0xC2, FALSE, 0, None),
+    (0xC3, 0xC3, TRUE, 0, None),
+    (0xC4, 0xC4, BIN, 1, None),
+    (0xC5, 0xC5, BIN, 2, None),
+    (0xC6, 0xC6, BIN, 4, None),
+    (0xC7, 0xC7, EXT, 1, None),
+    (0xC8, 0xC8, EXT, 2, None),
+    (0xC9, 0xC9, EXT, 4, None),
+    (0xCA, 0xCA, FLOAT, 0, 4),
+    (0xCB, 0xCB, FLOAT, 0, 8),
+    (0xCC, 0xCC, UINT, 1, None),
+    (0xCD, 0xCD, UINT, 2, None),
+    (0xCE, 0xCE, UINT, 4, None),
+    (0xCF, 0xCF, UINT, 8, None),
+    (0xD0, 0xD0, SINT, 1, None),
+    (0xD1, 0xD1, SINT, 2, None),
+    (0xD2, 0xD2, SINT, 4, None),
+    (0xD3, 0xD3, SINT, 8, None),
+    (0xD4, 0xD4, EXT, 0, 1),       # fixext 1 / 2 / 4 / 8 / 16
+    (0xD5, 0xD5, EXT, 0, 2),
+    (0xD6, 0xD6, EXT, 0, 4),
+    (0xD7, 0xD7, EXT, 0, 8),
+    (0xD8, 0xD8, EXT, 0, 16),
+    (0xD9, 0xD9, STR, 1, None),
+    (0xDA, 0xDA, STR, 2, None),
+    (0xDB, 0xDB, STR, 4, None),
+    (0xDC, 0xDC, ARRAY, 2, None),
+    (0xDD, 0xDD, ARRAY, 4, None),
+    (0xDE, 0xDE, MAP, 2, None),
+    (0xDF, 0xDF, MAP, 4, None),
+    (0xE0, 0xFF, SINT, 0, None),   # negative fixint: the byte, as an int8
+)
+
+
+def _expand():
+    """``FORMATS`` as the decoder and the encoder read it: ``(kind,
+    nbytes, N when the first byte settles it)`` per first byte, and per
+    kind the rows as ``(lowest N, highest N, first, nbytes)``, narrowest
+    first."""
+    by_first = [(None, 0, 0)] * 256
+    by_kind = {}
+    for first, last, kind, nbytes, fixed in FORMATS:
+        if nbytes:
+            lo = -(1 << (8 * nbytes - 1)) if kind is SINT else 0
+            hi = lo + (1 << (8 * nbytes)) - 1
+        elif fixed is not None:
+            lo = hi = fixed
+        else:
+            lo = first - 0x100 if kind is SINT else 0
+            hi = lo + last - first
+        for byte in range(first, last + 1):
+            by_first[byte] = (kind, nbytes, lo + byte - first)
+        by_kind.setdefault(kind, []).append((lo, hi, first, nbytes))
+    for rows in by_kind.values():
+        rows.sort(key=lambda row: row[3])
+    return tuple(by_first), by_kind
+
+
+_BY_FIRST, _BY_KIND = _expand()
+_CONSTANTS = {NIL: None, FALSE: False, TRUE: True}
+_FLOAT_STRUCT = {4: ">f", 8: ">d"}
 
 # ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
 
 
-def _pack_int(out: bytearray, v: int) -> None:
-    if 0 <= v <= 0x7F:
-        out.append(v)
-    elif -32 <= v < 0:
-        out.append(v & 0xFF)
-    elif 0 < v:
-        if v <= 0xFF:
-            out += b"\xcc" + v.to_bytes(1, "big")
-        elif v <= 0xFFFF:
-            out += b"\xcd" + v.to_bytes(2, "big")
-        elif v <= 0xFFFFFFFF:
-            out += b"\xce" + v.to_bytes(4, "big")
-        elif v <= 0xFFFFFFFFFFFFFFFF:
-            out += b"\xcf" + v.to_bytes(8, "big")
-        else:
-            raise FormatError(f"integer {v} out of uint64 range")
-    else:
-        if v >= -0x80:
-            out += b"\xd0" + v.to_bytes(1, "big", signed=True)
-        elif v >= -0x8000:
-            out += b"\xd1" + v.to_bytes(2, "big", signed=True)
-        elif v >= -0x80000000:
-            out += b"\xd2" + v.to_bytes(4, "big", signed=True)
-        elif v >= -0x8000000000000000:
-            out += b"\xd3" + v.to_bytes(8, "big", signed=True)
-        else:
-            raise FormatError(f"integer {v} out of int64 range")
+@functools.lru_cache(maxsize=4096)
+def _head(kind: str, n: int) -> bytes:
+    """The narrowest header of ``kind`` whose N can be ``n`` — the spec's
+    "smallest representation", read off the decoder's own rows."""
+    for lo, hi, first, nbytes in _BY_KIND[kind]:
+        if lo <= n <= hi:
+            if nbytes:
+                return bytes((first,)) + n.to_bytes(nbytes, "big", signed=lo < 0)
+            return bytes((first + n - lo,))
+    raise FormatError(f"{n} is out of range for every MessagePack {kind} format")
 
 
-def _pack_str(out: bytearray, v: str) -> None:
-    data = v.encode("utf-8")
-    n = len(data)
-    if n <= 31:
-        out.append(0xA0 | n)
-    elif n <= 0xFF:
-        out += b"\xd9" + n.to_bytes(1, "big")
-    elif n <= 0xFFFF:
-        out += b"\xda" + n.to_bytes(2, "big")
-    elif n <= 0xFFFFFFFF:
-        out += b"\xdb" + n.to_bytes(4, "big")
-    else:
-        raise FormatError("string too long for str32")
-    out += data
+_CONSTANT_HEADS = {value: _head(kind, 0) for kind, value in _CONSTANTS.items()}
+_FLOAT64 = _head(FLOAT, 8)
+_pack_double = struct.Struct(">d").pack
 
 
 def _pack_bin(out: bytearray, v) -> None:
@@ -152,15 +209,7 @@ def _pack_bin(out: bytearray, v) -> None:
                 v = v.cast("B")
         else:
             v = v.tobytes()
-    n = len(v)
-    if n <= 0xFF:
-        out += b"\xc4" + n.to_bytes(1, "big")
-    elif n <= 0xFFFF:
-        out += b"\xc5" + n.to_bytes(2, "big")
-    elif n <= 0xFFFFFFFF:
-        out += b"\xc6" + n.to_bytes(4, "big")
-    else:
-        raise FormatError("bytes too long for bin32")
+    out += _head(BIN, len(v))
     out += v
 
 
@@ -168,39 +217,28 @@ def _pack_ext(out: bytearray, v: ExtType) -> None:
     if not -128 <= v.code <= 127:
         raise FormatError(f"ext code {v.code} out of int8 range")
     data = bytes(v.data)
-    n = len(data)
-    code = v.code & 0xFF
-    fixed = {1: 0xD4, 2: 0xD5, 4: 0xD6, 8: 0xD7, 16: 0xD8}
-    if n in fixed:
-        out.append(fixed[n])
-        out.append(code)
-    elif n <= 0xFF:
-        out += b"\xc7" + n.to_bytes(1, "big")
-        out.append(code)
-    elif n <= 0xFFFF:
-        out += b"\xc8" + n.to_bytes(2, "big")
-        out.append(code)
-    elif n <= 0xFFFFFFFF:
-        out += b"\xc9" + n.to_bytes(4, "big")
-        out.append(code)
-    else:
-        raise FormatError("ext payload too long for ext32")
+    out += _head(EXT, len(data))
+    out.append(v.code & 0xFF)
     out += data
 
 
 def _pack_any(out: bytearray, v: Any) -> None:
-    if v is None:
-        out.append(0xC0)
-    elif v is True:
-        out.append(0xC3)
-    elif v is False:
-        out.append(0xC2)
+    # Tested in the order this wire meets them: map keys first.
+    if isinstance(v, str):
+        data = v.encode("utf-8")
+        out += _head(STR, len(data))
+        out += data
+    elif v is None or v is True or v is False:  # not ``in``: 1 == True
+        out += _CONSTANT_HEADS[v]
     elif isinstance(v, int):
-        _pack_int(out, v)
+        out += _head(UINT if v >= 0 else SINT, v)
     elif isinstance(v, float):
-        out += b"\xcb" + _pack_into(">d", v)
-    elif isinstance(v, str):
-        _pack_str(out, v)
+        out += _FLOAT64 + _pack_double(v)
+    elif isinstance(v, dict):
+        out += _head(MAP, len(v))
+        for key, item in v.items():
+            _pack_any(out, key)
+            _pack_any(out, item)
     elif isinstance(v, (bytes, bytearray, memoryview)):
         _pack_bin(out, v)
     elif isinstance(v, Timestamp):
@@ -208,29 +246,8 @@ def _pack_any(out: bytearray, v: Any) -> None:
     elif isinstance(v, ExtType):
         _pack_ext(out, v)
     elif isinstance(v, (list, tuple)):
-        n = len(v)
-        if n <= 15:
-            out.append(0x90 | n)
-        elif n <= 0xFFFF:
-            out += b"\xdc" + n.to_bytes(2, "big")
-        elif n <= 0xFFFFFFFF:
-            out += b"\xdd" + n.to_bytes(4, "big")
-        else:
-            raise FormatError("array too long for array32")
+        out += _head(ARRAY, len(v))
         for item in v:
-            _pack_any(out, item)
-    elif isinstance(v, dict):
-        n = len(v)
-        if n <= 15:
-            out.append(0x80 | n)
-        elif n <= 0xFFFF:
-            out += b"\xde" + n.to_bytes(2, "big")
-        elif n <= 0xFFFFFFFF:
-            out += b"\xdf" + n.to_bytes(4, "big")
-        else:
-            raise FormatError("map too long for map32")
-        for key, item in v.items():
-            _pack_any(out, key)
             _pack_any(out, item)
     else:
         raise FormatError(
@@ -260,9 +277,9 @@ class Unpacker:
     :class:`memoryview` slices into the *input* buffer instead of copied
     ``bytes``: ``np.frombuffer`` over such a slice views the original
     frame with no per-payload copy.  The views keep the input buffer
-    alive; everything else (strs, ints, ext payloads) still decodes to
-    ordinary owned objects.  Off by default — bin payloads decode to
-    ``bytes``, exactly as before.
+    alive; everything else (strs, ints, ext payloads, map keys) still
+    decodes to ordinary owned objects.  Off by default — bin payloads
+    decode to ``bytes``, exactly as before.
     """
 
     #: Guard against pathological nesting in untrusted input.
@@ -280,114 +297,60 @@ class Unpacker:
         self.offset = 0
 
     # -- low-level reads ------------------------------------------------
-    def _need(self, n: int) -> None:
-        if self.offset + n > len(self._data):
-            raise FormatError(
-                f"truncated MessagePack data: need {n} bytes at offset "
-                f"{self.offset}, have {len(self._data) - self.offset}"
-            )
-
     def _take(self, n: int):
         # Slicing bytes copies; slicing the zero-copy memoryview does not.
-        self._need(n)
-        chunk = self._data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
+        start = self.offset
+        end = start + n
+        if end > len(self._data):
+            raise FormatError(
+                f"truncated MessagePack data: need {n} bytes at offset "
+                f"{start}, have {len(self._data) - start}"
+            )
+        self.offset = end
+        return self._data[start:end]
 
-    def _uint(self, n: int) -> int:
-        return int.from_bytes(self._take(n), "big")
-
-    def _int(self, n: int) -> int:
-        return int.from_bytes(self._take(n), "big", signed=True)
-
-    def _str(self, n: int) -> str:
-        raw = self._take(n)
-        try:
-            # str(buffer, encoding) decodes bytes and memoryview alike.
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 in str payload: {exc}") from exc
+    def header(self) -> tuple[str, int]:
+        """Read the next value's header — ``(kind, N)`` as ``FORMATS``
+        defines them — and stop there: an int is then fully read, a
+        str / bin / ext / float has its N payload bytes still ahead (an
+        ext its type byte first) and an array / map its N elements /
+        pairs."""
+        first = self._take(1)[0]
+        kind, nbytes, n = _BY_FIRST[first]
+        if nbytes:
+            n = int.from_bytes(self._take(nbytes), "big", signed=kind is SINT)
+        elif kind is None:
+            raise FormatError(f"invalid MessagePack first byte 0x{first:02x}")
+        return kind, n
 
     # -- value decoding ---------------------------------------------------
     def unpack_one(self, _depth: int = 0) -> Any:
         """Decode and return the next value."""
         if _depth > self.MAX_DEPTH:
             raise FormatError("MessagePack nesting exceeds MAX_DEPTH")
-        first = self._take(1)[0]
-        # fix families
-        if first <= 0x7F:
-            return first
-        if first >= 0xE0:
-            return first - 0x100
-        if 0x80 <= first <= 0x8F:
-            return self._map(first & 0x0F, _depth)
-        if 0x90 <= first <= 0x9F:
-            return self._array(first & 0x0F, _depth)
-        if 0xA0 <= first <= 0xBF:
-            return self._str(first & 0x1F)
-
-        if first == 0xC0:
-            return None
-        if first == 0xC2:
-            return False
-        if first == 0xC3:
-            return True
-        if first == 0xC4:
-            return self._take(self._uint(1))
-        if first == 0xC5:
-            return self._take(self._uint(2))
-        if first == 0xC6:
-            return self._take(self._uint(4))
-        if first == 0xC7:
-            n = self._uint(1)
+        kind, n = self.header()
+        if kind is UINT or kind is SINT:
+            return n
+        if kind is STR:
+            try:
+                # str(buffer, encoding) decodes bytes and memoryview alike.
+                return str(self._take(n), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"invalid UTF-8 in str payload: {exc}") from exc
+        if kind is BIN:
+            return self._take(n)
+        if kind is ARRAY:
+            return [self.unpack_one(_depth + 1) for _ in range(n)]
+        if kind is MAP:
+            return self._map(n, _depth)
+        if kind is FLOAT:
+            return struct.unpack(_FLOAT_STRUCT[n], self._take(n))[0]
+        if kind is EXT:
             return self._ext(n)
-        if first == 0xC8:
-            n = self._uint(2)
-            return self._ext(n)
-        if first == 0xC9:
-            n = self._uint(4)
-            return self._ext(n)
-        if first == 0xCA:
-            return struct.unpack(">f", self._take(4))[0]
-        if first == 0xCB:
-            return struct.unpack(">d", self._take(8))[0]
-        if first == 0xCC:
-            return self._uint(1)
-        if first == 0xCD:
-            return self._uint(2)
-        if first == 0xCE:
-            return self._uint(4)
-        if first == 0xCF:
-            return self._uint(8)
-        if first == 0xD0:
-            return self._int(1)
-        if first == 0xD1:
-            return self._int(2)
-        if first == 0xD2:
-            return self._int(4)
-        if first == 0xD3:
-            return self._int(8)
-        if first in (0xD4, 0xD5, 0xD6, 0xD7, 0xD8):
-            n = 1 << (first - 0xD4)
-            return self._ext(n)
-        if first == 0xD9:
-            return self._str(self._uint(1))
-        if first == 0xDA:
-            return self._str(self._uint(2))
-        if first == 0xDB:
-            return self._str(self._uint(4))
-        if first == 0xDC:
-            return self._array(self._uint(2), _depth)
-        if first == 0xDD:
-            return self._array(self._uint(4), _depth)
-        if first == 0xDE:
-            return self._map(self._uint(2), _depth)
-        if first == 0xDF:
-            return self._map(self._uint(4), _depth)
-        raise FormatError(f"invalid MessagePack first byte 0x{first:02x}")
+        return _CONSTANTS[kind]
 
     def _ext(self, n: int):
-        code = self._int(1)
+        code = int.from_bytes(self._take(1), "big", signed=True)
         # Ext payloads are tiny and ride in hashable NamedTuples: always
         # own them, even in zero-copy mode.
         data = bytes(self._take(n))
@@ -395,13 +358,14 @@ class Unpacker:
             return Timestamp.decode(data)
         return ExtType(code, data)
 
-    def _array(self, n: int, depth: int) -> list:
-        return [self.unpack_one(depth + 1) for _ in range(n)]
-
     def _map(self, n: int, depth: int) -> dict:
         out = {}
         for _ in range(n):
             key = self.unpack_one(depth + 1)
+            if type(key) is memoryview:
+                # Keys are owned too: a view over a writable buffer does
+                # not hash, and a bin key must equal the bytes it spells.
+                key = bytes(key)
             try:
                 out[key] = self.unpack_one(depth + 1)
             except TypeError as exc:

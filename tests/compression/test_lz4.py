@@ -207,10 +207,12 @@ class TestOverlapCopy:
         assert lz4_decompress_block(block) == b"ab" * 35_001 + b"tail!"
 
     def test_max_output_trips_before_the_copy(self):
-        """A 400 MB run declared by a 1.6 MB block is refused, not built."""
+        """A 40 MB run declared by a 157 KB block is refused, not built
+        (40x ``max_output`` and 5x the peak bound: a copy made before the
+        check cannot hide under either)."""
         import tracemalloc
 
-        block = _overlap_block(b"a", 1, 400_000_000)
+        block = _overlap_block(b"a", 1, 40_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(CodecError, match="max_output"):

@@ -159,6 +159,10 @@ CASES = {
        for n in (0, 127, 128, 255, 256, 65535, 65536, 2**32 - 1, 2**32)},
     "notify": pack([2, "m", []]),
     "array16": b"\xdc\x00\x04" + pack(0) + pack(5) + pack("m") + pack([]),
+    "array32": b"\xdd\x00\x00\x00\x04" + pack(1) + pack(5) + pack(None) + pack("x"),
+    "signed-form-msgid": b"\x94\x01\xd0\x05\xc0" + pack("x"),
+    "uint8-frame-type": b"\x94\xcc\x01\x05\xc0" + pack("x"),
+    "str16-error": b"\x94\x01\x05\xda\x00\x04nope\xc0",
     "empty": b"",
     "nil": b"\xc0",
     "bare-array-header": b"\x93",
@@ -231,7 +235,7 @@ errors = st.one_of(
     st.sampled_from(sorted(envelope.TYPED_ERRORS)).map(
         lambda n: f"{n}: busy; retry_after=0.25"),
 )
-frames = st.one_of(
+packed_frames = st.one_of(
     st.tuples(st.just(0), msgids, st.text(max_size=12),
               st.lists(values, max_size=3)).map(list),
     st.tuples(st.just(0), msgids, st.text(max_size=12),
@@ -245,6 +249,44 @@ frames = st.one_of(
     st.lists(values, max_size=7),   # wrong arity, wrong type tag
     values,                          # not a frame at all
 ).map(pack)
+
+
+def _be(n, width):
+    return n.to_bytes(width, "big")
+
+
+@st.composite
+def wide_frames(draw):
+    """A REQUEST or RESPONSE spelled with wider headers than ``pack``
+    picks: ``array16`` / ``array32`` around 4-5 elements, the msgid as
+    ``cc``-``cf`` or — non-negative still — as ``d0``-``d3``, the error
+    line as ``str8`` / ``str16`` / ``str32``.  All of it decodes."""
+    mtype = draw(st.sampled_from([REQUEST, RESPONSE]))
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    signed = draw(st.booleans())
+    msgid = draw(st.integers(0, 2 ** (8 * width - signed) - 1))
+    tag = {1: 0xCC, 2: 0xCD, 4: 0xCE, 8: 0xCF}[width] + (4 if signed else 0)
+    body = bytes([mtype, tag]) + _be(msgid, width)
+    if mtype == REQUEST:
+        body += pack(draw(st.text(max_size=12))) + pack(draw(st.lists(values, max_size=3)))
+    else:
+        line = draw(st.none() | st.text(max_size=40))
+        if line is None:
+            body += pack(None)
+        else:
+            raw = line.encode()
+            w = draw(st.sampled_from([1, 2, 4]))
+            body += bytes([{1: 0xD9, 2: 0xDA, 4: 0xDB}[w]]) + _be(len(raw), w) + raw
+        body += pack(draw(values))
+    n = 4
+    if draw(st.booleans()):  # ctx / spans
+        body += pack(draw(st.one_of(ctx_maps, st.lists(values, max_size=2))))
+        n = 5
+    head = draw(st.sampled_from([b"\xdc" + _be(n, 2), b"\xdd" + _be(n, 4)]))
+    return head + body
+
+
+frames = st.one_of(packed_frames, wide_frames())
 
 
 @st.composite
@@ -263,7 +305,7 @@ def mangled(draw):
 # ---------------------------------------------------------------------------
 
 
-def check_parse_request(payload, canonical=True):
+def check_parse_request(payload):
     got = parse_request(payload)  # never raises
     assert got.raw == payload
     want = ref_request(payload)
@@ -277,34 +319,36 @@ def check_parse_request(payload, canonical=True):
                  got.tenant, got.deadline)) == repr(want)
 
 
-def check_peek(payload, canonical=True):
+def check_peek(payload):
     m = ref_message(payload)
     try:
         got = peek(payload)
     except FormatError:
-        # A canonical (``pack``-produced) frame with an unsigned msgid
-        # must be routed; anything else may always be refused.
-        assert not (canonical and ref_peek(payload))
+        # Whatever decodes to a frame with a non-negative int msgid must
+        # be routed, mangled or not and however wide its headers: only a
+        # msgid of another *type* (or sign) excuses a refusal.
+        assert not ref_peek(payload)
         return
     if m is not None:  # damage past the prefix is not peek's to see
         assert got == ref_peek(payload)
 
 
-def check_peek_error(payload, canonical=True):
+def check_peek_error(payload):
     m = ref_message(payload)
     try:
         got = peek_error(payload)
     except FormatError:
+        # Likewise: only an error element that is neither nil nor a str.
         ok = (isinstance(m, list) and len(m) >= 3 and ref_peek(payload)
               and m[0] == RESPONSE and (m[2] is None or isinstance(m[2], str)))
-        assert not (canonical and ok), "refused a well-formed response"
+        assert not ok, "refused a well-formed response"
         return
     assert got is None or isinstance(got, str)
     if m is not None:
         assert m[0] == RESPONSE and got == m[2]
 
 
-def check_with_ctx(payload, canonical=True):
+def check_with_ctx(payload):
     assert with_ctx(payload, tenant="gold") == \
         legacy_splice(payload, "tenant", "gold")
     for remaining in (1.25, -3.0):
@@ -318,7 +362,7 @@ CHECKS = [check_parse_request, check_peek, check_peek_error, check_with_ctx]
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__[6:])
 @pytest.mark.parametrize("name", CASES)
 def test_helper_suite_inputs(name, check):
-    check(CASES[name], canonical=name != "array16")
+    check(CASES[name])
 
 
 @given(payload=frames)
@@ -332,14 +376,14 @@ def test_packed_frames_agree_with_a_full_decode(payload):
 @settings(deadline=None)
 def test_mangled_frames_agree_or_raise_format_error(payload):
     for check in CHECKS:
-        check(payload, canonical=False)
+        check(payload)
 
 
 @given(payload=st.binary(max_size=48))
 @settings(deadline=None)
 def test_arbitrary_bytes_raise_nothing_but_format_error(payload):
     for check in CHECKS:
-        check(payload, canonical=False)
+        check(payload)
     try:
         parse_response(payload)
     except (FormatError, RPCError):

@@ -3,7 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError
 from repro.rpc import ExtType, Timestamp, pack, unpack
+
+from tests.rpc.test_msgpack_corpus import owned
 
 # Scalars msgpack represents exactly.
 scalars = st.one_of(
@@ -32,7 +35,8 @@ values = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=6),
         st.dictionaries(
-            st.one_of(st.text(max_size=10), st.integers(-1000, 1000)),
+            st.one_of(st.text(max_size=10), st.integers(-1000, 1000),
+                      st.binary(max_size=10)),
             children,
             max_size=6,
         ),
@@ -40,11 +44,16 @@ values = st.recursive(
     max_leaves=25,
 )
 
+# Every way a caller can hand the decoder a frame: copied or viewed, over
+# a read-only or a writable buffer.
+decode_modes = st.tuples(st.booleans(), st.sampled_from([bytes, bytearray]))
 
-@given(value=values)
+
+@given(value=values, mode=decode_modes)
 @settings(max_examples=300, deadline=None)
-def test_round_trip(value):
-    assert unpack(pack(value)) == value
+def test_round_trip(value, mode):
+    zero_copy, buffer = mode
+    assert owned(unpack(buffer(pack(value)), zero_copy=zero_copy)) == value
 
 
 @given(value=values)
@@ -53,14 +62,13 @@ def test_deterministic_encoding(value):
     assert pack(value) == pack(value)
 
 
-@given(data=st.binary(max_size=64))
+@given(data=st.binary(max_size=64), mode=decode_modes)
 @settings(max_examples=200, deadline=None)
-def test_decoder_never_crashes_on_garbage(data):
+def test_decoder_never_crashes_on_garbage(data, mode):
     """Arbitrary bytes either decode or raise FormatError — no other
     exception type may escape."""
-    from repro.errors import FormatError
-
+    zero_copy, buffer = mode
     try:
-        unpack(data)
+        unpack(buffer(data), zero_copy=zero_copy)
     except FormatError:
         pass

@@ -15,6 +15,7 @@ Families:
 * end-to-end — NDP contour geometry byte-identical through the mux.
 """
 
+import socket
 import threading
 import time
 
@@ -35,7 +36,13 @@ from repro.rpc.admission import AdmissionController
 from repro.rpc.envelope import peek
 from repro.rpc.mux import AsyncServerTransport, MuxTransport
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
-from repro.rpc.transport import FrameBuffer, InProcessTransport, TCPTransport
+from repro.rpc.transport import (
+    FrameBuffer,
+    InProcessTransport,
+    TCPTransport,
+    read_frame,
+    write_frame,
+)
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 from repro.obs.metrics import Tally
 
@@ -244,6 +251,31 @@ class TestPipelining:
             transport.close()
         finally:
             listener.stop()
+
+    def test_widely_spelled_response_reaches_its_caller(self):
+        """A peer may spell a reply with wider headers than ``pack`` picks
+        (array32, the msgid as int8).  A full decode reads it fine, so the
+        reader must route it — not kill the whole multiplexed connection
+        over an "undecodable response frame"."""
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def answer_one():
+            conn, _ = server.accept()
+            with conn:
+                msgid = unpack(read_frame(conn))[1]
+                write_frame(conn, b"\xdd\x00\x00\x00\x04\x01\xd0" + bytes([msgid])
+                            + pack(None) + pack("routed"))
+
+        peer = threading.Thread(target=answer_one, daemon=True)
+        peer.start()
+        transport = MuxTransport(*server.getsockname(), timeout=5.0)
+        try:
+            raw = transport.request(pack([0, 5, "echo", ["x"]]))
+        finally:
+            transport.close()
+            peer.join(5.0)
+            server.close()
+        assert unpack(raw) == [1, 5, None, "routed"]
 
 
 # ---------------------------------------------------------------------------
