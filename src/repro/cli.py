@@ -147,8 +147,6 @@ def cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         selection_cache_bytes=args.selection_cache,
         tracer=tracer,
-        max_inflight=args.max_inflight,
-        max_pending=args.max_pending,
         verify_checksums=args.verify_checksums == "on",
         flight_recorder=recorder,
         slo=slo_engine,
@@ -171,10 +169,6 @@ def cmd_serve(args) -> int:
         f"selection_cache={args.selection_cache // 2**20} MiB"
         if args.selection_cache > 0 else "selection_cache=off",
     )
-    admission = (
-        f"max_inflight={args.max_inflight}" if args.max_inflight > 0
-        else "admission=unlimited"
-    )
     obs = (
         "flightrec=" + (
             (f"on->{args.dump_dir}" if args.dump_dir else "on")
@@ -188,7 +182,7 @@ def cmd_serve(args) -> int:
     print(f"NDP server on {listener.host}:{listener.port} "
           f"(store={args.store}, bucket={args.bucket}, "
           f"workers={args.workers}, "
-          f"{caches[0]}, {caches[1]}, {admission}, "
+          f"{caches[0]}, {caches[1]}, "
           f"checksums={args.verify_checksums}, "
           f"{obs[0]}, {obs[1]}, {obs[2]}"
           f"{', tracing on' if tracer else ''})")
@@ -196,7 +190,7 @@ def cmd_serve(args) -> int:
     clean = _serve_until_stopped(
         [partial(listener.stop, drain_timeout=args.drain_timeout)],
         args.timeout)
-    info = server.admission.info()
+    info = server.admission_info()
     print(f"stopped ({'clean' if clean else 'forced'}; "
           f"{info['admitted']} requests served, {info['shed']} shed)")
     if tracer is not None:
@@ -715,9 +709,9 @@ def cmd_health(args) -> int:
     )
     admission = report.get("admission") or {}
     if admission:
-        limit = admission.get("max_inflight", 0) or "unlimited"
         print(
-            f"admission: inflight={admission.get('inflight', 0)}/{limit}, "
+            f"admission: inflight={admission.get('inflight', 0)}/"
+            f"{admission.get('max_inflight', 0)} workers, "
             f"pending={admission.get('pending', 0)}, "
             f"shed={admission.get('shed', 0)}, "
             f"expired={admission.get('expired', 0)}"
@@ -960,12 +954,12 @@ def cmd_stats(args) -> int:
             _print_cache_line(label, collected.get(label, {}))
     admission = collected.get("admission") or {}
     if admission:
-        limit = admission.get("max_inflight", 0) or "unlimited"
         print(
             f"admission: {int(admission.get('admitted', 0))} admitted, "
             f"{int(admission.get('shed', 0))} shed, "
             f"{int(admission.get('expired', 0))} expired, "
-            f"peak_inflight {int(admission.get('peak_inflight', 0))}/{limit}"
+            f"peak_inflight {int(admission.get('peak_inflight', 0))}/"
+            f"{int(admission.get('max_inflight', 0))} workers"
         )
     integrity = int(counters.get("integrity_failures", 0))
     if integrity:
@@ -1208,13 +1202,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="BYTES",
                    help="encoded pre-filter reply cache budget in bytes "
                         "(default 64 MiB; 0 disables)")
-    p.add_argument("--max-inflight", type=int, default=0,
-                   help="admission control: max requests processed "
-                        "concurrently; excess queue then shed (0 = unlimited)")
-    p.add_argument("--max-pending", type=int, default=0,
-                   help="admission control: max requests queued waiting for "
-                        "a slot before shedding (0 = shed immediately once "
-                        "--max-inflight is saturated)")
     p.add_argument("--max-connections", type=int, default=0,
                    help="refuse TCP connections beyond this many concurrent "
                         "(0 = unlimited)")

@@ -55,7 +55,7 @@ from repro.obs.metrics import Registry
 from repro.obs.profile import NULL_PROFILER, SamplingProfiler
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import NULL_TRACER
-from repro.rpc.admission import AdmissionController, check_deadline
+from repro.rpc.admission import check_deadline
 from repro.rpc.fairshare import FairScheduler
 from repro.rpc.server import RPCServer
 from repro.storage.cache import ArrayCache, SelectionCache
@@ -93,11 +93,6 @@ class NDPServer:
         when omitted.  All request counters, the request-latency
         histograms, and both cache stats surface through its
         ``snapshot()`` (also exposed as the ``stats`` RPC endpoint).
-    max_inflight, max_pending:
-        Admission-control bounds (see
-        :class:`~repro.rpc.admission.AdmissionController`).  ``0``
-        in-flight (default) means unlimited — the controller still
-        counts, so stats report concurrency even without shedding.
     verify_checksums:
         When true (default), at-rest VGF block checksums are verified on
         every read and every pre-filter reply is stamped with a wire
@@ -125,9 +120,9 @@ class NDPServer:
         ``None`` (default) keeps the ring in memory only — explicit
         ``dump`` RPCs with a path still work.
     slo_shed:
-        When true, the admission gate and fair scheduler refuse requests
-        from tenants burning their error budget *while the server is
-        saturated* — SLO-aware shedding (off by default: observe first).
+        When true, the fair queue refuses requests from tenants burning
+        their error budget while they have a backlog — SLO-aware shedding
+        (off by default: observe first).
     """
 
     def __init__(
@@ -138,8 +133,6 @@ class NDPServer:
         selection_cache_bytes: int = 0,
         tracer=None,
         registry: Registry | None = None,
-        max_inflight: int = 0,
-        max_pending: int = 0,
         verify_checksums: bool = True,
         flight_recorder="auto",
         slo="auto",
@@ -171,9 +164,6 @@ class NDPServer:
         else:
             self.profiler = profiler or NULL_PROFILER
         self.slo_shed = bool(slo_shed)
-        self.admission = AdmissionController(
-            max_inflight=max_inflight, max_pending=max_pending
-        )
         self._listener = None
         cache_recorder = self.recorder if self.recorder else None
         self.array_cache = (
@@ -212,7 +202,7 @@ class NDPServer:
         self._failover_requests = self.registry.counter(
             "failover_requests",
             "requests tagged as client failover attempts")
-        self.registry.register("admission", self.admission.info)
+        self.registry.register("admission", self.admission_info)
         if self.array_cache is not None:
             self.registry.register("array_cache", self.array_cache.info)
         if self.selection_cache is not None:
@@ -242,10 +232,8 @@ class NDPServer:
                 "profile": self.profile_snapshot,
             },
             tracer=self.tracer,
-            admission=self.admission,
             recorder=self.recorder if self.recorder else None,
             slo=self.slo,
-            slo_shed=self.slo_shed,
             ctx_counters={
                 "hedge": self._hedged_requests.inc,
                 "failover": self._failover_requests.inc,
@@ -499,7 +487,7 @@ class NDPServer:
             "store_reachable": store_reachable,
             "draining": draining,
             "requests_served": served,
-            "admission": self.admission.info(),
+            "admission": self.admission_info(),
             "integrity_failures": int(self._integrity_failures.value),
             "array_cache": self._cache_info(self.array_cache),
             "selection_cache": self._cache_info(self.selection_cache),
@@ -521,6 +509,19 @@ class NDPServer:
                 ),
             }
         return out
+
+    def admission_info(self) -> dict:
+        """The ``admission`` block of ``stats`` and ``health``, read off the
+        one gate — the listener's fair queue — plus the deadline
+        rejections dispatch counted.  Zeros until :meth:`serve_tcp`."""
+        if self._listener is not None:
+            info = self._listener.scheduler.admission_info()
+        else:
+            info = dict.fromkeys(
+                ("max_inflight", "max_pending", "inflight", "pending",
+                 "admitted", "shed", "peak_inflight"), 0)
+        info["expired"] = int(self.rpc.expired.value)
+        return info
 
     @staticmethod
     def _cache_info(cache) -> dict:
@@ -705,11 +706,11 @@ class NDPServer:
         threads run dispatch through a
         :class:`~repro.rpc.fairshare.FairScheduler`, so requests from a
         flooding tenant queue behind their fair share instead of starving
-        everyone else.  Per-tenant sheds are recorded on this server's
-        :class:`~repro.rpc.admission.AdmissionController` — ``health`` and
-        ``stats`` keep one overload ledger.  The listener is remembered
-        so :meth:`health` can report ``draining`` while a graceful
-        ``stop(drain_timeout=...)`` runs.
+        everyone else.  That queue is the server's only admission gate:
+        ``workers`` bounds concurrency, ``tenant_pending`` bounds each
+        tenant's queue, and :meth:`admission_info` reads its counts.  The
+        listener is remembered so :meth:`health` can report ``draining``
+        while a graceful ``stop(drain_timeout=...)`` runs.
         """
         fair_queue = FairScheduler(
             self.rpc.handle,
@@ -717,7 +718,6 @@ class NDPServer:
             weights=tenant_weights,
             max_tenant_inflight=tenant_inflight,
             max_tenant_pending=tenant_pending,
-            admission=self.admission,
             recorder=self.recorder if self.recorder else None,
             slo=self.slo,
             slo_shed=self.slo_shed,

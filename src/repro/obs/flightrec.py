@@ -47,7 +47,6 @@ __all__ = [
 #: Event kinds that make the recorder snapshot itself to disk.
 DEFAULT_TRIGGERS = frozenset({
     "request.error",
-    "request.shed",
     "tenant.shed",
     "deadline.expired",
     "integrity.failure",

@@ -21,9 +21,8 @@ module provides:
   evaluation** (the SRE alerting pattern: act only when both a fast and
   a slow window burn, so one blip doesn't page and a real regression
   can't hide between samples).  :meth:`SLOEngine.burning` is the hook
-  the fair scheduler and admission controller consult when SLO-aware
-  shedding is enabled: tenants torching their budget shed first under
-  overload.
+  the fair scheduler consults when SLO-aware shedding is enabled:
+  tenants torching their budget shed first under overload.
 
 Everything is msgpack-safe through :meth:`SLOEngine.snapshot`, so burn
 state rides the existing ``stats``/``health`` endpoints and the

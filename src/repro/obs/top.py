@@ -127,8 +127,8 @@ class TopModel:
                 continue
             admission = collected.get("admission") or {}
             fair = collected.get("fair_queue") or {}
-            pending = int(fair.get("pending", admission.get("pending", 0)))
-            inflight = int(fair.get("inflight", admission.get("inflight", 0)))
+            pending = int(admission.get("pending", 0))
+            inflight = int(admission.get("inflight", 0))
             shed = int(admission.get("shed", 0))
             served_hits, lookups = _cache_rates(collected)
             hists = snap.get("histograms") or {}

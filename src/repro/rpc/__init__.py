@@ -12,16 +12,12 @@ This package provides the same two layers from scratch:
   two-process runs, simulated for benchmark cost accounting),
 * :mod:`repro.rpc.resilience` — retry/backoff/deadline/circuit-breaker
   wrapper making the client<->storage hop fault tolerant,
-* :mod:`repro.rpc.admission` — server-side admission control / load
-  shedding and deadline scopes.
+* :mod:`repro.rpc.fairshare` — the server's one admission gate: the
+  per-tenant fair queue bounds concurrency, queues and sheds,
+* :mod:`repro.rpc.admission` — server-side deadline scopes.
 """
 
-from repro.rpc.admission import (
-    AdmissionController,
-    DeadlineScope,
-    check_deadline,
-    remaining_budget,
-)
+from repro.rpc.admission import DeadlineScope, check_deadline, remaining_budget
 from repro.rpc.client import PendingCall, RPCClient
 from repro.rpc.fairshare import FairScheduler
 from repro.rpc.msgpack import ExtType, Timestamp, pack, unpack
@@ -61,7 +57,6 @@ __all__ = [
     "EndpointPool",
     "RetryPolicy",
     "CircuitBreaker",
-    "AdmissionController",
     "DeadlineScope",
     "check_deadline",
     "remaining_budget",

@@ -1,4 +1,5 @@
-"""Per-tenant weighted fair queuing between the TCP listener and dispatch.
+"""The one admission gate: per-tenant weighted fair queuing between the
+TCP listener and dispatch.
 
 A single flooding tenant must not starve everyone else out of the
 storage-side server.  :class:`FairScheduler` sits between the event-loop
@@ -20,13 +21,14 @@ listener (:class:`~repro.rpc.mux.AsyncServerTransport`) and
   shed **immediately** with a ``ServerOverloadedError`` reply carrying a
   ``retry_after`` hint, without ever touching a worker — the flooding
   tenant pays for its own flood while the trickle tenant's queue stays
-  empty and unshed.
+  empty and unshed,
+* a request's ``deadline`` is charged for its time in the queue: the
+  dispatcher receives what is left of it.
 
-The scheduler *layers on* the existing
-:class:`~repro.rpc.admission.AdmissionController` rather than replacing
-it: global inflight bounds still apply inside dispatch, sheds are
-recorded on the controller so ``health``/``stats`` report one overload
-picture, and the controller's ``retry_after`` hint is reused.
+This is the only place a request is admitted, queued or shed: ``workers``
+is the concurrency bound and ``max_tenant_pending`` the queue bound.
+There is deliberately no global pending cap — it would shed a trickle
+tenant because a flood filled the queue.
 """
 
 from __future__ import annotations
@@ -81,13 +83,8 @@ class FairScheduler:
     max_tenant_pending:
         Per-tenant cap on *queued* requests; beyond it new arrivals are
         shed immediately with a ``retry_after`` reply.  ``0`` = unbounded.
-    admission:
-        Optional :class:`~repro.rpc.admission.AdmissionController`;
-        fair-queue sheds are recorded on it (one overload ledger) and its
-        ``retry_after`` is used for shed replies unless overridden.
     retry_after:
-        Hint (seconds) carried by shed replies; defaults to the
-        controller's hint, else 50 ms.
+        Hint (seconds) carried by shed replies.
     recorder:
         Optional :class:`~repro.obs.flightrec.FlightRecorder`; every
         fair-queue shed records a ``tenant.shed`` event.
@@ -109,8 +106,7 @@ class FairScheduler:
         default_weight: float = 1.0,
         max_tenant_inflight: int = 0,
         max_tenant_pending: int = 0,
-        admission=None,
-        retry_after: float | None = None,
+        retry_after: float = 0.05,
         recorder=None,
         slo=None,
         slo_shed: bool = False,
@@ -123,13 +119,7 @@ class FairScheduler:
         self._default_weight = float(default_weight)
         self.max_tenant_inflight = int(max_tenant_inflight)
         self.max_tenant_pending = int(max_tenant_pending)
-        self.admission = admission
-        if retry_after is not None:
-            self.retry_after = float(retry_after)
-        elif admission is not None:
-            self.retry_after = float(admission.retry_after)
-        else:
-            self.retry_after = 0.05
+        self.retry_after = float(retry_after)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.slo = slo
         self.slo_shed = bool(slo_shed)
@@ -138,6 +128,7 @@ class FairScheduler:
         self._vclock = 0.0
         self._total_pending = 0
         self._total_inflight = 0
+        self._peak_inflight = 0
         self._sheds = 0
         self._slo_sheds = 0
         self._served = 0
@@ -218,15 +209,13 @@ class FairScheduler:
                     f"(backlog={backlog})"
                 )
             if shed_detail is None:
-                tenant.queue.append((req, respond))
+                tenant.queue.append((req, respond, time.monotonic()))
                 tenant.enqueued += 1
                 self._total_pending += 1
                 self._cond.notify()
             else:
                 tenant.shed += 1
                 self._sheds += 1
-                if self.admission is not None:
-                    self.admission.record_shed()
         if shed_detail is not None:
             shed_error = envelope.overloaded_line(shed_detail, self.retry_after)
             if self.recorder:
@@ -291,13 +280,19 @@ class FairScheduler:
                     tenant = self._pick_locked()
                 if self._stopping and not self._finish_queue:
                     return
-                req, respond = tenant.queue.popleft()
+                req, respond, queued_at = tenant.queue.popleft()
                 self._total_pending -= 1
                 tenant.inflight += 1
                 self._total_inflight += 1
+                self._peak_inflight = max(self._peak_inflight,
+                                          self._total_inflight)
                 start = max(tenant.vtime, self._vclock)
                 self._vclock = start
                 tenant.vtime = start + 1.0 / tenant.weight
+            if req.deadline is not None:
+                # The budget is a duration from intake: charge the wait.
+                waited = time.monotonic() - queued_at
+                req = req._replace(deadline=max(0.0, req.deadline - waited))
             try:
                 reply = self._dispatcher(req)
             except Exception as exc:  # the dispatcher's contract is "never raise"
@@ -327,6 +322,20 @@ class FairScheduler:
     def inflight(self) -> int:
         with self._cond:
             return self._total_inflight
+
+    def admission_info(self) -> dict:
+        """The gate's counts in the shape of ``stats``' ``admission`` block
+        (the server adds ``expired``, which only dispatch sees)."""
+        with self._cond:
+            return {
+                "max_inflight": self.workers,
+                "max_pending": self.max_tenant_pending,
+                "inflight": self._total_inflight,
+                "pending": self._total_pending,
+                "admitted": self._served + self._total_inflight,
+                "shed": self._sheds,
+                "peak_inflight": self._peak_inflight,
+            }
 
     def info(self) -> dict:
         """Snapshot for the registry and ``health``."""

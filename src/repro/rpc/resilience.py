@@ -15,7 +15,7 @@ remote-viz systems treat as table stakes:
   consecutive failures and rejects requests locally
   (:class:`~repro.errors.CircuitOpenError`) until a reset interval passes,
   then lets a half-open probe through,
-* **overload cooperation** — replies shed by server admission control
+* **overload cooperation** — replies shed by the server's fair queue
   (:class:`~repro.errors.ServerOverloadedError`) are retried with the
   server's ``retry_after`` hint as the backoff floor, without tripping
   the breaker or re-dialling a perfectly healthy connection,

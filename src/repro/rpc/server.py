@@ -5,12 +5,12 @@ clients send plain 4-element frames and always get 4-element responses —
 the classic protocol is the zero-trace special case — and a ctx map that
 names no caller span (tenant- or deadline-only) likewise gets one.
 
-Survivability: an optional :class:`~repro.rpc.admission.AdmissionController`
-gates REQUEST dispatch — shed requests are answered immediately with a
-``ServerOverloadedError`` line instead of queueing unboundedly — and a
-request whose propagated deadline has already expired is rejected before
-its handler runs (``DeadlineExpiredError``).  While a deadline-carrying
-handler runs, the budget is active as a thread-local
+Survivability: admission — bounding concurrency, queueing and shedding —
+is the listener's :class:`~repro.rpc.fairshare.FairScheduler`'s; this
+class runs whatever it dispatches.  A request whose propagated deadline
+has already expired (queue wait included) is rejected before its handler
+runs (``DeadlineExpiredError``).  While a deadline-carrying handler runs,
+the budget is active as a thread-local
 :class:`~repro.rpc.admission.DeadlineScope`, so long handlers can abandon
 doomed work between phases via ``check_deadline``.
 
@@ -29,11 +29,12 @@ import time
 import traceback
 from typing import Any, Callable
 
-from repro.errors import DeadlineExpiredError, RPCError, ServerOverloadedError
+from repro.errors import DeadlineExpiredError, RPCError
 from repro.obs.flightrec import NULL_RECORDER
+from repro.obs.metrics import Counter
 from repro.obs.trace import NULL_TRACER
 from repro.rpc import envelope
-from repro.rpc.admission import AdmissionController, DeadlineScope
+from repro.rpc.admission import DeadlineScope
 from repro.rpc.mux import AsyncServerTransport
 
 __all__ = ["RPCServer"]
@@ -63,27 +64,17 @@ class RPCServer:
         carries trace context, dispatch runs inside an ``rpc.dispatch``
         span parented under the remote caller, and every span the handler
         produced is shipped back in the response's fifth element.
-    admission:
-        Optional :class:`~repro.rpc.admission.AdmissionController`
-        bounding concurrent REQUEST dispatch.  Shed and already-expired
-        requests are answered with typed error lines without running the
-        handler.  ``None`` (default) keeps the pre-admission behaviour.
     clock:
         Monotonic clock used for deadline scopes (tests inject a fake).
     recorder:
         Optional :class:`~repro.obs.flightrec.FlightRecorder`; every
-        dispatched request records begin/end (or error/shed/expired)
+        dispatched request records begin/end (or error/expired)
         events with its tenant, so the last seconds of traffic are
         always reconstructable.  Defaults to the inert null recorder.
     slo:
         Optional :class:`~repro.obs.slo.SLOEngine`; every finished
-        request feeds its tenant's latency/error windows (sheds count as
-        errors — the client asked and was refused).
-    slo_shed:
-        When true *and* both ``slo`` and ``admission`` are present,
-        requests from tenants currently burning their error budget are
-        shed pre-dispatch while the admission gate is saturated —
-        budget-burning tenants lose first under overload.
+        request feeds its tenant's latency/error windows (the fair queue
+        feeds it the sheds).
     ctx_counters:
         Optional ``{ctx_key: zero-arg callable}`` map.  When a REQUEST
         frame's ctx map carries one of these keys with a truthy value,
@@ -97,21 +88,19 @@ class RPCServer:
         handlers: dict[str, Callable[..., Any]] | None = None,
         on_error: Callable[[str, BaseException, str], None] | None = None,
         tracer=None,
-        admission: AdmissionController | None = None,
         clock: Callable[[], float] = time.monotonic,
         recorder=None,
         slo=None,
-        slo_shed: bool = False,
         ctx_counters: dict[str, Callable[[], Any]] | None = None,
     ):
         self._handlers: dict[str, Callable[..., Any]] = {}
         self._on_error = on_error
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.admission = admission
         self._clock = clock
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.slo = slo
-        self.slo_shed = bool(slo_shed)
+        #: requests refused or abandoned because their deadline ran out
+        self.expired = Counter("expired")
         self.ctx_counters = dict(ctx_counters or {})
         if handlers:
             for name, fn in handlers.items():
@@ -164,53 +153,12 @@ class RPCServer:
                 "request.begin", method=method_name, msgid=req.msgid,
                 tenant=req.tenant,
             )
-
-        if self.admission is None:
-            return self._respond(req, method_name)
-        if (
-            self.slo_shed
-            and self.slo is not None
-            and self.admission.saturated()
-            and self.slo.burning(req.tenant)
-        ):
-            # SLO-aware shedding: under saturation, a tenant torching its
-            # error budget is refused before it costs anyone a slot.
-            self.admission.record_shed()
-            self.slo.record_slo_shed(req.tenant)
-            return self._shed_reply(req, method_name, envelope.overloaded_line(
-                f"tenant {req.tenant!r} is burning its error budget under "
-                f"overload", self.admission.retry_after,
-            ))
-        try:
-            self.admission.acquire()
-        except ServerOverloadedError as exc:
-            # Shed *before* any work: the whole point is answering fast.
-            return self._shed_reply(req, method_name, envelope.error_line(exc))
-        try:
-            return self._respond(req, method_name)
-        finally:
-            self.admission.release()
-
-    def _shed_reply(self, req: envelope.Request, method_name: str,
-                    error: str) -> bytes:
-        if self.recorder:
-            self.recorder.record(
-                "request.shed", method=method_name, msgid=req.msgid,
-                tenant=req.tenant, error=error,
-            )
-        if self.slo is not None:
-            self.slo.observe(req.tenant, 0.0, error=True)
-        return envelope.response(req.msgid, error)
-
-    def _respond(self, req: envelope.Request, method_name: str) -> bytes:
-        """Run one admitted request with begin/end accounting around the
-        deadline scope, trace capture, and invoke."""
         t0 = time.perf_counter()
-        error, payload = self._respond_inner(req, method_name)
+        error, payload = self._respond(req, method_name)
         latency = time.perf_counter() - t0
         expired = envelope.parse_error(error)[0] is DeadlineExpiredError
-        if expired and self.admission is not None:
-            self.admission.record_expired()
+        if expired:
+            self.expired.inc()
         if self.recorder:
             if error is None:
                 self.recorder.record(
@@ -227,7 +175,7 @@ class RPCServer:
             self.slo.observe(req.tenant, latency, error=error is not None)
         return payload
 
-    def _respond_inner(
+    def _respond(
         self, req: envelope.Request, method_name: str
     ) -> tuple[str | None, bytes]:
         """Run one admitted request: deadline scope, trace capture, invoke."""

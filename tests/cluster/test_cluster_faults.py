@@ -121,7 +121,7 @@ class TestShardDown:
 class ShedFirst:
     """Dispatcher wrapper: shed the first ``n`` calls, then pass through.
 
-    Builds the exact wire shape a real admission controller produces
+    Builds the exact wire shape a real fair-queue shed produces
     (a response whose error starts with ``ServerOverloadedError``), so
     the client's shed-sniffing and retry-after handling are exercised
     end to end.

@@ -20,7 +20,7 @@ from repro.filters import contour_grid
 from repro.io import write_vgf
 from repro.rpc.pool import EndpointPool
 from repro.rpc.resilience import RetryPolicy
-from repro.rpc.transport import InProcessTransport
+from repro.rpc.transport import InProcessTransport, TCPTransport
 from repro.storage.object_store import MemoryBackend, ObjectStore
 from repro.storage.s3fs import S3FileSystem
 
@@ -62,14 +62,20 @@ def reference_contour(grid):
 
 
 def build_cluster(fs, replicas, schedules, clock, retries=1,
-                  server_kwargs=None):
-    """In-process cluster with a per-shard fault schedule (None = clean)."""
+                  serve_kwargs=None):
+    """Cluster with a per-shard fault schedule (None = clean): in-process,
+    or over each shard's TCP listener when ``serve_kwargs`` is given."""
     manifest_obj = shard_object(fs, "w.vgf", blocks=BLOCKS, shards=SHARDS,
                                 replicas=replicas)
-    servers = [NDPServer(fs, **(server_kwargs or {})) for _ in range(SHARDS)]
+    servers = [NDPServer(fs) for _ in range(SHARDS)]
     transports = []
     for shard, server in enumerate(servers):
-        transport = InProcessTransport(server.rpc.dispatch)
+        if serve_kwargs is None:
+            transport = InProcessTransport(server.rpc.dispatch)
+        else:
+            listener = server.serve_tcp(**serve_kwargs)
+            transport = TCPTransport(listener.host, listener.port,
+                                     timeout=10.0)
         schedule = schedules.get(shard)
         if schedule is not None:
             transport = FaultyTransport(transport, schedule, clock)
@@ -115,13 +121,18 @@ class TestKillMidScatter:
         schedules = {1: FaultSchedule([Ok()], default=Drop("killed"))}
         pool, manifest, servers = build_cluster(
             fs, 2, schedules, clock,
-            server_kwargs={"max_inflight": 2, "max_pending": 4},
+            serve_kwargs={"workers": 2, "tenant_pending": 4},
         )
-        cluster = ClusterClient(pool, manifest, fallback_fs=fs)
-        result, stats = cluster.contour("f", VALUES)
-        assert_poly_bytes_equal(result, reference_contour(grid))
-        assert pool.wait_drained(timeout=5.0)
-        assert_admission_idle(servers)
+        try:
+            cluster = ClusterClient(pool, manifest, fallback_fs=fs)
+            result, stats = cluster.contour("f", VALUES)
+            assert_poly_bytes_equal(result, reference_contour(grid))
+            assert pool.wait_drained(timeout=5.0)
+            assert_admission_idle(servers)
+        finally:
+            pool.close()
+            for server in servers:
+                server._listener.stop()
 
     def test_two_consecutive_scatters_after_a_death(self):
         fs, grid = seed_store()

@@ -206,7 +206,7 @@ class TestDumps:
         rec.record("request.begin")
         rec.record("phase", name="encode", duration=0.1)
         assert os.listdir(tmp_path) == []
-        assert set(DEFAULT_TRIGGERS) >= {"request.error", "request.shed"}
+        assert set(DEFAULT_TRIGGERS) >= {"request.error", "tenant.shed"}
 
     def test_dump_interval_throttles_storms(self, tmp_path):
         clock = FakeMono()

@@ -473,12 +473,18 @@ class TestOneQuantileRoutine:
 def test_stats_snapshot_carries_every_path_the_perf_ledger_reads():
     """``perf/layers.py`` takes deltas of exactly these ``stats`` paths;
     a renamed key there reads as a silent zero, not an error."""
-    from repro.rpc import InProcessTransport, RPCClient
-    from tests.obs.test_stats_shape import drive, warmed_server
+    from repro.rpc import RPCClient, TCPTransport
+    from tests.obs.test_stats_shape import SERVE, drive, warmed_server
 
     server = warmed_server()
-    drive(server, RPCClient(InProcessTransport(server.dispatch)))
-    snap = server.stats_snapshot()
+    listener = server.serve_tcp(**SERVE)
+    client = RPCClient(TCPTransport(listener.host, listener.port, timeout=10.0))
+    try:
+        drive(server, listener, client)
+        snap = server.stats_snapshot()
+    finally:
+        client.close()
+        listener.stop()
     read = {
         path: snap[path[0]][path[1]][path[2]]
         for path in [

@@ -271,100 +271,6 @@ def _reply_error(raw):
     return reply[2]
 
 
-class TestRPCServerSLOShed:
-    def _server(self, engine, admission):
-        from repro.rpc.server import RPCServer
-
-        return RPCServer(
-            {"echo": lambda x: x}, admission=admission, slo=engine,
-            slo_shed=True,
-        )
-
-    def _burn(self, engine, tenant, n=20):
-        for _ in range(n):
-            engine.observe(tenant, 0.01, error=True)
-
-    def test_burning_tenant_sheds_only_under_saturation(self):
-        from repro.rpc.admission import AdmissionController
-
-        clock = FakeMono()
-        engine = _engine(clock)
-        self._burn(engine, "flood")
-        admission = AdmissionController(max_inflight=1, max_pending=0)
-        rpc = self._server(engine, admission)
-
-        # Unsaturated: even a burning tenant is served.
-        error = _reply_error(rpc.dispatch(_frame("flood")))
-        assert error is None
-
-        # Saturate the gate, then the burning tenant is refused with the
-        # SLO-specific error, before costing a slot.
-        admission.acquire()
-        try:
-            self._burn(engine, "flood")  # re-burn: the success above counted
-            error = _reply_error(rpc.dispatch(_frame("flood")))
-            assert error.startswith("ServerOverloadedError")
-            assert "burning its error budget" in error
-            assert "retry_after=" in error
-            assert engine.tenant_state("flood")["slo_sheds"] == 1
-        finally:
-            admission.release()
-
-    def test_trickle_tenant_sheds_by_capacity_not_slo(self):
-        from repro.rpc.admission import AdmissionController
-
-        clock = FakeMono()
-        engine = _engine(clock)
-        for _ in range(20):
-            engine.observe("trickle", 0.01)
-        admission = AdmissionController(max_inflight=1, max_pending=0)
-        rpc = self._server(engine, admission)
-        admission.acquire()
-        try:
-            error = _reply_error(rpc.dispatch(_frame("trickle")))
-            assert error.startswith("ServerOverloadedError")
-            assert "burning" not in error  # plain capacity shed
-            assert engine.tenant_state("trickle")["slo_sheds"] == 0
-        finally:
-            admission.release()
-
-    def test_flag_off_means_no_slo_shedding(self):
-        from repro.rpc.admission import AdmissionController
-        from repro.rpc.server import RPCServer
-
-        clock = FakeMono()
-        engine = _engine(clock)
-        self._burn(engine, "flood")
-        admission = AdmissionController(max_inflight=1, max_pending=0)
-        rpc = RPCServer({"echo": lambda x: x}, admission=admission,
-                        slo=engine, slo_shed=False)
-        admission.acquire()
-        try:
-            error = _reply_error(rpc.dispatch(_frame("flood")))
-            assert "burning" not in error
-        finally:
-            admission.release()
-
-    def test_sheds_feed_the_engine(self):
-        """A shed reply counts as a bad request for the tenant — being
-        refused burns budget too, which is what keeps a retry storm
-        visibly burning."""
-        from repro.rpc.admission import AdmissionController
-
-        clock = FakeMono()
-        engine = _engine(clock)
-        admission = AdmissionController(max_inflight=1, max_pending=0)
-        rpc = self._server(engine, admission)
-        admission.acquire()
-        try:
-            for i in range(12):
-                rpc.dispatch(_frame("victim", msgid=i + 1))
-        finally:
-            admission.release()
-        assert engine.tenant_state("victim")["bad"] == 12
-        assert engine.burning("victim") is True
-
-
 class TestFairSchedulerSLOShed:
     def _scheduler(self, engine, **kwargs):
         from repro.rpc.fairshare import FairScheduler
@@ -423,6 +329,37 @@ class TestFairSchedulerSLOShed:
         info = sched.info()
         assert info["tenants"]["flood"]["pending"] == 1
         assert info["tenants"]["trickle"]["pending"] == 3
+
+    def test_flag_off_means_no_slo_shedding(self):
+        from repro.rpc.fairshare import FairScheduler
+
+        engine = _engine(FakeMono())
+        for _ in range(20):
+            engine.observe("flood", 0.01, error=True)
+        sched = FairScheduler(
+            dispatcher=lambda req: req.raw, slo=engine, slo_shed=False,
+            max_tenant_pending=1,
+        )
+        replies = []
+        for i in range(2):
+            sched.submit(_frame("flood", msgid=i + 1), replies.append)
+        (raw,) = replies  # the second overflows the queue: a capacity shed
+        error = _reply_error(raw)
+        assert error.startswith("ServerOverloadedError")
+        assert "burning" not in error
+        assert sched.info()["slo_shed"] == 0
+
+    def test_sheds_feed_the_engine(self):
+        """A shed reply counts as a bad request for the tenant — being
+        refused burns budget too, which is what keeps a retry storm
+        visibly burning."""
+        engine = _engine(FakeMono())
+        sched = self._scheduler(engine, max_tenant_pending=1)
+        for i in range(13):  # one queued, twelve shed
+            sched.submit(_frame("victim", msgid=i + 1), lambda raw: None)
+        assert sched.info()["shed"] == 12
+        assert engine.tenant_state("victim")["bad"] == 12
+        assert engine.burning("victim") is True
 
     def test_served_through_scheduler_when_not_burning(self):
         from repro.rpc.fairshare import FairScheduler

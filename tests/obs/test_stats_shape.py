@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from repro.core.ndp_server import NDPServer
 from repro.edge import EdgeCacheServer
 from repro.errors import ServerOverloadedError
 from repro.io.vgf import write_vgf
-from repro.rpc import RPCClient
+from repro.rpc import RPCClient, pack
 from repro.rpc.transport import TCPTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
@@ -39,15 +41,39 @@ def warmed_server() -> NDPServer:
     fs = S3FileSystem(store, "sim")
     fs.write_object("g.vgf", write_vgf(make_sphere_grid(12), codec="lz4"))
     return NDPServer(fs, cache_bytes=1 << 20, selection_cache_bytes=1 << 20,
-                     max_inflight=1, max_pending=0, map_version=3)
+                     map_version=3)
 
 
-def drive(server: NDPServer, client: RPCClient) -> None:
+#: How :func:`drive` needs the server listening: one worker, one queue slot.
+SERVE = {"workers": 1, "tenant_pending": 1}
+
+
+def drive(server: NDPServer, listener, client: RPCClient) -> None:
+    """Two contours, then a third shed because ``client``'s tenant has
+    the one worker busy and the one queue slot full."""
     for _ in range(2):  # a miss on both caches, then a selection-cache hit
         client.call("prefilter_contour", "g.vgf", "r", [3.0])
-    with server.admission:  # the one slot is taken: the next call is shed
+    release = threading.Event()
+    server.rpc.bind("hold", lambda: release.wait(timeout=10.0))
+    gate = listener.scheduler
+    hold = pack([0, 0, "hold", [], {"tenant": client.tenant}])
+    try:
+        gate.submit(hold, lambda reply: None)  # takes the one worker
+        _wait_for(lambda: gate.inflight == 1)
+        gate.submit(hold, lambda reply: None)  # fills the one queue slot
+        _wait_for(lambda: gate.pending == 1)
         with pytest.raises(ServerOverloadedError):
             client.call("prefilter_contour", "g.vgf", "r", [4.0])
+    finally:
+        release.set()
+    _wait_for(gate.quiescent)
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "server never got there"
+        time.sleep(0.002)
 
 
 def key_tree(value):
@@ -68,7 +94,7 @@ def key_tree(value):
 
 def key_trees() -> dict:
     server = warmed_server()
-    upstream = server.serve_tcp(tenant_weights={"viz": 2.0})
+    upstream = server.serve_tcp(tenant_weights={"viz": 2.0}, **SERVE)
     edge = EdgeCacheServer(
         [TCPTransport(upstream.host, upstream.port, timeout=10.0)])
     front = edge.serve_tcp()
@@ -77,7 +103,7 @@ def key_trees() -> dict:
     via_edge = RPCClient(
         TCPTransport(front.host, front.port, timeout=10.0), tenant="viz")
     try:
-        drive(server, direct)
+        drive(server, upstream, direct)
         for _ in range(2):  # an edge miss, then an edge hit
             via_edge.call("prefilter_contour", "g.vgf", "r", [5.0])
         return {

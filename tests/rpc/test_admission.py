@@ -1,20 +1,17 @@
-"""Admission control: the counting gate, shed errors, and wire helpers.
+"""Deadline scopes, shed replies, and wire helpers.
 
-Covers :mod:`repro.rpc.admission` — the controller semantics, the
-deadline scopes, the client-side frame helpers — and the wire
-compatibility contract: frames without a deadline and replies without an
-overload error are byte-identical to the pre-admission protocol.
+Covers :mod:`repro.rpc.admission` — the deadline scopes — the
+client-side frame helpers, the typed shed line the fair queue answers
+with, and the wire compatibility contract: frames without a deadline and
+replies without an overload error are byte-identical to the
+pre-admission protocol.
 """
 
-import threading
+import time
 
 import pytest
 
-from repro.errors import (
-    DeadlineExpiredError,
-    RPCTransportError,
-    ServerOverloadedError,
-)
+from repro.errors import DeadlineExpiredError, ServerOverloadedError
 from repro.rpc import (
     InProcessTransport,
     ResilientTransport,
@@ -24,94 +21,15 @@ from repro.rpc import (
     unpack,
 )
 from repro.rpc.admission import (
-    AdmissionController,
     DeadlineScope,
     check_deadline,
     current_deadline,
     remaining_budget,
 )
-from repro.rpc.envelope import with_ctx
+from repro.rpc.envelope import overloaded_line, with_ctx
+from repro.rpc.fairshare import FairScheduler
 
 from tests.faults import FakeClock
-
-
-class TestAdmissionController:
-    def test_unlimited_counts_but_never_sheds(self):
-        gate = AdmissionController(max_inflight=0)
-        for _ in range(5):
-            gate.acquire()
-        info = gate.info()
-        assert info["inflight"] == 5
-        assert info["peak_inflight"] == 5
-        assert info["shed"] == 0
-        for _ in range(5):
-            gate.release()
-        assert gate.inflight == 0
-        assert gate.info()["admitted"] == 5
-
-    def test_sheds_immediately_when_full_and_no_queue(self):
-        gate = AdmissionController(max_inflight=1, max_pending=0)
-        gate.acquire()
-        with pytest.raises(ServerOverloadedError) as excinfo:
-            gate.acquire()
-        # The hint crosses the string-only error channel *and* is typed.
-        assert excinfo.value.retry_after == pytest.approx(0.05)
-        assert "retry_after=0.05" in str(excinfo.value)
-        assert isinstance(excinfo.value, RPCTransportError)  # retryable
-        assert gate.info()["shed"] == 1
-        gate.release()
-        gate.acquire()  # slot free again
-        gate.release()
-
-    def test_pending_queue_admits_when_slot_frees(self):
-        gate = AdmissionController(max_inflight=1, max_pending=1)
-        gate.acquire()
-        admitted = threading.Event()
-
-        def waiter():
-            gate.acquire()
-            admitted.set()
-
-        t = threading.Thread(target=waiter, daemon=True)
-        t.start()
-        # The waiter parks in the pending queue rather than shedding.
-        while gate.pending == 0:
-            pass
-        assert not admitted.is_set()
-        # A third arrival finds the queue full and sheds.
-        with pytest.raises(ServerOverloadedError, match="pending queue full"):
-            gate.acquire()
-        gate.release()
-        assert admitted.wait(timeout=5.0)
-        t.join(timeout=5.0)
-        assert gate.inflight == 1
-        gate.release()
-
-    def test_queue_timeout_zero_sheds_queued_request(self):
-        gate = AdmissionController(max_inflight=1, max_pending=1, queue_timeout=0.0)
-        gate.acquire()
-        with pytest.raises(ServerOverloadedError, match="queue wait timed out"):
-            gate.acquire()
-        assert gate.pending == 0  # the pending count was unwound
-        gate.release()
-
-    def test_context_manager_releases_on_error(self):
-        gate = AdmissionController(max_inflight=1)
-        with pytest.raises(RuntimeError):
-            with gate:
-                assert gate.inflight == 1
-                raise RuntimeError("handler blew up")
-        assert gate.inflight == 0
-
-    def test_record_expired_shows_in_info(self):
-        gate = AdmissionController(max_inflight=2)
-        gate.record_expired()
-        gate.record_expired()
-        assert gate.info()["expired"] == 2
-
-    def test_negative_limits_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_inflight=-1)
 
 
 class TestDeadlineScope:
@@ -192,13 +110,7 @@ def shed_in_exchange(reply):
 
 class TestSniffOverload:
     def _shed_reply(self) -> bytes:
-        gate = AdmissionController(max_inflight=1)
-        gate.acquire()
-        try:
-            gate.acquire()
-        except ServerOverloadedError as exc:
-            return pack([1, 9, f"ServerOverloadedError: {exc}", None])
-        raise AssertionError("gate did not shed")
+        return pack([1, 9, overloaded_line("pending queue full", 0.05), None])
 
     def test_detects_shed_reply_and_parses_hint(self):
         shed = shed_in_exchange(self._shed_reply())
@@ -225,14 +137,29 @@ class TestSniffOverload:
 
 class TestServerSideAdmission:
     def test_shed_request_gets_typed_error_line(self):
-        gate = AdmissionController(max_inflight=1)
-        server = RPCServer({"ping": lambda: "pong"}, admission=gate)
-        gate.acquire()  # simulate a busy slot
-        try:
-            response = unpack(server.dispatch(pack([0, 1, "ping", []])))
-        finally:
-            gate.release()
+        server = RPCServer({"ping": lambda: "pong"})
+        # Not started: the first request waits in the one queue slot.
+        gate = FairScheduler(server.handle, workers=1, max_tenant_pending=1)
+        replies = []
+        gate.submit(pack([0, 1, "ping", []]), replies.append)
+        gate.submit(pack([0, 2, "ping", []]), replies.append)
+        (response,) = [unpack(raw) for raw in replies]
+        assert response[1] == 2
         assert response[2].startswith("ServerOverloadedError")
         assert "retry_after=" in response[2]
-        # Afterwards the slot is free and the same frame succeeds.
-        assert unpack(server.dispatch(pack([0, 2, "ping", []])))[2] is None
+        # Once the queue drains, the same frame succeeds.
+        gate.start()
+        try:
+            gate.submit(pack([0, 3, "ping", []]), replies.append)
+            assert _wait_for(lambda: len(replies) == 3)
+        finally:
+            gate.stop()
+        assert sorted(unpack(raw)[1:] for raw in replies[1:]) == [
+            [1, None, "pong"], [3, None, "pong"]]
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()

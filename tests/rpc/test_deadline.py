@@ -6,16 +6,17 @@ expired requests before touching the store and abandons doomed work
 between phases.
 """
 
+import threading
+
 import pytest
 
 from repro.core import NDPServer
 from repro.errors import DeadlineExpiredError, RPCRemoteError
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient, RPCServer, pack, unpack
-from repro.rpc.admission import AdmissionController
 from repro.rpc.envelope import with_ctx
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
-from repro.rpc.transport import Transport
+from repro.rpc.transport import TCPTransport, Transport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.conftest import make_sphere_grid
@@ -48,15 +49,46 @@ class RecordingTransport(Transport):
 class TestServerEnforcement:
     def test_expired_on_arrival_is_rejected_before_handler(self):
         calls = []
-        gate = AdmissionController()
-        server = RPCServer({"work": lambda: calls.append(1)}, admission=gate)
+        server = RPCServer({"work": lambda: calls.append(1)})
         reply = unpack(
             server.dispatch(pack([0, 1, "work", [], {"deadline": 0.0}]))
         )
         assert reply[2].startswith("DeadlineExpiredError")
         assert "nothing attempted" in reply[2]
         assert calls == []  # the handler never ran
-        assert gate.info()["expired"] == 1
+        assert server.expired.value == 1
+
+    def test_time_spent_queued_is_charged_to_the_deadline(self):
+        """A 50 ms budget queued behind a 300 ms request has run out by
+        the time a worker picks it up: it is refused, not run."""
+        calls = []
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            held.set()
+            release.wait(timeout=10.0)
+            return "held"
+
+        server = RPCServer({"hold": hold, "work": lambda: calls.append(1)})
+        listener = server.serve_tcp(workers=1)
+        holder = RPCClient(TCPTransport(listener.host, listener.port))
+        client = RPCClient(DeadlineStamper(
+            TCPTransport(listener.host, listener.port), remaining=0.05))
+        try:
+            thread = threading.Thread(target=holder.call, args=("hold",))
+            thread.start()
+            assert held.wait(timeout=5.0)
+            threading.Timer(0.3, release.set).start()
+            with pytest.raises(DeadlineExpiredError, match="nothing attempted"):
+                client.call("work")
+            thread.join(timeout=5.0)
+        finally:
+            release.set()
+            holder.close()
+            client.close()
+            listener.stop()
+        assert calls == []  # the handler never ran
+        assert server.expired.value == 1
 
     def test_mid_phase_expiry_abandons_work(self):
         from repro.rpc.admission import check_deadline
@@ -95,7 +127,7 @@ class TestServerEnforcement:
 
 class TestClientMapping:
     def test_expired_request_raises_typed_error_at_client(self):
-        server = RPCServer({"ping": lambda: "pong"}, admission=AdmissionController())
+        server = RPCServer({"ping": lambda: "pong"})
         client = RPCClient(
             DeadlineStamper(InProcessTransport(server.dispatch), remaining=0.0)
         )
@@ -103,7 +135,7 @@ class TestClientMapping:
             client.call("ping")
 
     def test_expired_is_not_a_plain_remote_error(self):
-        server = RPCServer({"ping": lambda: "pong"}, admission=AdmissionController())
+        server = RPCServer({"ping": lambda: "pong"})
         client = RPCClient(
             DeadlineStamper(InProcessTransport(server.dispatch), remaining=0.0)
         )

@@ -6,8 +6,8 @@ Two families:
   new connections are refused the moment draining starts, and ``stop``
   returns within its timeout even when a handler wedges;
 * the stampede (marked ``chaos``) — a thundering herd against a small
-  ``max_inflight`` keeps concurrency bounded, sheds the excess as typed
-  retryable errors, and a resilient client rides the sheds to success
+  worker pool and a short fair queue keeps concurrency bounded, sheds
+  the excess as typed retryable errors, and a resilient client rides the sheds to success
   without duplicating store reads beyond the single-flight guarantee.
 """
 
@@ -20,7 +20,7 @@ from repro.core import NDPServer, ndp_contour
 from repro.errors import RPCTransportError, ServerOverloadedError
 from repro.io import write_vgf
 from repro.rpc import RPCClient, RPCServer, pack
-from repro.rpc.admission import AdmissionController
+from repro.rpc.fairshare import FairScheduler
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.mux import AsyncServerTransport
 from repro.rpc.transport import InProcessTransport, TCPTransport
@@ -155,7 +155,7 @@ class TestStampede:
     """Thundering herd against a small server: bounded, shed, recovered."""
 
     N_CLIENTS = 8
-    MAX_INFLIGHT = 2
+    WORKERS = 2
 
     def test_concurrency_bounded_and_sheds_are_retryable(self):
         lock = threading.Lock()
@@ -170,9 +170,9 @@ class TestStampede:
                 state["inflight"] -= 1
             return "ok"
 
-        gate = AdmissionController(max_inflight=self.MAX_INFLIGHT)
-        server = RPCServer({"slow": slow}, admission=gate)
-        listener = server.serve_tcp()
+        server = RPCServer({"slow": slow})
+        listener = server.serve_tcp(scheduler=FairScheduler(
+            server.handle, workers=self.WORKERS, max_tenant_pending=1))
         sheds = []
         successes = []
 
@@ -194,21 +194,21 @@ class TestStampede:
             t.join(timeout=10.0)
         listener.stop(drain_timeout=2.0)
 
-        assert state["peak"] <= self.MAX_INFLIGHT  # admission held the line
-        assert gate.info()["peak_inflight"] <= self.MAX_INFLIGHT
+        assert state["peak"] <= self.WORKERS  # the gate held the line
+        assert listener.scheduler.admission_info()["peak_inflight"] \
+            <= self.WORKERS
         assert successes  # somebody got through
         if sheds:  # under load, excess arrivals got the typed hint
             assert all(s.retry_after for s in sheds)
 
     def test_resilient_clients_ride_sheds_to_success(self):
-        gate = AdmissionController(max_inflight=1, retry_after=0.01)
-
         def slow():
             time.sleep(0.02)
             return "ok"
 
-        server = RPCServer({"slow": slow}, admission=gate)
-        listener = server.serve_tcp()
+        server = RPCServer({"slow": slow})
+        listener = server.serve_tcp(scheduler=FairScheduler(
+            server.handle, workers=1, max_tenant_pending=1, retry_after=0.01))
         results = []
 
         def resilient_client():
@@ -237,25 +237,25 @@ class TestStampede:
         sheds and retries in the mix."""
         blob = write_vgf(make_sphere_grid(10), codec="gzip")
 
-        def build(max_inflight):
+        def build():
             store = ObjectStore(MemoryBackend())
             store.create_bucket("sim")
             S3FileSystem(store, "sim").write_object("g.vgf", blob)
             backend = FaultyBackend(store, FaultSchedule())
             server = NDPServer(
-                S3FileSystem(backend, "sim"), max_inflight=max_inflight,
+                S3FileSystem(backend, "sim"),
                 cache_bytes=8 * 2**20, selection_cache_bytes=8 * 2**20,
             )
             return backend, server
 
         # Reference: how many store reads one cold request costs.
-        ref_backend, ref_server = build(max_inflight=0)
+        ref_backend, ref_server = build()
         ref_client = RPCClient(InProcessTransport(ref_server.dispatch))
         ndp_contour(ref_client, "g.vgf", "r", [3.0])
         cold_reads = ref_backend.reads
 
-        backend, server = build(max_inflight=self.MAX_INFLIGHT)
-        listener = server.serve_tcp()
+        backend, server = build()
+        listener = server.serve_tcp(workers=self.WORKERS, tenant_pending=1)
         failures = []
 
         def client_run():

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ServerOverloadedError
 from repro.rpc import RPCClient, RPCServer, pack, unpack
-from repro.rpc.admission import AdmissionController
 from repro.rpc.envelope import (
     DEFAULT_TENANT,
     parse_error,
@@ -146,9 +145,8 @@ class TestFairSchedulerUnits:
             release.wait(timeout=10.0)
             return pack([1, info.msgid, None, "ok"])
 
-        admission = AdmissionController(retry_after=0.123)
         sched = FairScheduler(dispatcher, workers=1, max_tenant_pending=2,
-                              admission=admission)
+                              retry_after=0.123)
         responses, respond = gather_responses()
         sched.start()
         for i in range(6):
@@ -160,8 +158,9 @@ class TestFairSchedulerUnits:
             cls, retry_after = parse_error(peek_error(raw))
             assert cls is ServerOverloadedError
             assert retry_after == pytest.approx(0.123)
-        # ... and the fair-queue sheds land on the admission ledger.
-        assert admission.info()["shed"] == len(sheds)
+        # ... and they are the gate's one overload ledger.
+        assert sched.info()["shed"] == len(sheds)
+        assert sched.admission_info()["shed"] == len(sheds)
         release.set()
         deadline = time.monotonic() + 10.0
         while len(responses) < 6 and time.monotonic() < deadline:

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.io import write_vgf
 from repro.rpc import RPCClient, RPCServer, pack, unpack
-from repro.rpc.admission import AdmissionController
+from repro.rpc.fairshare import FairScheduler
 from repro.rpc.envelope import peek
 from repro.rpc.mux import AsyncServerTransport, MuxTransport
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
@@ -417,7 +417,6 @@ class TestRetryIsolation:
     def test_retry_does_not_redial_under_inflight_requests(self):
         """A shed request retried by ResilientTransport must not sever a
         concurrent slow request sharing the multiplexed socket."""
-        admission = AdmissionController(max_inflight=1, retry_after=0.01)
         release = threading.Event()
         started = threading.Event()
 
@@ -426,11 +425,11 @@ class TestRetryIsolation:
             release.wait(timeout=10.0)
             return "slow-done"
 
-        server = RPCServer({"slow": slow, "quick": lambda: "quick-done"},
-                           admission=admission)
-        # workers > max_inflight so the admission gate (not the worker
-        # pool) is the thing that sheds the second request.
-        listener = server.serve_tcp(workers=4)
+        server = RPCServer({"slow": slow, "quick": lambda: "quick-done"})
+        # One worker and one queue slot: "slow" holds the worker, a
+        # queued "quick" fills the slot, so the retried "quick" is shed.
+        listener = server.serve_tcp(scheduler=FairScheduler(
+            server.handle, workers=1, max_tenant_pending=1, retry_after=0.01))
         try:
             mux = MuxTransport(listener.host, listener.port, timeout=10.0)
             stats = Tally()
@@ -441,12 +440,13 @@ class TestRetryIsolation:
             )
             slow_fut = mux.submit(pack([0, 1001, "slow", []]))
             assert started.wait(timeout=5.0)
+            queued_fut = mux.submit(pack([0, 1003, "quick", []]))
 
             retried = {}
 
             def retry_quick():
-                # Shed while "slow" holds the only admission slot, then
-                # succeeds on a retry attempt after release.
+                # Shed while "slow" holds the worker and the queue is
+                # full, then succeeds on a retry attempt after release.
                 raw = resilient.request(pack([0, 1002, "quick", []]))
                 retried["result"] = unpack(raw)[3]
 
@@ -460,6 +460,8 @@ class TestRetryIsolation:
             # The regression: the slow request's future survived the
             # retries because the shared socket was never re-dialed.
             assert unpack(slow_fut.result(timeout=5.0))[3] == "slow-done"
+            assert unpack(queued_fut.result(timeout=5.0))[3] == "quick-done"
+            assert stats.get("overloads") >= 1  # the retry rode a real shed
             assert mux.generation == 1
             assert stats.get("reconnects") == 0
             resilient.close()

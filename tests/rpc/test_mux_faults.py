@@ -10,8 +10,8 @@ The invariants under assault:
 
 * **no orphaned futures** — every submitted future completes (result or
   transport error); ``MuxTransport.pending`` returns to zero,
-* **no leaked admission slots** — the server's inflight/pending counters
-  return to zero once the dust settles,
+* **no leaked admission slots** — the fair queue's inflight/pending
+  counters return to zero once the dust settles,
 * **graceful drain still works** — ``stop(drain_timeout)`` completes
   within its window after the carnage.
 """
@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import RPCTransportError
 from repro.rpc import RPCServer, pack
-from repro.rpc.admission import AdmissionController
+from repro.rpc.fairshare import FairScheduler
 from repro.rpc.mux import MuxTransport
 
 from tests.faults import Drop, FaultSchedule
@@ -45,12 +45,12 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
 
 class TestKillMidPipeline:
     def run_assault(self, seed: int):
-        admission = AdmissionController(max_inflight=4, max_pending=64)
         server = RPCServer(
             {"work": lambda ms, i: (time.sleep(ms / 1000.0), i)[1]},
-            admission=admission,
         )
-        listener = server.serve_tcp(workers=4)
+        listener = server.serve_tcp(scheduler=FairScheduler(
+            server.handle, workers=4, max_tenant_pending=64))
+        gate = listener.scheduler
 
         # One scripted decision per client: Drop = kill that client's
         # socket mid-pipeline, Ok = leave it alone.  Seeded => replayable.
@@ -111,9 +111,8 @@ class TestKillMidPipeline:
 
         # Admission slots all returned: nothing leaked server-side.
         assert wait_until(
-            lambda: admission.inflight == 0 and admission.pending == 0
-        ), admission.info()
-        assert wait_until(listener.scheduler.quiescent)
+            lambda: gate.inflight == 0 and gate.pending == 0
+        ), gate.admission_info()
 
         # Graceful drain completes within its window post-carnage.
         t0 = time.monotonic()
@@ -132,12 +131,12 @@ class TestKillMidPipeline:
     def test_all_connections_killed_still_drains(self):
         """Even with every client severed, counters zero out and the
         listener drains cleanly."""
-        admission = AdmissionController(max_inflight=2)
         server = RPCServer(
             {"work": lambda ms, i: (time.sleep(ms / 1000.0), i)[1]},
-            admission=admission,
         )
-        listener = server.serve_tcp(workers=2)
+        listener = server.serve_tcp(scheduler=FairScheduler(
+            server.handle, workers=2, max_tenant_pending=64))
+        gate = listener.scheduler
         transports = []
         for c in range(4):
             transport = MuxTransport(listener.host, listener.port,
@@ -154,9 +153,8 @@ class TestKillMidPipeline:
             assert transport.pending == 0
 
         assert wait_until(
-            lambda: admission.inflight == 0 and admission.pending == 0
-        ), admission.info()
-        assert wait_until(listener.scheduler.quiescent)
+            lambda: gate.inflight == 0 and gate.pending == 0
+        ), gate.admission_info()
         assert listener.stop(drain_timeout=5.0) is True
         for transport in transports:
             transport.close()

@@ -325,7 +325,7 @@ class TestServeRobustnessFlags:
         def run():
             done.append(main([
                 "serve", "--store", store, "--port", "0", "--timeout", "0.3",
-                "--max-inflight", "4", "--max-pending", "2",
+                "--workers", "4", "--tenant-pending", "2",
                 "--drain-timeout", "1.0", "--verify-checksums", "on",
                 "--max-connections", "8",
             ]))
@@ -336,7 +336,7 @@ class TestServeRobustnessFlags:
         assert not t.is_alive()
         assert done == [0]
         out = capsys.readouterr().out
-        assert "max_inflight=4" in out
+        assert "workers=4" in out
         assert "stopped (clean" in out
 
 
