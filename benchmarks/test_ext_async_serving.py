@@ -2,8 +2,8 @@
 
 The event-loop listener multiplexes every connection onto one I/O thread
 and dispatches on a worker pool, so its concurrent-client capacity is
-not a thread count: the same server that answers C classic clients
-sustains 4C pipelining ones at an equal-or-better tail.  The only way to
+not a thread count: the same server that answers C clients sustains 4C
+at an equal-or-better tail.  The only way to
 turn clients away is the operator's ``max_connections`` cap, and what a
 refused client sees is a retryable transport error.
 
@@ -12,11 +12,11 @@ the open-loop Poisson load generator (latency measured from scheduled
 arrival — no coordinated omission) and records the full latency
 histograms in ``BENCH_results.json``:
 
-* ``C`` one-at-a-time clients — the baseline tail,
-* ``4C`` multiplexed clients, same server configuration — zero errors,
-  tail no worse than at a quarter of the load,
-* ``4C`` one-at-a-time clients against ``max_connections=C`` — the cap
-  refuses the excess, which surfaces as failed (retryable) requests.
+* ``C`` clients — the baseline tail,
+* ``4C`` clients, same server configuration — zero errors, tail no
+  worse than at a quarter of the load,
+* ``4C`` clients against ``max_connections=C`` — the cap refuses the
+  excess, which surfaces as failed (retryable) requests.
 """
 
 from repro.bench.loadgen import run_load
@@ -41,32 +41,31 @@ def _make_server():
     return NDPServer(fs, cache_bytes=8 * 2**20, selection_cache_bytes=2**20)
 
 
-def _drive(listener, connections, core, seed):
+def _drive(listener, connections, seed):
     return run_load(
         listener.host, listener.port, connections=connections, rate=RATE,
-        duration=DURATION, method="health", core=core, timeout=10.0,
-        seed=seed,
+        duration=DURATION, method="health", timeout=10.0, seed=seed,
     )
 
 
 def test_ext_async_serving_sustains_4x_clients(bench_record):
     listener = _make_server().serve_tcp(workers=8)
     try:
-        base = _drive(listener, BASE_CLIENTS, "legacy", seed=11)
-        scaled = _drive(listener, SCALE * BASE_CLIENTS, "mux", seed=13)
+        base = _drive(listener, BASE_CLIENTS, seed=11)
+        scaled = _drive(listener, SCALE * BASE_CLIENTS, seed=13)
     finally:
         listener.stop(drain_timeout=5.0)
 
     # The same herd against an operator's connection cap.
     capped_listener = _make_server().serve_tcp(max_connections=BASE_CLIENTS)
     try:
-        capped = _drive(capped_listener, SCALE * BASE_CLIENTS, "legacy", seed=12)
+        capped = _drive(capped_listener, SCALE * BASE_CLIENTS, seed=12)
         refused = capped_listener.refused
     finally:
         capped_listener.stop(drain_timeout=5.0)
 
     rows = [
-        {"listener": name, "client": r.core, "clients": r.connections,
+        {"listener": name, "clients": r.connections,
          "ok": r.ok, "errors": r.errors, "p50_ms": r.p50 * 1e3,
          "p99_ms": r.p99 * 1e3, "p999_ms": r.p999 * 1e3}
         for name, r in (("open", base), ("open", scaled),
@@ -74,7 +73,7 @@ def test_ext_async_serving_sustains_4x_clients(bench_record):
     ]
     print_table(
         rows,
-        ["listener", "client", "clients", "ok", "errors",
+        ["listener", "clients", "ok", "errors",
          "p50_ms", "p99_ms", "p999_ms"],
         title="one listener under open-loop load "
               f"({RATE:.0f} Hz/conn, {DURATION:.0f}s)",

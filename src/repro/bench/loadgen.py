@@ -9,14 +9,9 @@ each request's latency is measured from its *scheduled* arrival, so time
 spent queued behind a saturated server or a blocking socket counts
 against the server (no coordinated omission).
 
-Two kinds of client are driven through the same codepath:
-
-* ``core="mux"`` — one :class:`~repro.rpc.mux.MuxTransport` per
-  connection, requests pipelined via ``submit`` with done-callbacks; an
-  arbitrary number of requests ride each socket concurrently.
-* ``core="legacy"`` — one blocking :class:`~repro.rpc.transport.TCPTransport`
-  per connection; each connection serves its arrivals one at a time,
-  as a classic rpclib client would.
+Each connection is one :class:`~repro.rpc.transport.TCPTransport`;
+requests are pipelined via ``submit`` with done-callbacks, so an
+arbitrary number of them ride each socket concurrently.
 
 The report carries p50/p90/p99/p999, an error/shed breakdown, and a
 coarse log-scale histogram suitable for shipping into
@@ -30,8 +25,9 @@ import random
 import threading
 import time
 
-from repro.errors import FormatError, RPCError, ServerOverloadedError
+from repro.errors import FormatError, ServerOverloadedError
 from repro.rpc import envelope
+from repro.rpc.transport import TCPTransport
 
 __all__ = ["LoadReport", "run_load"]
 
@@ -50,10 +46,9 @@ def _percentile(sorted_vals: list, q: float) -> float:
 class LoadReport:
     """Aggregated outcome of one load-generation run."""
 
-    def __init__(self, core: str, connections: int, rate: float,
+    def __init__(self, connections: int, rate: float,
                  duration: float, latencies: list, ok: int, shed: int,
                  errors: int, wall: float, slowest: dict | None = None):
-        self.core = core
         self.connections = connections
         self.rate = rate
         self.duration = duration
@@ -90,7 +85,6 @@ class LoadReport:
 
     def to_dict(self) -> dict:
         return {
-            "core": self.core,
             "connections": self.connections,
             "rate_hz": self.rate,
             "duration_s": self.duration,
@@ -110,7 +104,7 @@ class LoadReport:
 
     def summary(self) -> str:
         out = (
-            f"{self.core}: {self.connections} conns @ {self.rate:.0f} Hz "
+            f"{self.connections} conns @ {self.rate:.0f} Hz "
             f"— {self.ok} ok / {self.shed} shed / {self.errors} err, "
             f"p50 {self.p50 * 1e3:.1f} ms, p99 {self.p99 * 1e3:.1f} ms, "
             f"p999 {self.p999 * 1e3:.1f} ms"
@@ -156,7 +150,6 @@ def run_load(
     duration: float = 2.0,
     method: str = "health",
     params: tuple = (),
-    core: str = "mux",
     tenant: str | None = None,
     timeout: float = 30.0,
     seed: int = 1234,
@@ -167,8 +160,6 @@ def run_load(
     server (or a blocked socket) that falls behind accumulates queueing
     delay in the numbers instead of silently slowing the generator.
     """
-    if core not in ("mux", "legacy"):
-        raise RPCError(f"unknown loadgen core {core!r} (want mux|legacy)")
     rng = random.Random(seed)
     plans = [_arrivals(rate, duration, rng) for _ in range(connections)]
 
@@ -195,12 +186,10 @@ def run_load(
         return envelope.request(msgid, method, list(params),
                                 {"tenant": tenant} if tenant else None)
 
-    def run_mux(conn: int, plan: list) -> None:
-        from repro.rpc.mux import MuxTransport
-
+    def run(conn: int, plan: list) -> None:
         # Lazy dial: construction cannot fail, so the start barrier is
         # always reached and dial errors surface per-request instead.
-        transport = MuxTransport(host, port, timeout=timeout, lazy=True)
+        transport = TCPTransport(host, port, timeout=timeout, lazy=True)
         inflight = []
         try:
             start_barrier.wait()
@@ -238,40 +227,8 @@ def run_load(
         finally:
             transport.close()
 
-    def run_legacy(conn: int, plan: list) -> None:
-        from repro.rpc.transport import TCPTransport
-
-        transport = TCPTransport(host, port, timeout=timeout, lazy=True)
-        try:
-            start_barrier.wait()
-            t0 = clock()
-            for i, offset in enumerate(plan):
-                delay = t0 + offset - clock()
-                if delay > 0:
-                    time.sleep(delay)
-                scheduled = t0 + offset
-                try:
-                    raw = transport.request(frame(i + 1))
-                except Exception:
-                    # Dial refused / reset mid-call: error this request
-                    # and re-dial for the next one — a refused connection
-                    # must show up as failed arrivals, not a silent stop.
-                    record("errors", clock() - scheduled, conn, i + 1)
-                    try:
-                        transport.reconnect()
-                    except Exception:
-                        pass
-                    continue
-                record(_classify(raw), clock() - scheduled, conn, i + 1)
-        finally:
-            try:
-                transport.close()
-            except Exception:
-                pass
-
-    runner = run_mux if core == "mux" else run_legacy
     threads = [
-        threading.Thread(target=runner, args=(i, plan), daemon=True,
+        threading.Thread(target=run, args=(i, plan), daemon=True,
                          name=f"loadgen-{i}")
         for i, plan in enumerate(plans)
     ]
@@ -285,7 +242,7 @@ def run_load(
 
     shed = counts["shed"]
     return LoadReport(
-        core=core, connections=connections, rate=rate, duration=duration,
+        connections=connections, rate=rate, duration=duration,
         latencies=latencies, ok=counts["ok"], shed=shed,
         errors=counts["errors"], wall=wall,
         slowest=slowest or None,

@@ -272,7 +272,7 @@ def cmd_loadgen(args) -> int:
         host, port,
         connections=args.connections, rate=args.rate,
         duration=args.duration, method=args.method, params=params,
-        core=args.core, tenant=args.tenant or None,
+        tenant=args.tenant or None,
         timeout=args.call_timeout, seed=args.seed,
     )
     print(report.summary())
@@ -1268,10 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="", metavar="JSON",
                    help="method params as a JSON array, e.g. "
                         "'[\"key\", \"rho\"]'")
-    p.add_argument("--core", choices=["mux", "legacy"], default="mux",
-                   help="mux = pipelined multiplexed client; legacy = "
-                        "blocking one-request-at-a-time client "
-                        "(default mux)")
     p.add_argument("--tenant", default="",
                    help="tenant name stamped into each request's ctx map "
                         "(drives the server's fair queue)")

@@ -178,8 +178,9 @@ class EdgeCacheServer:
             },
         )
         # One probe client per upstream, sharing the forwarder's
-        # transports (each transport serializes request/response pairs
-        # under its own lock, so interleaving is safe).
+        # transports: a TCP upstream is one pipelined connection whose
+        # wire msgids it owns, so probes and relayed frames from any
+        # number of clients interleave safely, duplicate msgids included.
         self._clients = [RPCClient(t) for t in self.forwarder.transports]
 
         self.coherence = CoherenceTracker(

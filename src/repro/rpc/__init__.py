@@ -8,8 +8,9 @@ This package provides the same two layers from scratch:
 * :mod:`repro.rpc.envelope` — the one owner of frame shapes, ctx keys and
   the error-line grammar every other module here builds and reads through,
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — function-registration
-  RPC over pluggable transports (in-process for tests, TCP for real
-  two-process runs, simulated for benchmark cost accounting),
+  RPC over pluggable transports (in-process for tests, one pipelined TCP
+  connection that owns its msgids for real two-process runs, simulated
+  for benchmark cost accounting),
 * :mod:`repro.rpc.resilience` — retry/backoff/deadline/circuit-breaker
   wrapper making the client<->storage hop fault tolerant,
 * :mod:`repro.rpc.fairshare` — the server's one admission gate: the
@@ -21,7 +22,7 @@ from repro.rpc.admission import DeadlineScope, check_deadline, remaining_budget
 from repro.rpc.client import PendingCall, RPCClient
 from repro.rpc.fairshare import FairScheduler
 from repro.rpc.msgpack import ExtType, Timestamp, pack, unpack
-from repro.rpc.mux import AsyncServerTransport, MuxTransport
+from repro.rpc.mux import AsyncServerTransport
 from repro.rpc.pool import EndpointPool
 from repro.rpc.resilience import CircuitBreaker, ResilientTransport, RetryPolicy
 from repro.rpc.server import RPCServer
@@ -46,7 +47,6 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "TCPTransport",
-    "MuxTransport",
     "AsyncServerTransport",
     "FairScheduler",
     "FrameBuffer",

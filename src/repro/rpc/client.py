@@ -52,21 +52,14 @@ class RPCClient:
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, timeout: float | None = 30.0,
-                    tracer=None) -> "RPCClient":
-        return cls(TCPTransport(host, port, timeout=timeout), tracer=tracer)
-
-    @classmethod
-    def connect_mux(cls, host: str, port: int, timeout: float | None = 30.0,
                     tracer=None, tenant: str | None = None) -> "RPCClient":
-        """Client over one multiplexed connection: calls may pipeline.
+        """Client over one TCP connection: calls may pipeline.
 
         Use :meth:`call` as usual (also from many threads at once — each
         caller waits only on its own reply) or :meth:`call_async` to
         pipeline from a single thread.
         """
-        from repro.rpc.mux import MuxTransport
-
-        return cls(MuxTransport(host, port, timeout=timeout), tracer=tracer,
+        return cls(TCPTransport(host, port, timeout=timeout), tracer=tracer,
                    tenant=tenant)
 
     @classmethod

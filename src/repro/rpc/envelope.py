@@ -181,8 +181,9 @@ def with_ctx(payload: bytes, **keys: Any) -> bytes:
     return request(req.msgid, req.method, req.params, dict(ctx, **keys))
 
 
-def _prefix(payload: bytes) -> tuple[int, int | None, Unpacker]:
-    """``(type, msgid, reader just past them)`` from the array header on.
+def _prefix(payload: bytes) -> tuple[int, int | None, Unpacker, int]:
+    """``(type, msgid, reader just past them, offset of the msgid)`` from
+    the array header on (a NOTIFY's "msgid" is ``None`` at the reader).
 
     Headers are read the way a full decode reads them, so every array
     width and every int form of a frame type or non-negative msgid that
@@ -197,12 +198,13 @@ def _prefix(payload: bytes) -> tuple[int, int | None, Unpacker]:
     kind, mtype = reader.header()
     if kind not in (UINT, SINT) or mtype not in (REQUEST, RESPONSE, NOTIFY):
         raise FormatError(f"unknown rpc frame type ({kind} {mtype})")
+    start = reader.offset
     if mtype == NOTIFY:
-        return NOTIFY, None, reader
+        return NOTIFY, None, reader, start
     kind, msgid = reader.header()
     if kind not in (UINT, SINT) or msgid < 0:
         raise FormatError(f"msgid is not a non-negative int ({kind} {msgid})")
-    return mtype, msgid, reader
+    return mtype, msgid, reader, start
 
 
 def peek(payload: bytes) -> tuple[int, int | None]:
@@ -216,6 +218,25 @@ def peek(payload: bytes) -> tuple[int, int | None]:
     return _prefix(payload)[:2]
 
 
+def swap_msgid(payload: bytes, token: bytes) -> tuple[int, bytes, bytes]:
+    """``(type, payload with its msgid's packed bytes replaced by token,
+    the bytes that were there)``.
+
+    This is how a client connection owns its correlation ids: each
+    request goes out under a fresh wire msgid, and the caller's own msgid
+    bytes are spliced back into the reply, which then reads byte for byte
+    as if the caller's id had made the trip.  Raises :class:`FormatError`
+    for a NOTIFY or anything :func:`peek` rejects.
+    """
+    mtype, _, reader, start = _prefix(payload)
+    if mtype == NOTIFY:
+        raise FormatError("a notify frame has no msgid")
+    end = reader.offset
+    view = memoryview(payload)  # slices of a view: the frame is copied once
+    return (mtype, b"".join((view[:start], token, view[end:])),
+            bytes(view[start:end]))
+
+
 def peek_error(payload: bytes) -> str | None:
     """The error line of a packed RESPONSE (``None`` on success), read
     straight off the prefix — the result behind it is never touched.
@@ -223,7 +244,7 @@ def peek_error(payload: bytes) -> str | None:
     Raises :class:`FormatError` when ``payload`` is not a response prefix
     whose error element is nil or a str.
     """
-    mtype, _, reader = _prefix(payload)
+    mtype, _, reader, _ = _prefix(payload)
     if mtype != RESPONSE:
         raise FormatError("not an rpc response prefix")
     start = reader.offset

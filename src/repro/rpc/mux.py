@@ -1,28 +1,17 @@
-"""The TCP listener and its pipelined client: event loop + multiplexed transport.
+"""The TCP listener: one event loop in front of a scheduler's worker pool.
 
-* :class:`AsyncServerTransport` — the one TCP listener; ``repro serve``,
-  ``serve-cluster`` and ``serve-edge`` all run it.  A ``selectors`` event
-  loop on one I/O thread owns every socket (non-blocking reads,
-  incremental frame parsing, non-blocking writes), while dispatch runs on
-  a scheduler's worker pool (by default a
-  :class:`~repro.rpc.fairshare.FairScheduler`, which adds per-tenant
-  weighted fair queuing).  Responses are written back as each dispatch
-  completes, so one slow request never blocks the pipeline behind it.
-  How bytes on a socket become ``handle(request)`` calls, and how a
-  drain ends, is decided here and nowhere else.
-* :class:`MuxTransport` — a client transport that pipelines many requests
-  over **one** TCP connection.  The correlation id is the msgpack-rpc
-  ``msgid`` already inside every request frame, so the wire format is
-  unchanged: a classic one-at-a-time client's 4/5-element frames get
-  byte-identical answers, and responses may return **out of order** — the
-  transport rehydrates them by id.
-
-Retry isolation: a multiplexed connection is *shared*.  A resilient
-wrapper retrying one failed request must not re-dial the socket out from
-under every other in-flight request, so :class:`MuxTransport` exposes
-:meth:`MuxTransport.reconnect_if_broken` instead of the unconditional
-``reconnect()`` contract — it re-dials only when the connection is
-actually dead (at which point every pending future has already failed).
+:class:`AsyncServerTransport` is the one TCP listener; ``repro serve``,
+``serve-cluster`` and ``serve-edge`` all run it.  A ``selectors`` event
+loop on one I/O thread owns every socket (non-blocking reads,
+incremental frame parsing, non-blocking writes), while dispatch runs on
+a scheduler's worker pool (by default a
+:class:`~repro.rpc.fairshare.FairScheduler`, which adds per-tenant
+weighted fair queuing).  Responses are written back as each dispatch
+completes, so one slow request never blocks the pipeline behind it, and
+the msgid inside each frame pairs them back up on the client
+(:class:`~repro.rpc.transport.TCPTransport`).  How bytes on a socket
+become ``handle(request)`` calls, and how a drain ends, is decided here
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -31,265 +20,16 @@ import collections
 import selectors
 import socket
 import threading
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
-from repro.errors import FormatError, RPCError, RPCTimeoutError, RPCTransportError
+from repro.errors import FormatError, RPCTransportError
 from repro.rpc import envelope
 from repro.rpc.fairshare import FairScheduler
-from repro.rpc.transport import (
-    FrameBuffer,
-    Transport,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from repro.rpc.transport import FrameBuffer, encode_frame
 
-__all__ = ["MuxTransport", "AsyncServerTransport"]
+__all__ = ["AsyncServerTransport"]
 
 #: seconds the serve commands give in-flight requests before forcing
 DEFAULT_DRAIN_TIMEOUT = 5.0
-
-
-def _shutdown_and_close(sock: socket.socket) -> None:
-    """Close ``sock`` so that a thread blocked in ``recv`` on it wakes:
-    on Linux ``close()`` alone leaves it parked until the *peer* closes."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # never connected, or the peer already reset it
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-class MuxTransport(Transport):
-    """Pipelined client transport: many requests in flight on one socket.
-
-    :meth:`submit` writes the frame and returns a
-    :class:`~concurrent.futures.Future` resolving to the raw response
-    payload; a background reader thread demultiplexes responses by msgid,
-    so callers — many threads sharing one transport, or one thread
-    pipelining via :meth:`~repro.rpc.client.RPCClient.call_async` — wait
-    only on their own reply.  :meth:`request` keeps the blocking
-    :class:`~repro.rpc.transport.Transport` contract (submit + wait), so
-    every existing wrapper (resilient, simulated, pooled) composes.
-
-    Connection death fails **all** pending futures with
-    :class:`~repro.errors.RPCTransportError`; the next :meth:`submit`
-    auto-redials (each dial bumps :attr:`generation`, which the retry
-    isolation test pins down).
-    """
-
-    def __init__(self, host: str, port: int, timeout: float | None = 30.0,
-                 lazy: bool = False):
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._lock = threading.Lock()      # connection + pending-map state
-        self._wlock = threading.Lock()     # serializes frame writes
-        self._pending: dict[int, tuple[int, Future]] = {}
-        self._sock: socket.socket | None = None
-        self._reader: threading.Thread | None = None
-        self._dead = False
-        self._closing = False
-        #: dial count; a stable value across a retry proves no re-dial
-        self.generation = 0
-        if not lazy:
-            with self._lock:
-                self._redial_locked()
-
-    # -- connection management -----------------------------------------
-    def _redial_locked(self) -> None:
-        if self._sock is not None:
-            _shutdown_and_close(self._sock)
-        try:
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
-            )
-        except socket.timeout as exc:
-            raise RPCTimeoutError(
-                f"connect to {self._host}:{self._port} timed out "
-                f"after {self._timeout}s"
-            ) from exc
-        except OSError as exc:
-            raise RPCTransportError(
-                f"cannot connect to {self._host}:{self._port}: {exc}"
-            ) from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader blocks in recv indefinitely; request timeouts are
-        # enforced on the waiting future, and close() unblocks the read.
-        sock.settimeout(None)
-        self._sock = sock
-        self._dead = False
-        self.generation += 1
-        self._reader = threading.Thread(
-            target=self._read_loop, args=(sock, self.generation), daemon=True,
-            name=f"mux-reader-{self._host}:{self._port}",
-        )
-        self._reader.start()
-
-    def _ensure_connected_locked(self) -> tuple[socket.socket, int]:
-        if self._sock is None or self._dead:
-            self._redial_locked()
-        return self._sock, self.generation
-
-    def _read_loop(self, sock: socket.socket, generation: int) -> None:
-        try:
-            while True:
-                frame = read_frame(sock)
-                try:
-                    mtype, msgid = envelope.peek(frame)
-                except FormatError:
-                    raise RPCTransportError(
-                        "undecodable response frame on multiplexed connection"
-                    )
-                if mtype != envelope.RESPONSE or msgid is None:
-                    continue  # server never sends these; tolerate garbage
-                with self._lock:
-                    entry = self._pending.pop(msgid, None)
-                    if entry is not None and entry[0] != generation:
-                        # A request from a different dial: not ours to answer.
-                        self._pending[msgid] = entry
-                        entry = None
-                if entry is not None:
-                    entry[1].set_result(frame)
-        except (RPCTransportError, OSError) as exc:
-            self._connection_died(sock, generation, exc)
-
-    def _connection_died(self, sock, generation: int, exc: Exception) -> None:
-        with self._lock:
-            if self._sock is sock:
-                self._dead = True
-            closing = self._closing
-            doomed = [
-                (msgid, fut) for msgid, (gen, fut) in self._pending.items()
-                if gen == generation
-            ]
-            for msgid, _ in doomed:
-                del self._pending[msgid]
-        message = (
-            "multiplexed transport closed" if closing
-            else f"multiplexed connection lost: {exc}"
-        )
-        for _, fut in doomed:
-            fut.set_exception(RPCTransportError(message))
-
-    # -- request paths ---------------------------------------------------
-    def submit(self, payload: bytes) -> Future:
-        """Pipeline one request; resolves to the raw response payload."""
-        _, fut = self._submit(payload)
-        return fut
-
-    def _submit(self, payload: bytes) -> tuple[int, Future]:
-        try:
-            mtype, msgid = envelope.peek(payload)
-        except FormatError as exc:
-            raise RPCError(f"cannot multiplex frame: {exc}") from exc
-        if mtype != envelope.REQUEST or msgid is None:
-            raise RPCError(
-                "only REQUEST frames can be multiplexed (use send() for NOTIFY)"
-            )
-        with self._lock:
-            if self._closing:
-                raise RPCTransportError("multiplexed transport is closed")
-            sock, generation = self._ensure_connected_locked()
-            if msgid in self._pending:
-                raise RPCError(
-                    f"msgid {msgid} already in flight on this connection"
-                )
-            fut: Future = Future()
-            self._pending[msgid] = (generation, fut)
-        try:
-            with self._wlock:
-                write_frame(sock, payload)
-        except (OSError, RPCTransportError) as exc:
-            with self._lock:
-                self._pending.pop(msgid, None)
-                if self._sock is sock:
-                    self._dead = True
-            raise RPCTransportError(f"socket error: {exc}") from exc
-        return msgid, fut
-
-    def request(self, payload: bytes) -> bytes:
-        msgid, fut = self._submit(payload)
-        try:
-            return fut.result(timeout=self._timeout)
-        except FutureTimeoutError:
-            # Abandon the slot: a late response finds no future and is
-            # discarded, it cannot be delivered to the wrong caller.
-            with self._lock:
-                self._pending.pop(msgid, None)
-            raise RPCTimeoutError(
-                f"no response for msgid {msgid} within {self._timeout}s"
-            ) from None
-
-    def send(self, payload: bytes) -> None:
-        """One-way NOTIFY write: no future, no response expected."""
-        with self._lock:
-            if self._closing:
-                raise RPCTransportError("multiplexed transport is closed")
-            sock, _ = self._ensure_connected_locked()
-        try:
-            with self._wlock:
-                write_frame(sock, payload)
-        except (OSError, RPCTransportError) as exc:
-            with self._lock:
-                if self._sock is sock:
-                    self._dead = True
-            raise RPCTransportError(f"socket error: {exc}") from exc
-
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Requests currently awaiting a response (leak-test surface)."""
-        with self._lock:
-            return len(self._pending)
-
-    @property
-    def broken(self) -> bool:
-        with self._lock:
-            return self._sock is None or self._dead
-
-    def reconnect_if_broken(self) -> bool:
-        """Re-dial **only** when the shared connection is actually dead.
-
-        This is the multiplexed replacement for ``reconnect()``: an
-        unconditional re-dial between retry attempts would sever every
-        other caller's in-flight request over a perfectly healthy socket.
-        When the socket *is* dead, all pending futures have already
-        failed, so re-dialling harms no one.  Returns whether a re-dial
-        happened.
-        """
-        with self._lock:
-            if self._closing:
-                raise RPCTransportError("multiplexed transport is closed")
-            if self._sock is not None and not self._dead:
-                return False
-            self._redial_locked()
-            return True
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-            sock, reader = self._sock, self._reader
-            self._sock = None
-            self._dead = True
-        if sock is not None:
-            _shutdown_and_close(sock)  # the reader wakes and fails the pending
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=2.0)
-        # A reader that never started (lazy, never dialed) leaves pending
-        # empty; a closed one has already drained it via _connection_died.
-        with self._lock:
-            doomed = [fut for _, fut in self._pending.values()]
-            self._pending.clear()
-        for fut in doomed:
-            if not fut.done():
-                fut.set_exception(RPCTransportError("multiplexed transport closed"))
 
 
 # ---------------------------------------------------------------------------

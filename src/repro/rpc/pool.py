@@ -451,6 +451,10 @@ class EndpointPool:
     def connect_tcp(cls, addresses, timeout: float = 30.0, **kwargs):
         """Build a pool from ``host:port`` strings or ``(host, port)`` pairs.
 
+        Each endpoint is one pipelined
+        :class:`~repro.rpc.transport.TCPTransport`: concurrent calls to a
+        shard share its connection without queueing behind each other,
+        and a call that timed out cannot hand its late reply to the next.
         Endpoints dial lazily (on first use): a shard that is down when
         the pool is built must degrade per the caller's fallback policy,
         not abort construction and take its healthy peers with it.

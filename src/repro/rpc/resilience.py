@@ -289,41 +289,28 @@ class ResilientTransport(Transport):
         ) from cause
 
     def _reconnect_inner(self) -> None:
-        """Give stateful transports a fresh connection before a retry.
+        """Give a dead connection a fresh dial before a retry.
 
         A failed attempt can leave a framed stream connection unusable
-        (half-written frame, peer close), so a retry over the same socket
-        is doomed.  Transports that can re-dial expose ``reconnect()``
-        (:class:`~repro.rpc.transport.TCPTransport` does); failures here
-        are swallowed — the next attempt will surface them as its own
+        (half-written frame, peer close), so a retry over it is doomed.
+        But the connection is *shared*: a retry of one pipelined request
+        must never re-dial the socket out from under every other
+        in-flight request.  So the transport decides, through
+        ``reconnect_if_broken()`` (:class:`~repro.rpc.transport.TCPTransport`
+        has it): re-dial when the connection is actually dead (all its
+        pending requests have already failed), no-op when it is healthy
+        (the failure was the request's, not the connection's).  Failures
+        here are swallowed — the next attempt will surface them as its own
         transport error and keep the retry accounting in one place.
-
-        Shared multiplexed transports instead expose
-        ``reconnect_if_broken()``, preferred when present: a retry of
-        *one* pipelined request must never re-dial the socket out from
-        under every other in-flight request, so the transport itself
-        decides whether the connection is actually dead (re-dial, all
-        pending already failed) or healthy (no-op — the failure was
-        request-level, not connection-level).
         """
-        guarded = getattr(self._inner, "reconnect_if_broken", None)
-        if guarded is not None:
-            try:
-                if guarded():
-                    self._record("reconnects")
-                    self._tracer.add_event("rpc.reconnect")
-                    self._recorder.record("rpc.reconnect")
-            except RPCTransportError:
-                pass
-            return
-        reconnect = getattr(self._inner, "reconnect", None)
+        reconnect = getattr(self._inner, "reconnect_if_broken", None)
         if reconnect is None:
             return
         try:
-            reconnect()
-            self._record("reconnects")
-            self._tracer.add_event("rpc.reconnect")
-            self._recorder.record("rpc.reconnect")
+            if reconnect():
+                self._record("reconnects")
+                self._tracer.add_event("rpc.reconnect")
+                self._recorder.record("rpc.reconnect")
         except RPCTransportError:
             pass
 

@@ -17,11 +17,20 @@ from repro.edge import EdgeCacheServer
 from repro.errors import (
     CircuitOpenError,
     RPCRemoteError,
+    RPCTimeoutError,
     RPCTransportError,
     ServerOverloadedError,
 )
 from repro.io import write_vgf
-from repro.rpc import InProcessTransport, RPCClient
+from repro.rpc import (
+    CircuitBreaker,
+    InProcessTransport,
+    ResilientTransport,
+    RetryPolicy,
+    RPCClient,
+    RPCServer,
+    TCPTransport,
+)
 from repro.rpc.msgpack import pack, unpack
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
@@ -272,6 +281,43 @@ class TestFailureLadder:
         out = client.call("prefilter_contour", "g.vgf", "r", [3.0])
         assert out["stats"]["selected_points"] > 0
         assert secondary.requests > 0
+
+    def test_upstream_timeout_never_answers_the_next_client(self):
+        """The upstream built as ``repro serve-edge`` builds it: client A's
+        call times out there, and its late reply must not reach client B,
+        whose first call carries the same msgid."""
+        release, answered = threading.Event(), threading.Event()
+        entered, returned = [], []
+
+        def slow():
+            entered.append(None)
+            release.wait(timeout=5.0)
+            returned.append(None)
+            if len(returned) == len(entered):
+                answered.set()
+            return "slow reply for A"
+
+        upstream = RPCServer({"slow": slow, "echo": lambda x: x}).serve_tcp()
+        link = ResilientTransport(
+            TCPTransport(upstream.host, upstream.port, timeout=0.1, lazy=True),
+            retry=RetryPolicy(max_attempts=2), breaker=CircuitBreaker(),
+            propagate_deadline=False,
+        )
+        edge = EdgeCacheServer([link])
+        a = RPCClient(InProcessTransport(edge.dispatch))
+        b = RPCClient(InProcessTransport(edge.dispatch))
+        try:
+            with pytest.raises(RPCTimeoutError):
+                a.call("slow")
+            release.set()
+            assert answered.wait(timeout=5.0)  # late replies on their way
+            assert b.call("echo", "B") == "B"
+            assert b.call("echo", "B again") == "B again"
+        finally:
+            release.set()
+            edge.close()
+            link.close()
+            upstream.stop()
 
     def test_health_degraded_when_upstream_down(self):
         _, _, upstream, edge = make_env()

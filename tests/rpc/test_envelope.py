@@ -5,7 +5,9 @@ full parses must agree with what ``unpack`` says the frame holds, its
 prefix reads (``peek`` / ``peek_error``) must agree with the full parse
 wherever they answer at all, and its splice (``with_ctx``) must produce
 the bytes the per-module helpers it replaced produced — key order
-included.  For every input, well-formed or mangled, the only exception
+included.  Its msgid swap (``swap_msgid``) must change the msgid and
+nothing else, and swap back exactly.  For every input, well-formed or
+mangled, the only exception
 allowed out is :class:`FormatError`.
 
 The fixed inputs are the cases the helper suites in ``test_mux``,
@@ -35,7 +37,7 @@ from repro.errors import (
     RPCTransportError,
     ServerOverloadedError,
 )
-from repro.rpc import MuxTransport, RPCServer, TCPTransport, envelope, pack, unpack
+from repro.rpc import RPCServer, TCPTransport, envelope, pack, unpack
 from repro.rpc.envelope import (
     DEFAULT_TENANT,
     MAX_TENANT_LEN,
@@ -48,6 +50,7 @@ from repro.rpc.envelope import (
     peek,
     peek_error,
     raise_remote,
+    swap_msgid,
     with_ctx,
 )
 from repro.rpc.transport import read_frame, write_frame
@@ -356,7 +359,26 @@ def check_with_ctx(payload):
             legacy_splice(payload, "deadline", remaining)
 
 
-CHECKS = [check_parse_request, check_peek, check_peek_error, check_with_ctx]
+def check_swap_msgid(payload):
+    try:
+        mtype = peek(payload)[0]
+    except FormatError:
+        mtype = None
+    if mtype in (None, NOTIFY):  # no msgid to swap
+        with pytest.raises(FormatError):
+            swap_msgid(payload, pack(7))
+        return
+    swapped_type, swapped, token = swap_msgid(payload, pack(7))
+    assert swapped_type == mtype
+    assert peek(swapped) == (mtype, 7)
+    assert swap_msgid(swapped, token) == (mtype, payload, pack(7))
+    m = ref_message(payload)
+    if m is not None:  # a full decode sees the msgid change and nothing else
+        assert repr(unpack(swapped)) == repr([m[0], 7] + m[2:])
+
+
+CHECKS = [check_parse_request, check_peek, check_peek_error, check_with_ctx,
+          check_swap_msgid]
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__[6:])
@@ -533,7 +555,7 @@ def test_serve_edge_decodes_a_request_once_per_hop(decodes):
 def test_a_32MB_reply_is_routed_without_a_decode(decodes):
     blob = b"\x07" * (32 << 20)
     listener = RPCServer({"read_array": lambda: blob}).serve_tcp()
-    transport = MuxTransport(listener.host, listener.port, timeout=60.0)
+    transport = TCPTransport(listener.host, listener.port, timeout=60.0)
     try:
         raw = transport.request(req(5, "read_array"))
     finally:

@@ -280,9 +280,9 @@ class TestFloodVsTrickle:
                               max_tenant_pending=16)
         listener = AsyncServerTransport(server.handle, scheduler=sched).start()
         try:
-            flood = RPCClient.connect_mux(listener.host, listener.port,
+            flood = RPCClient.connect_tcp(listener.host, listener.port,
                                           timeout=30.0, tenant="flood")
-            trickle = RPCClient.connect_mux(listener.host, listener.port,
+            trickle = RPCClient.connect_tcp(listener.host, listener.port,
                                             timeout=30.0, tenant="trickle")
             # Flood: 200 pipelined 5 ms requests — far over its share.
             flooding = [flood.call_async("work", 5) for _ in range(200)]

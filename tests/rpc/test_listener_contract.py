@@ -303,7 +303,7 @@ def test_pipelined_replies_larger_than_the_kernel_buffer_arrive_whole():
     server = RPCServer({"blob": lambda i: bytes([i % 251]) * sizes[i % len(sizes)]})
     listener = server.serve_tcp(workers=16)
     try:
-        clients = [RPCClient.connect_mux(listener.host, listener.port,
+        clients = [RPCClient.connect_tcp(listener.host, listener.port,
                                          timeout=30.0) for _ in range(2)]
         pending = [(i, clients[i % 2].call_async("blob", i)) for i in range(160)]
         for i, call_ in pending:

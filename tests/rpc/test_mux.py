@@ -1,21 +1,23 @@
-"""The TCP listener and mux client: pipelining, compat, drain, retry isolation.
+"""The TCP listener and the pipelined client: pipelining, compat, drain, retry isolation.
 
 Families:
 
 * frame peeking / incremental framing units (``envelope.peek``,
   ``FrameBuffer``),
 * pipelining over one connection — out-of-order completion rehydrated by
-  correlation id, thread-shared transports, NOTIFY,
+  correlation id, thread-shared transports, callers sharing a msgid, NOTIFY,
 * wire compatibility — a classic blocking client gets, over the
   listener, byte-identical responses to in-process dispatch,
 * lifecycle — graceful drain with requests in flight, connection caps,
 * retry isolation — a resilient wrapper retrying over a shared
-  multiplexed socket must not re-dial it out from under other in-flight
+  socket must not re-dial it out from under other in-flight
   requests (regression for the ``reconnect_if_broken`` contract),
-* end-to-end — NDP contour geometry byte-identical through the mux.
+* end-to-end — NDP contour geometry byte-identical pipelined or not.
 """
 
+import itertools
 import socket
+import sys
 import threading
 import time
 
@@ -25,7 +27,6 @@ import pytest
 from repro.core import NDPServer
 from repro.errors import (
     FormatError,
-    RPCError,
     RPCTimeoutError,
     RPCTransportError,
     ServerOverloadedError,
@@ -34,7 +35,7 @@ from repro.io import write_vgf
 from repro.rpc import RPCClient, RPCServer, pack, unpack
 from repro.rpc.fairshare import FairScheduler
 from repro.rpc.envelope import peek
-from repro.rpc.mux import AsyncServerTransport, MuxTransport
+from repro.rpc import transport as transport_mod
 from repro.rpc.resilience import ResilientTransport, RetryPolicy
 from repro.rpc.transport import (
     FrameBuffer,
@@ -138,7 +139,7 @@ class TestFrameBuffer:
 
 
 # ---------------------------------------------------------------------------
-# Pipelining over one multiplexed connection
+# Pipelining over one connection
 # ---------------------------------------------------------------------------
 
 
@@ -146,7 +147,7 @@ class TestPipelining:
     def test_out_of_order_responses_rehydrated_by_id(self):
         listener = make_server().serve_tcp(workers=4)
         try:
-            client = RPCClient.connect_mux(listener.host, listener.port,
+            client = RPCClient.connect_tcp(listener.host, listener.port,
                                            timeout=10.0)
             # First request is the slowest: its response returns last,
             # but collecting in issue order still matches by msgid.
@@ -161,7 +162,7 @@ class TestPipelining:
     def test_pipeline_overlaps_server_time(self):
         listener = make_server().serve_tcp(workers=8)
         try:
-            client = RPCClient.connect_mux(listener.host, listener.port,
+            client = RPCClient.connect_tcp(listener.host, listener.port,
                                            timeout=10.0)
             t0 = time.monotonic()
             results = client.pipeline([("sleep_ms", 50, i) for i in range(8)])
@@ -176,7 +177,7 @@ class TestPipelining:
     def test_transport_shared_across_threads(self):
         listener = make_server().serve_tcp(workers=8)
         try:
-            client = RPCClient.connect_mux(listener.host, listener.port,
+            client = RPCClient.connect_tcp(listener.host, listener.port,
                                            timeout=10.0)
             results = [None] * 16
 
@@ -200,7 +201,7 @@ class TestPipelining:
         server = RPCServer({"note": seen.append, "echo": echo})
         listener = server.serve_tcp(workers=2)
         try:
-            client = RPCClient.connect_mux(listener.host, listener.port,
+            client = RPCClient.connect_tcp(listener.host, listener.port,
                                            timeout=5.0)
             client.notify("note", "fire-and-forget")
             # A subsequent request round-trips fine: the notify neither
@@ -217,7 +218,7 @@ class TestPipelining:
     def test_remote_errors_map_per_call(self):
         listener = make_server().serve_tcp(workers=4)
         try:
-            client = RPCClient.connect_mux(listener.host, listener.port,
+            client = RPCClient.connect_tcp(listener.host, listener.port,
                                            timeout=10.0)
             good = client.call_async("add", 1, 2)
             bad = client.call_async("boom")
@@ -229,27 +230,60 @@ class TestPipelining:
         finally:
             listener.stop()
 
-    def test_duplicate_msgid_rejected(self):
-        listener = make_server().serve_tcp(workers=2)
+    def test_callers_sharing_a_msgid_each_get_their_own_reply(self):
+        """Clients forwarded onto one connection all number their first
+        call 1: the connection's own wire ids keep them apart (a lost
+        update on the id counter would cross two replies), and each reply
+        comes back under the msgid its caller sent."""
+        listener = make_server().serve_tcp(workers=4)
+        transport = TCPTransport(listener.host, listener.port, timeout=10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        replies = {}
+
+        def caller(i):
+            for j in range(20):
+                raw = transport.request(pack([0, 1, "echo", [f"{i}.{j}"]]))
+                replies[f"{i}.{j}"] = unpack(raw)
+
         try:
-            transport = MuxTransport(listener.host, listener.port, timeout=5.0)
-            frame = pack([0, 1, "sleep_ms", [200]])
-            transport.submit(frame)
-            with pytest.raises(RPCError):
-                transport.submit(frame)
-            transport.close()
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
         finally:
+            sys.setswitchinterval(interval)
+            transport.close()
             listener.stop()
+        assert len(replies) == 160
+        assert all(reply == [1, 1, None, tag] for tag, reply in replies.items())
 
     def test_request_timeout_abandons_slot(self):
         listener = make_server().serve_tcp(workers=2)
         try:
-            transport = MuxTransport(listener.host, listener.port, timeout=0.1)
+            transport = TCPTransport(listener.host, listener.port, timeout=0.1)
             with pytest.raises(RPCTimeoutError):
                 transport.request(pack([0, 1, "sleep_ms", [500]]))
             assert transport.pending == 0
             transport.close()
         finally:
+            listener.stop()
+
+    def test_wire_id_still_pending_after_the_counter_wraps_is_skipped(self):
+        listener = make_server().serve_tcp(workers=2)
+        transport = TCPTransport(listener.host, listener.port, timeout=10.0)
+        try:
+            slow = transport.submit(pack([0, 1, "sleep_ms", [200, "slow"]]))
+            # The next draw wraps onto wire id 1, which ``slow`` still holds.
+            transport._wire_ids = itertools.count(transport_mod._WIRE_IDS + 1)
+            fast = unpack(transport.request(pack([0, 2, "echo", ["fast"]])))
+            assert fast == [1, 2, None, "fast"]
+            assert unpack(slow.result(timeout=5.0)) == [1, 1, None, "slow"]
+        finally:
+            transport.close()
             listener.stop()
 
     def test_widely_spelled_response_reaches_its_caller(self):
@@ -268,7 +302,7 @@ class TestPipelining:
 
         peer = threading.Thread(target=answer_one, daemon=True)
         peer.start()
-        transport = MuxTransport(*server.getsockname(), timeout=5.0)
+        transport = TCPTransport(*server.getsockname(), timeout=5.0)
         try:
             raw = transport.request(pack([0, 5, "echo", ["x"]]))
         finally:
@@ -332,7 +366,7 @@ class TestClassicCompat:
 class TestAsyncLifecycle:
     def test_drain_finishes_inflight_pipeline(self):
         listener = make_server().serve_tcp(workers=4)
-        client = RPCClient.connect_mux(listener.host, listener.port,
+        client = RPCClient.connect_tcp(listener.host, listener.port,
                                        timeout=10.0)
         pending = [client.call_async("sleep_ms", 100, i) for i in range(4)]
         time.sleep(0.02)  # requests reach the server
@@ -354,7 +388,7 @@ class TestAsyncLifecycle:
         release = threading.Event()
         server = RPCServer({"wait": lambda: release.wait(10.0) and "done"})
         listener = server.serve_tcp(workers=2)
-        client = RPCClient.connect_mux(listener.host, listener.port,
+        client = RPCClient.connect_tcp(listener.host, listener.port,
                                        timeout=10.0)
         pending = client.call_async("wait")
         time.sleep(0.05)
@@ -381,7 +415,7 @@ class TestAsyncLifecycle:
         listener = make_server().serve_tcp(workers=2)
         listener.max_connections = 1
         try:
-            first = RPCClient.connect_mux(listener.host, listener.port,
+            first = RPCClient.connect_tcp(listener.host, listener.port,
                                           timeout=5.0)
             assert first.call("echo", 1) == 1
             with pytest.raises(RPCTransportError):
@@ -398,7 +432,7 @@ class TestAsyncLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Retry isolation over a shared multiplexed socket (regression)
+# Retry isolation over a shared socket (regression)
 # ---------------------------------------------------------------------------
 
 
@@ -406,7 +440,7 @@ class TestRetryIsolation:
     def test_reconnect_if_broken_noop_on_healthy_socket(self):
         listener = make_server().serve_tcp(workers=2)
         try:
-            transport = MuxTransport(listener.host, listener.port, timeout=5.0)
+            transport = TCPTransport(listener.host, listener.port, timeout=5.0)
             assert transport.generation == 1
             assert transport.reconnect_if_broken() is False
             assert transport.generation == 1
@@ -431,7 +465,7 @@ class TestRetryIsolation:
         listener = server.serve_tcp(scheduler=FairScheduler(
             server.handle, workers=1, max_tenant_pending=1, retry_after=0.01))
         try:
-            mux = MuxTransport(listener.host, listener.port, timeout=10.0)
+            mux = TCPTransport(listener.host, listener.port, timeout=10.0)
             stats = Tally()
             resilient = ResilientTransport(
                 mux, retry=RetryPolicy(max_attempts=8, base_delay=0.01,
@@ -471,7 +505,7 @@ class TestRetryIsolation:
     def test_retry_redials_only_when_connection_dead(self):
         listener = make_server().serve_tcp(workers=2)
         try:
-            mux = MuxTransport(listener.host, listener.port, timeout=5.0)
+            mux = TCPTransport(listener.host, listener.port, timeout=5.0)
             resilient = ResilientTransport(
                 mux, retry=RetryPolicy(max_attempts=3, base_delay=0.01,
                                        jitter=0.0),
@@ -500,13 +534,13 @@ class TestClientClose:
     @staticmethod
     def readers():
         return [t for t in threading.enumerate()
-                if t.name.startswith("mux-reader-")]
+                if t.name.startswith("tcp-reader-")]
 
     def test_close_returns_at_once_and_leaves_no_reader(self):
         listener = make_server().serve_tcp(workers=2)
         try:
             before = self.readers()
-            mux = MuxTransport(listener.host, listener.port, timeout=5.0)
+            mux = TCPTransport(listener.host, listener.port, timeout=5.0)
             assert unpack(mux.request(pack([0, 1, "echo", [1]])))[3] == 1
             t0 = time.perf_counter()
             mux.close()
@@ -518,7 +552,7 @@ class TestClientClose:
     def test_redial_retires_the_old_reader(self):
         listener = make_server().serve_tcp(workers=2)
         try:
-            mux = MuxTransport(listener.host, listener.port, timeout=5.0)
+            mux = TCPTransport(listener.host, listener.port, timeout=5.0)
             old_reader = mux._reader
             # What a failed write leaves behind: the connection is marked
             # dead while its reader is still parked in recv.
@@ -534,7 +568,7 @@ class TestClientClose:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: NDP contour geometry through the mux
+# End-to-end: NDP contour geometry through the pipelined client
 # ---------------------------------------------------------------------------
 
 
@@ -581,7 +615,7 @@ class TestNDPThroughMux:
             ]
             sequential.close()
 
-            mux = RPCClient.connect_mux(listener.host, listener.port,
+            mux = RPCClient.connect_tcp(listener.host, listener.port,
                                         timeout=30.0)
             got = mux.pipeline([
                 ("prefilter_contour", "obj.vgf", "r", [v], "cell-closure", "auto",

@@ -9,7 +9,7 @@ requests are in the air, comes from a seeded
 The invariants under assault:
 
 * **no orphaned futures** — every submitted future completes (result or
-  transport error); ``MuxTransport.pending`` returns to zero,
+  transport error); ``TCPTransport.pending`` returns to zero,
 * **no leaked admission slots** — the fair queue's inflight/pending
   counters return to zero once the dust settles,
 * **graceful drain still works** — ``stop(drain_timeout)`` completes
@@ -24,7 +24,7 @@ import pytest
 from repro.errors import RPCTransportError
 from repro.rpc import RPCServer, pack
 from repro.rpc.fairshare import FairScheduler
-from repro.rpc.mux import MuxTransport
+from repro.rpc.transport import TCPTransport
 
 from tests.faults import Drop, FaultSchedule
 
@@ -60,7 +60,7 @@ class TestKillMidPipeline:
         lock = threading.Lock()
 
         def client(idx: int, kill: bool):
-            transport = MuxTransport(listener.host, listener.port,
+            transport = TCPTransport(listener.host, listener.port,
                                      timeout=15.0)
             with lock:
                 transports.append(transport)
@@ -139,7 +139,7 @@ class TestKillMidPipeline:
         gate = listener.scheduler
         transports = []
         for c in range(4):
-            transport = MuxTransport(listener.host, listener.port,
+            transport = TCPTransport(listener.host, listener.port,
                                      timeout=10.0)
             transports.append(transport)
             futures = [

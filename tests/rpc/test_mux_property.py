@@ -1,16 +1,17 @@
-"""Property test: pipelined multiplexed calls ≡ sequential legacy calls.
+"""Property test: pipelined TCP calls ≡ in-process dispatch.
 
 For an arbitrary batch of requests — mixed methods, params, and ctx
 flavors (plain, deadline-carrying, tenant-tagged, traced) — issuing them
-pipelined over one multiplexed connection and collecting the results in
-an arbitrary interleaved order must return exactly what the same frames
-produce when issued one at a time on a classic blocking client.
+pipelined over one TCP connection and collecting the results in an
+arbitrary interleaved order must return exactly what the same frames
+produce when dispatched one at a time in process.
 
-Responses without trace context must match **byte for byte** (the async
-core speaks the classic protocol exactly); traced responses carry
-server-side span summaries whose timings legitimately vary, so for those
-the comparison is on the four protocol elements (type, msgid, error,
-result) instead of the raw bytes.
+Responses without trace context must match **byte for byte** (the wire
+msgids the connection puts on each frame are swapped back, so the
+listener and the client together speak the classic protocol exactly);
+traced responses carry server-side span summaries whose timings
+legitimately vary, so for those the comparison is on the four protocol
+elements (type, msgid, error, result) instead of the raw bytes.
 """
 
 import time
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro.obs.trace import Tracer
 from repro.rpc import RPCServer, pack, unpack
-from repro.rpc.mux import MuxTransport
-from repro.rpc.transport import TCPTransport
+from repro.rpc.transport import InProcessTransport, TCPTransport
 
 _settings = settings(max_examples=20, deadline=None)
 
@@ -86,9 +86,8 @@ def build_frames(plan) -> list:
 class TestMuxEquivalence:
     @classmethod
     def setup_class(cls):
-        cls.listener = RPCServer(
-            handlers(), tracer=Tracer(process="server")
-        ).serve_tcp(workers=4)
+        cls.server = RPCServer(handlers(), tracer=Tracer(process="server"))
+        cls.listener = cls.server.serve_tcp(workers=4)
 
     @classmethod
     def teardown_class(cls):
@@ -99,14 +98,10 @@ class TestMuxEquivalence:
     def test_interleaved_pipeline_matches_sequential_legacy(self, plan, seed):
         frames = build_frames(plan)
 
-        legacy = TCPTransport(self.listener.host, self.listener.port,
-                              timeout=30.0)
-        try:
-            want = [legacy.request(payload) for payload, _ in frames]
-        finally:
-            legacy.close()
+        reference = InProcessTransport(self.server.dispatch)
+        want = [reference.request(payload) for payload, _ in frames]
 
-        mux = MuxTransport(self.listener.host, self.listener.port,
+        mux = TCPTransport(self.listener.host, self.listener.port,
                            timeout=30.0)
         try:
             futures = [mux.submit(payload) for payload, _ in frames]

@@ -3,7 +3,8 @@
 Everything here is deterministic: hedge timing runs on a
 :class:`~tests.faults.FakeClock` only where the arbitration loop allows
 an injectable clock, and the racing attempts themselves are scripted
-callables — no sockets, no real servers.
+callables — no sockets, no real servers, except in the one late-reply
+test that needs a real connection to leave a reply on.
 """
 
 import threading
@@ -14,6 +15,7 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     ReproError,
+    RPCTimeoutError,
     RPCTransportError,
     ServerOverloadedError,
 )
@@ -23,7 +25,8 @@ from repro.rpc.pool import (
     HedgedCall,
     parse_address,
 )
-from repro.rpc.resilience import CircuitBreaker
+from repro.rpc.resilience import CircuitBreaker, RetryPolicy
+from repro.rpc.server import RPCServer
 from repro.rpc.transport import InProcessTransport
 
 
@@ -161,6 +164,31 @@ class TestEndpointPool:
         assert len(events) == 1
         assert "fd already gone" in events[0]["error"]
         assert events[0]["endpoint"] == 0
+
+    def test_timed_out_call_leaves_the_endpoint_answering_correctly(self):
+        """The slow call's late reply must not become the next call's
+        answer (nor a msgid mismatch, which is no failover error)."""
+        release, answered = threading.Event(), threading.Event()
+
+        def slow():
+            release.wait(timeout=5.0)
+            answered.set()
+            return "slow reply"
+
+        listener = RPCServer({"slow": slow, "echo": lambda x: x}).serve_tcp()
+        pool = EndpointPool.connect_tcp(
+            [(listener.host, listener.port)], timeout=0.1,
+            retry=RetryPolicy(max_attempts=1))
+        try:
+            with pytest.raises(RPCTimeoutError):
+                pool.call(0, "slow")
+            release.set()
+            assert answered.wait(timeout=5.0)  # the late reply is on its way
+            assert pool.call(0, "echo", "next") == "next"
+        finally:
+            release.set()
+            pool.close()
+            listener.stop()
 
     def test_info_carries_addresses_and_counters(self):
         pool = _echo_pool(2, addresses=["a:1", "b:2"])

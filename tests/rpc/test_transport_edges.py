@@ -1,22 +1,36 @@
-"""TCP transport edge cases: frame-size limits, truncation, empty frames.
+"""TCP transport edge cases: frame-size limits, truncation, empty frames,
+late replies.
 
 Direct tests of the wire framing (``uint32 BE length | payload``) that the
 failure-injection suite only exercises indirectly: oversized frames must
 be rejected on both send and receive, a peer disappearing mid-frame must
 raise a typed error, and zero-length frames are legal in both directions.
+The client transport owns its wire msgids, so a reply that arrives after
+its caller gave up is dropped — never handed to a later call.
 """
 
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.errors import RPCRemoteError, RPCTimeoutError, RPCTransportError
-from repro.rpc import RPCClient, RPCServer
+from repro.rpc import RPCClient, RPCServer, pack, unpack
 from repro.rpc import transport as transport_mod
 from repro.rpc.mux import AsyncServerTransport
 from repro.rpc.transport import TCPTransport, read_frame, write_frame
+
+
+#: What the rogue peers below are asked: a real REQUEST frame, since the
+#: client transport puts its own wire msgid on every frame it sends.
+HELLO = pack([0, 1, "echo", ["hello"]])
+
+
+def echo_reply(request: bytes, result) -> bytes:
+    """A RESPONSE to ``request`` under whatever msgid it went out with."""
+    return pack([1, unpack(request)[1], None, result])
 
 
 @pytest.fixture
@@ -66,7 +80,7 @@ class TestMaxFrame:
         client = TCPTransport("127.0.0.1", port, timeout=5.0)
         try:
             with pytest.raises(RPCTransportError, match="exceeds MAX_FRAME"):
-                client.request(b"hello")
+                client.request(HELLO)
         finally:
             client.close()
             listener.close()
@@ -95,7 +109,7 @@ class TestMaxFrame:
             client = TCPTransport(server.host, server.port, timeout=5.0)
             try:
                 with pytest.raises(RPCTransportError) as excinfo:
-                    client.request(b"anything")
+                    client.request(HELLO)
                 assert not isinstance(excinfo.value, RPCTimeoutError)
             finally:
                 client.close()
@@ -133,7 +147,7 @@ class TestMidFrameDisconnect:
         client = TCPTransport("127.0.0.1", port, timeout=5.0)
         try:
             with pytest.raises(RPCTransportError, match="mid-frame"):
-                client.request(b"hello")
+                client.request(HELLO)
         finally:
             client.close()
             listener.close()
@@ -149,7 +163,27 @@ class TestMidFrameDisconnect:
         client = TCPTransport("127.0.0.1", port, timeout=0.2)
         try:
             with pytest.raises(RPCTimeoutError):
-                client.request(b"anyone there?")
+                client.request(HELLO)
+        finally:
+            client.close()
+            listener.close()
+
+    def test_peer_that_stops_reading_times_out_the_write(self):
+        """A frame larger than the socket buffers, to a peer that never
+        reads, fails the write with :class:`RPCTimeoutError` rather than
+        blocking it (and every caller queued behind it) for good."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        client = TCPTransport("127.0.0.1", port, timeout=0.2)
+        big = pack([0, 1, "echo", [b"\x00" * (16 << 20)]])
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(RPCTimeoutError, match="write stalled"):
+                client.request(big)
+            assert time.monotonic() - t0 < 5.0
+            assert client.broken and client.pending == 0
         finally:
             client.close()
             listener.close()
@@ -158,9 +192,10 @@ class TestMidFrameDisconnect:
 class TestReconnect:
     def test_retry_recovers_after_mid_request_connection_drop(self):
         """A server that kills the first connection mid-frame must not doom
-        the request: :class:`ResilientTransport` re-dials between attempts
-        (via :meth:`TCPTransport.reconnect`), so the retry lands on a fresh
-        connection and succeeds."""
+        the request: :class:`ResilientTransport` re-dials the dead
+        connection between attempts (via
+        :meth:`TCPTransport.reconnect_if_broken`), so the retry lands on a
+        fresh connection and succeeds."""
         from repro.rpc.resilience import ResilientTransport, RetryPolicy
         from repro.obs.metrics import Tally
 
@@ -181,8 +216,7 @@ class TestReconnect:
             # Second connection (the reconnect): behave.
             conn, _ = listener.accept()
             connections.append(conn)
-            payload = read_frame(conn)
-            write_frame(conn, payload.upper())
+            write_frame(conn, echo_reply(read_frame(conn), "HELLO"))
             conn.close()
 
         thread = threading.Thread(target=flaky_server, daemon=True)
@@ -195,7 +229,7 @@ class TestReconnect:
             stats=stats,
         )
         try:
-            assert client.request(b"hello") == b"HELLO"
+            assert client.request(HELLO) == pack([1, 1, None, "HELLO"])
         finally:
             client.close()
             listener.close()
@@ -217,7 +251,7 @@ class TestReconnect:
             def request(self, payload: bytes) -> bytes:
                 raise RPCTransportError("boom")
 
-            def reconnect(self) -> None:
+            def reconnect_if_broken(self) -> bool:
                 self.reconnects += 1
                 raise RPCTransportError("still down")
 
@@ -259,10 +293,57 @@ class TestZeroLengthFrames:
             return b"" if req.raw else b"was empty"
 
         with AsyncServerTransport(dispatcher) as server:
-            client = TCPTransport(server.host, server.port, timeout=5.0)
+            sock = socket.create_connection((server.host, server.port),
+                                            timeout=5.0)
             try:
-                assert client.request(b"") == b"was empty"
-                assert client.request(b"x") == b""
+                write_frame(sock, b"")
+                assert read_frame(sock) == b"was empty"
+                write_frame(sock, b"x")
+                assert read_frame(sock) == b""
             finally:
-                client.close()
+                sock.close()
         assert seen == [b"", b"x"]
+
+
+class TestLateReply:
+    """A call that timed out must not leave its reply for the next one.
+
+    The listener answers the slow call after its caller gave up; that
+    late reply crosses the same connection as the next call's.
+    """
+
+    @pytest.fixture
+    def slow_server(self):
+        release, answered = threading.Event(), threading.Event()
+
+        def slow():
+            release.wait(timeout=5.0)
+            answered.set()
+            return "slow reply"
+
+        listener = RPCServer({"slow": slow, "echo": lambda x: x}).serve_tcp()
+        yield listener, release, answered
+        release.set()
+        listener.stop()
+
+    def time_out_then_call(self, slow_server, later_msgid):
+        listener, release, answered = slow_server
+        client = TCPTransport(listener.host, listener.port, timeout=0.1)
+        try:
+            with pytest.raises(RPCTimeoutError):
+                client.request(pack([0, 1, "slow", []]))
+            release.set()
+            assert answered.wait(timeout=5.0)  # the late reply is on its way
+            return unpack(client.request(
+                pack([0, later_msgid, "echo", ["later"]])))
+        finally:
+            client.close()
+
+    def test_late_reply_never_answers_a_later_call(self, slow_server):
+        assert self.time_out_then_call(slow_server, 2) == [1, 2, None, "later"]
+
+    def test_late_reply_never_answers_a_later_call_with_the_same_msgid(
+            self, slow_server):
+        """Two callers sharing the connection may number their calls
+        alike (two clients forwarded by one edge both start at msgid 1)."""
+        assert self.time_out_then_call(slow_server, 1) == [1, 1, None, "later"]
