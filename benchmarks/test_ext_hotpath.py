@@ -10,11 +10,10 @@ meaningful fraction of memcpy has no software fat left to trim.
 Two implementations of the whole chain run against the same stored
 block:
 
-* *fused* — the current hot path: :func:`read_vgf_block` (no decode),
-  the codec's incremental decoder streamed straight into
-  :func:`prefilter_contour_stream` (single-pass multi-value scan, no
-  materialized decoded array), and the zero-copy
-  :func:`encode_selection`.
+* *fused* — the current hot path, as the NDP server runs it:
+  :func:`read_vgf_block` (no decode), one zero-copy decode through
+  :meth:`StoredBlock.grid`, :func:`prefilter_contour` (single-pass
+  multi-value scan) and the zero-copy :func:`encode_selection`.
 * *legacy* — a frozen copy of the pre-optimization pipeline: full
   decode + ``frombuffer().copy()`` materialize, one neighbour-diff pass
   **per contour value**, and a ``tobytes()``-copying encode.  Embedded
@@ -38,11 +37,17 @@ import pytest
 
 from repro.compression import get_codec
 from repro.core.encoding import decode_selection, encode_selection
-from repro.core.prefilter import prefilter_contour_stream
+from repro.core.prefilter import prefilter_contour
 from repro.grid.array import DataArray
 from repro.grid.selection import PointSelection
 from repro.grid.uniform import UniformGrid
-from repro.io.vgf import read_vgf_array, read_vgf_block, read_vgf_info, write_vgf
+from repro.io.vgf import (
+    StoredBlock,
+    read_vgf_array,
+    read_vgf_block,
+    read_vgf_info,
+    write_vgf,
+)
 from repro.rpc.msgpack import pack
 
 DIM = int(os.environ.get("REPRO_HOTPATH_DIM", "128"))
@@ -168,11 +173,8 @@ def _fused_chain(blob: bytes, array: str):
     fh = io.BytesIO(blob)
     info = read_vgf_info(fh)
     stored, entry = read_vgf_block(fh, array, info)
-    sel = prefilter_contour_stream(
-        get_codec(entry.codec).iter_decompress(stored),
-        info.dims, np.dtype(entry.dtype), array, VALUES, mode=MODE,
-        origin=info.origin, spacing=info.spacing,
-    )
+    grid = StoredBlock(info, entry, stored).grid()
+    sel = prefilter_contour(grid, array, VALUES, mode=MODE)
     return encode_selection(sel, method="ids", payload_codec="raw")
 
 
@@ -204,16 +206,11 @@ def test_hotpath_phases_and_speedup(dataset, bench_record):
         t, (stored, _) = _best_of(lambda: read_vgf_block(io.BytesIO(blob), "s"))
         table[f"{codec_name}_read_MBps"] = entry.stored_bytes / t / _MB
 
-        codec = get_codec(codec_name)
-        t, _ = _best_of(lambda: codec.decompress(stored))
+        block = StoredBlock(info, entry, stored)
+        t, grid = _best_of(block.grid)
         table[f"{codec_name}_decompress_MBps"] = raw_bytes / t / _MB
 
-        t, sel = _best_of(
-            lambda: prefilter_contour_stream(
-                codec.iter_decompress(stored), info.dims,
-                np.dtype(entry.dtype), "s", VALUES, mode=MODE,
-            )
-        )
+        t, sel = _best_of(lambda: prefilter_contour(grid, "s", VALUES, mode=MODE))
         table[f"{codec_name}_scan_MBps"] = raw_bytes / t / _MB
 
         t, _ = _best_of(
@@ -268,10 +265,9 @@ def test_hotpath_phases_and_speedup(dataset, bench_record):
 
 
 def test_hotpath_fused_matches_materializing_reader(dataset):
-    """The fused chain agrees with today's library reader too (not just
-    the frozen legacy): decode-then-scan through the current code."""
-    from repro.core.prefilter import prefilter_contour
-
+    """The fused chain's zero-copy decode agrees with today's library
+    reader too (not just the frozen legacy), which hands back its own
+    writable copy of the array."""
     blob = dataset["gzip"]
     fh = io.BytesIO(blob)
     info = read_vgf_info(fh)
@@ -280,9 +276,6 @@ def test_hotpath_fused_matches_materializing_reader(dataset):
     grid.point_data.add(arr)
     ref = prefilter_contour(grid, "s", VALUES, mode=MODE)
     stored, _ = read_vgf_block(io.BytesIO(blob), "s")
-    got = prefilter_contour_stream(
-        get_codec("gzip").iter_decompress(stored), info.dims,
-        np.dtype(entry.dtype), "s", VALUES, mode=MODE,
-        origin=info.origin, spacing=info.spacing,
-    )
+    got = prefilter_contour(
+        StoredBlock(info, entry, stored).grid(), "s", VALUES, mode=MODE)
     assert got == ref

@@ -37,18 +37,6 @@ class Codec(ABC):
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress`; raise :class:`CodecError` on bad input."""
 
-    def iter_decompress(self, data, chunk_bytes: int = 1 << 22):
-        """Yield the decompressed payload as a sequence of buffers.
-
-        The streaming form of :meth:`decompress`: consumers that scan as
-        they decode (the fused storage-side hot path) never hold more
-        than ``chunk_bytes`` of decoded data per chunk — when the codec
-        supports it.  This default yields one full buffer, so every codec
-        is streamable (just without the memory win); codecs with real
-        incremental decoders override it.
-        """
-        yield self.decompress(data)
-
     def ratio(self, data: bytes) -> float:
         """Compression ratio achieved on ``data`` (original / compressed)."""
         if not data:

@@ -43,21 +43,5 @@ class GzipCodec(Codec):
         except zlib.error as exc:
             raise CodecError(f"gzip decompression failed: {exc}") from exc
 
-    def iter_decompress(self, data, chunk_bytes: int = 1 << 22):
-        """True streaming decode: at most ``chunk_bytes`` decoded at once."""
-        do = zlib.decompressobj(wbits=_GZIP_WBITS)
-        tail = bytes(data)
-        try:
-            while tail:
-                out = do.decompress(tail, chunk_bytes)
-                tail = do.unconsumed_tail
-                if out:
-                    yield out
-            out = do.flush()
-        except zlib.error as exc:
-            raise CodecError(f"gzip decompression failed: {exc}") from exc
-        if out:
-            yield out
-
 
 register_codec(GzipCodec())

@@ -20,9 +20,5 @@ class NullCodec(Codec):
     def decompress(self, data: bytes) -> bytes:
         return bytes(data)
 
-    def iter_decompress(self, data, chunk_bytes: int = 1 << 22):
-        """Identity streaming is fully zero-copy: yield the input itself."""
-        yield data
-
 
 register_codec(NullCodec())

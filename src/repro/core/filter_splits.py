@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.postfilter import postfilter_contour
-from repro.core.prefilter import prefilter_contour, prefilter_contour_stream
+from repro.core.prefilter import prefilter_contour
 from repro.errors import FilterError, ReproError, RPCError
 from repro.filters.contour import normalize_values
 from repro.filters.slice import slice_grid, slice_plane_indices
@@ -175,17 +175,13 @@ class SplitFilter:
     ``(name, coerce, default)`` triples (no default = required).
     ``pre(grid, array, args)`` is the storage-side kernel and
     ``post(selection, args)`` the client-side one; both read the
-    canonical argument dict :meth:`bind` returns.  ``stream``, when set,
-    is ``pre`` over a :class:`~repro.io.vgf.StoredBlock` whose decoded
-    array is never materialized; it serves requests without an ``roi``
-    (a region mask needs the whole grid).
+    canonical argument dict :meth:`bind` returns.
     """
 
     kind: str
     params: tuple
     pre: Callable
     post: Callable
-    stream: Callable | None = None
 
     @property
     def method(self) -> str:
@@ -243,10 +239,6 @@ SPLIT_FILTERS = {
                 grid, array, a["values"], mode=a["mode"], roi=a["roi"]),
             post=lambda sel, a: postfilter_contour(
                 sel, a["values"], roi=a["roi"]),
-            stream=lambda block, array, a: prefilter_contour_stream(
-                block.chunks(), block.info.dims, np.dtype(block.entry.dtype),
-                array, a["values"], mode=a["mode"], origin=block.info.origin,
-                spacing=block.info.spacing, axes=block.info.axes),
         ),
         SplitFilter(
             "threshold",

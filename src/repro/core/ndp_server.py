@@ -337,8 +337,7 @@ class NDPServer:
             raise
         return StoredBlock(info, entry, stored)
 
-    def _source(self, key: str, array: str, stream: bool = False,
-                memo: dict | None = None):
+    def _source(self, key: str, array: str, memo: dict | None = None):
         """One decoded ``(grid, entry)`` pair, via every cache layer.
 
         Lookup order: the running batch's ``memo`` (one read per object
@@ -349,17 +348,11 @@ class NDPServer:
         ``store.read`` covers the object read and checksum (its sim time
         is the modelled SSD cost) and ``decompress`` the modelled
         decompression charge and the real decode.
-
-        ``stream`` says the caller can scan a
-        :class:`~repro.io.vgf.StoredBlock` as it decodes.  It gets one in
-        place of the grid only when nothing would keep the decoded block
-        — no array cache, no batch memo — because that is the case where
-        materializing buys nothing and costs the whole array in memory.
         """
         if memo is not None and (key, array) in memo:
             return memo[(key, array)]
 
-        def read(stream: bool = False):
+        def read():
             block = self._read_stored(key, array)
             entry = block.entry
             check_deadline("decompress")
@@ -368,13 +361,13 @@ class NDPServer:
                     self.recorder.phase("decompress", codec=entry.codec):
                 if self.testbed is not None:
                     self.testbed.charge_decompress(entry.codec, entry.raw_bytes)
-                return (block if stream else block.grid(copy=False)), entry
+                return block.grid(), entry
 
         if self.array_cache is not None:
             pair = self.array_cache.get_or_load(
                 (key, array, self._store_version(key)), read)
         else:
-            pair = read(stream and memo is None)
+            pair = read()
         if memo is not None:
             memo[(key, array)] = pair
         return pair
@@ -396,9 +389,7 @@ class NDPServer:
         """
 
         def compute() -> dict:
-            source, entry = self._source(
-                key, array, memo=memo,
-                stream=op.stream is not None and args.get("roi") is None)
+            grid, entry = self._source(key, array, memo=memo)
             require_point_scalar(entry)
             check_deadline("pre-filter scan")
             with self.tracer.span("prefilter", kind=op.kind, key=key,
@@ -406,8 +397,7 @@ class NDPServer:
                     self.recorder.phase("prefilter", kind=op.kind, key=key):
                 if self.testbed is not None:
                     self.testbed.charge_filter_scan(entry.raw_bytes)
-                scan = op.stream if isinstance(source, StoredBlock) else op.pre
-                selection = scan(source, array, args)
+                selection = op.pre(grid, array, args)
             encoding, wire_codec = args["encoding"], args["wire_codec"]
             check_deadline("encode")
             with self.tracer.span("encode", encoding=encoding,

@@ -26,7 +26,7 @@ from repro.core.interesting import (
     interesting_point_mask,
     roi_cell_mask,
 )
-from repro.errors import FilterError, FormatError
+from repro.errors import FilterError
 from repro.filters.contour import normalize_values
 from repro.grid.selection import PointSelection
 from repro.grid.uniform import UniformGrid
@@ -36,17 +36,12 @@ from repro.filters.contour import STRUCTURED_GRID_TYPES
 
 __all__ = [
     "prefilter_contour",
-    "prefilter_contour_stream",
     "selection_rate",
     "ContourPreFilter",
     "SELECTION_MODES",
 ]
 
 SELECTION_MODES = ("cell-closure", "edge")
-
-#: Decoded-window budget for the fused streaming scan (bytes of field
-#: data per chunk, before the float64 classification cast).
-_STREAM_WINDOW_BYTES = 4 << 20
 
 
 def prefilter_contour(
@@ -77,179 +72,6 @@ def prefilter_contour(
         mask = cell_closure_point_mask(field, vals, cell_mask=roi_cells)
     ids = np.nonzero(mask.reshape(-1))[0].astype(np.int64)
     return PointSelection.from_grid(grid, array_name, ids)
-
-
-class _LayerStream:
-    """Serves consecutive grid point-layers out of a stream of buffers.
-
-    Decoded bytes arrive as arbitrary-sized chunks (a streaming
-    decompressor does not align to grid layers, or even to element
-    boundaries); this adapter slices them into ``(n_layers, ny*nx)``
-    element windows.  When a window falls inside one source buffer it is
-    returned as a zero-copy view — the whole-block RAW case — and only
-    windows straddling chunk boundaries are assembled by copy.
-    """
-
-    def __init__(self, buffers, layer_elems: int, dtype):
-        self._it = iter(buffers)
-        self._dt = np.dtype(dtype)
-        self._layer = int(layer_elems)
-        self._segs: list[tuple[int, np.ndarray]] = []  # (start elem, elems)
-        self._fed = 0     # elements ingested so far
-        self._served = 0  # element index just past the last served window
-        self._tail = b""  # partial-element bytes carried between chunks
-
-    def _ingest(self) -> bool:
-        try:
-            buf = next(self._it)
-        except StopIteration:
-            return False
-        mv = memoryview(buf)
-        if mv.format != "B" or mv.ndim != 1:
-            mv = mv.cast("B")
-        if self._tail:
-            need = self._dt.itemsize - len(self._tail)
-            self._tail += bytes(mv[:need])
-            mv = mv[need:]
-            if len(self._tail) == self._dt.itemsize:
-                self._append(np.frombuffer(self._tail, dtype=self._dt))
-                self._tail = b""
-        usable = len(mv) - (len(mv) % self._dt.itemsize)
-        if usable:
-            self._append(np.frombuffer(mv[:usable], dtype=self._dt))
-        if usable < len(mv):
-            self._tail = bytes(mv[usable:])
-        return True
-
-    def _append(self, arr: np.ndarray) -> None:
-        self._segs.append((self._fed, arr))
-        self._fed += arr.size
-
-    def take(self, n_layers: int, overlap: int = 0) -> np.ndarray:
-        """Next window of ``n_layers`` layers, re-serving the last
-        ``overlap`` layers of the previous window (the scan's one-layer
-        seam).  Returns a flat ``(n_layers * ny * nx,)`` element array."""
-        lo = self._served - overlap * self._layer
-        hi = self._served + (n_layers - overlap) * self._layer
-        while self._fed < hi:
-            if not self._ingest():
-                raise FormatError(
-                    f"decoded stream truncated: holds {self._fed} elements "
-                    f"but the scan needs at least {hi}"
-                )
-        # Segments entirely before the window can never be needed again.
-        while self._segs and self._segs[0][0] + self._segs[0][1].size <= lo:
-            self._segs.pop(0)
-        self._served = hi
-        start, first = self._segs[0]
-        if start <= lo and start + first.size >= hi:
-            return first[lo - start : hi - start]
-        out = np.empty(hi - lo, dtype=self._dt)
-        for s, arr in self._segs:
-            a, b = max(s, lo), min(s + arr.size, hi)
-            if a < b:
-                out[a - lo : b - lo] = arr[a - s : b - s]
-        return out
-
-    def finish(self, expected_elems: int) -> None:
-        """Drain the source and verify the stream held exactly the grid."""
-        while self._ingest():
-            pass
-        if self._tail:
-            raise FormatError(
-                f"decoded stream ends mid-element ({len(self._tail)} stray "
-                f"bytes for itemsize {self._dt.itemsize})"
-            )
-        if self._fed != expected_elems:
-            raise FormatError(
-                f"decoded stream holds {self._fed} elements; the grid "
-                f"needs exactly {expected_elems}"
-            )
-
-
-def prefilter_contour_stream(
-    buffers,
-    dims,
-    dtype,
-    array_name: str,
-    values,
-    mode: str = "cell-closure",
-    origin=(0.0, 0.0, 0.0),
-    spacing=(1.0, 1.0, 1.0),
-    axes=None,
-    chunk_layers: int = 0,
-) -> PointSelection:
-    """Fused streaming form of :func:`prefilter_contour`.
-
-    Consumes the scalar field as a stream of decoded buffers (e.g.
-    ``codec.iter_decompress(stored)``) and runs the interesting-scan per
-    window of ``chunk_layers`` cell layers, so decompression and scan
-    interleave and the whole decoded array, its float64 classification
-    cast, and the full-grid boolean masks are never materialized at once.
-    Selected ids/values are emitted per finalized slab; the result is
-    byte-identical to materializing the grid and calling
-    :func:`prefilter_contour`.
-
-    ``dims`` is grid convention ``(nx, ny, nz)``; ``origin`` / ``spacing``
-    / ``axes`` carry the structure into the returned selection.
-    """
-    if mode not in SELECTION_MODES:
-        raise FilterError(f"unknown selection mode {mode!r}; use one of {SELECTION_MODES}")
-    vals = normalize_values(values)
-    nx, ny, nz = (int(d) for d in dims)
-    if nx < 1 or ny < 1 or nz < 1:
-        raise FilterError(f"bad grid dims {(nx, ny, nz)}")
-    dt = np.dtype(dtype)
-    layer = nx * ny
-    if chunk_layers <= 0:
-        chunk_layers = max(1, _STREAM_WINDOW_BYTES // max(1, layer * dt.itemsize))
-    mask_fn = interesting_point_mask if mode == "edge" else cell_closure_point_mask
-
-    stream = _LayerStream(buffers, layer, dt)
-    ids_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-
-    def emit(z0: int, mask_slab: np.ndarray, value_slab: np.ndarray) -> None:
-        flat = np.flatnonzero(mask_slab)
-        if flat.size:
-            ids_parts.append(flat.astype(np.int64, copy=False) + z0 * layer)
-            val_parts.append(value_slab.reshape(-1)[flat])
-
-    if nz == 1:
-        win = stream.take(1).reshape(1, ny, nx)
-        emit(0, mask_fn(win, vals), win)
-    else:
-        # Iterate cell-layer chunks [c0, c1); each needs point layers
-        # [c0, c1].  A point layer is finalized once both cell layers
-        # touching it have been scanned, so the window's last layer mask
-        # is carried into the next chunk (where the overlapping window
-        # recomputes its in-window contributions identically).
-        carry = None
-        c0 = 0
-        while c0 < nz - 1:
-            c1 = min(c0 + chunk_layers, nz - 1)
-            w = c1 - c0 + 1
-            win = stream.take(w, overlap=0 if c0 == 0 else 1).reshape(w, ny, nx)
-            mask = mask_fn(win, vals)
-            if carry is not None:
-                mask[0] |= carry
-            if c1 < nz - 1:
-                emit(c0, mask[:-1], win[:-1])
-                carry = mask[-1].copy()
-            else:
-                emit(c0, mask, win)
-            c0 = c1
-    stream.finish(nx * ny * nz)
-
-    if ids_parts:
-        ids = np.concatenate(ids_parts)
-        vals_out = np.concatenate(val_parts)
-    else:
-        ids = np.zeros(0, dtype=np.int64)
-        vals_out = np.zeros(0, dtype=dt)
-    return PointSelection(
-        (nx, ny, nz), origin, spacing, array_name, ids, vals_out, axes=axes
-    )
 
 
 def selection_rate(grid, array_name: str, values) -> float:

@@ -456,10 +456,12 @@ class EdgeCacheServer:
         storage server would locally."""
         block = StoredBlock.from_wire(
             self._call_upstream("read_block", key, array))
-        if self.testbed is not None:
-            self.testbed.charge_decompress(
-                block.entry.codec, block.entry.raw_bytes)
-        pair = block.grid(copy=False), block.entry
+        entry = block.entry
+        with self.tracer.span("decompress", codec=entry.codec,
+                              raw_bytes=entry.raw_bytes):
+            if self.testbed is not None:
+                self.testbed.charge_decompress(entry.codec, entry.raw_bytes)
+            pair = block.grid(), entry
         self._block_promotions.inc()
         return pair
 

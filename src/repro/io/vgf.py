@@ -287,13 +287,12 @@ def read_vgf_info(source) -> VGFInfo:
 def read_vgf_block(
     source, name: str, info: VGFInfo | None = None, verify: bool = True
 ) -> tuple[bytes, ArrayInfo]:
-    """Read one array's *stored* (still-compressed) block, unverified decode.
+    """Read one array's *stored* (still-compressed) block, not decoded.
 
-    The single ranged read shared by :func:`read_vgf_array` and the
-    fused streaming scan (which feeds the block to the codec's
-    incremental decoder instead of materializing the decoded array).
-    Checksum verification over the stored bytes happens here, so every
-    consumer gets the same integrity guarantee.
+    The single ranged read behind :func:`read_vgf_array` and the NDP
+    server's :class:`StoredBlock`.  Checksum verification over the stored
+    bytes happens here, so every consumer gets the same integrity
+    guarantee.
     """
     fh = _open(source)
     if info is None:
@@ -322,10 +321,9 @@ _WIRE_FIELDS = ("name", "dtype", "components", "association", "codec",
 class StoredBlock:
     """One array's stored (still-compressed) block plus what decodes it.
 
-    What a server ships for ``read_block`` and what its scans start from
-    — whole (:meth:`grid`) or streamed (:meth:`chunks`) — so a block read
-    near the store and one pulled across the WAN by the edge tier decode
-    through the same code.
+    What a server ships for ``read_block`` and what every scan starts
+    from (:meth:`grid`), so a block read near the store and one pulled
+    across the WAN by the edge tier decode through the same code.
     """
 
     info: VGFInfo
@@ -365,19 +363,18 @@ class StoredBlock:
         )
         return cls(info, entry, bytes(reply["stored"]))
 
-    def chunks(self):
-        """The decoded bytes as the codec's incremental stream."""
-        return get_codec(self.entry.codec).iter_decompress(self.stored)
-
-    def grid(self, copy: bool = True):
-        """A grid of the stored structure holding just this array."""
+    def grid(self):
+        """A grid of the stored structure holding just this array, decoded
+        once; its values are a read-only view over the decoded bytes."""
         grid = self.info.make_grid()
         array_collection(grid, self.entry).add(
-            _decode(self.stored, self.entry, copy))
+            _decode(self.stored, self.entry))
         return grid
 
 
-def _decode(stored, entry: ArrayInfo, copy: bool) -> DataArray:
+def _decode(stored, entry: ArrayInfo) -> DataArray:
+    """``entry``'s block decoded as a zero-copy view; a corrupt block or a
+    size other than the header's is a :class:`FormatError`."""
     try:
         payload = get_codec(entry.codec).decompress(stored)
     except CodecError as exc:
@@ -390,8 +387,6 @@ def _decode(stored, entry: ArrayInfo, copy: bool) -> DataArray:
             f"{entry.raw_bytes}"
         )
     values = np.frombuffer(payload, dtype=np.dtype(entry.dtype))
-    if copy:
-        values = values.copy()
     return DataArray(entry.name, values, components=entry.components)
 
 
@@ -402,19 +397,18 @@ def array_collection(grid, entry: ArrayInfo):
 
 def read_vgf_array(
     source, name: str, info: VGFInfo | None = None, verify: bool = True,
-    copy: bool = True,
 ) -> tuple[DataArray, ArrayInfo]:
-    """Read one array block (a single ranged read) and decode it.
+    """Read one array block (a single ranged read) and decode it into a
+    writable array the caller owns.
 
     When the header carries a checksum for the block and ``verify`` is
     true (default), the stored bytes are verified before decompression;
     a mismatch raises :class:`~repro.errors.IntegrityError`.  Files
-    written without checksums skip verification.  ``copy=False`` returns
-    the values as a zero-copy (read-only) view over the decoded buffer —
-    safe for scan-only consumers like the NDP server's pre-filters.
+    written without checksums skip verification.
     """
     stored, entry = read_vgf_block(source, name, info, verify=verify)
-    return _decode(stored, entry, copy), entry
+    arr = _decode(stored, entry)
+    return DataArray(arr.name, arr.values.copy(), arr.components), entry
 
 
 def read_vgf(source, array_names: list[str] | None = None, verify: bool = True):

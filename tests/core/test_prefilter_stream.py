@@ -1,23 +1,24 @@
-"""The fused streaming pre-filter must be byte-identical to materializing.
+"""A stored block, decoded once, scans exactly as the in-memory grid does.
 
-:func:`~repro.core.prefilter.prefilter_contour_stream` consumes decoded
-buffers chunk-by-chunk; these tests drive it across codecs, chunk sizes
-(down to one layer), selection modes, grid shapes (incl. 2-D), dtypes,
-NaN-bearing fields, and rectilinear axes, always comparing against the
-materializing :func:`~repro.core.prefilter.prefilter_contour`.  A second
-class asserts that which source a deployment serves a block from — the
-streamed store read, the array cache, a batch memo, an edge's promoted
-block — never shows in the reply bytes (CRC included).
+Every store read takes one path: the checksum-verified stored block
+(:func:`~repro.io.vgf.read_vgf_block`) is decoded once by
+:meth:`~repro.io.vgf.StoredBlock.grid` and the split filter's kernel runs
+on that grid.  The first class holds the stored byte stream to the grid
+it was written from across codecs, selection modes, grid shapes (incl.
+2-D), dtypes, NaN-bearing fields, rectilinear axes and store chunk
+sizes, and holds a decoded size that disagrees with the header to a
+``FormatError``.  The second asserts that which source a deployment
+serves a block from — the store read, the array cache, a batch memo, an
+edge's promoted block — never shows in the reply bytes (CRC included).
 """
 
 import numpy as np
 import pytest
 
-from repro.compression import get_codec
 from repro.core.encoding import decode_selection
 from repro.core.filter_splits import SPLIT_FILTERS, wire_request
 from repro.core.ndp_server import NDPServer
-from repro.core.prefilter import prefilter_contour, prefilter_contour_stream
+from repro.core.prefilter import prefilter_contour
 from repro.edge import EdgeCacheServer
 from repro.errors import FilterError, FormatError
 from repro.filters.contour import contour_grid
@@ -26,8 +27,14 @@ from repro.filters.threshold import ThresholdPoints
 from repro.grid.array import DataArray
 from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.uniform import UniformGrid
-from repro.io.vgf import write_vgf
-from repro.rpc import RPCClient, pack
+from repro.io.vgf import (
+    StoredBlock,
+    read_vgf_array,
+    read_vgf_block,
+    read_vgf_info,
+    write_vgf,
+)
+from repro.rpc import RPCClient, pack, unpack
 from repro.rpc.transport import InProcessTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
@@ -55,31 +62,48 @@ def make_grid(dims, dtype=np.float32, nan_every=0, seed=0):
     return grid, f
 
 
+def decoded(grid, codec="raw"):
+    """``grid`` written as VGF and read back the way every server reads a
+    block: the verified stored bytes, decoded once."""
+    blob = write_vgf(grid, codec=codec)
+    info = read_vgf_info(blob)
+    stored, entry = read_vgf_block(blob, "s", info)
+    return StoredBlock(info, entry, stored).grid()
+
+
+def memory_fs(**options):
+    store = ObjectStore(MemoryBackend())
+    store.create_bucket("sim")
+    return S3FileSystem(store, "sim", **options)
+
+
+def with_raw_bytes(blob: bytes, delta: int) -> bytes:
+    """A checksum-less VGF ``blob`` whose first array's header
+    ``raw_bytes`` is moved by ``delta``: the block itself is untouched."""
+    info = read_vgf_info(blob)
+    header = unpack(blob[8:info.data_start])
+    header["arrays"][0]["raw_bytes"] += delta
+    packed = pack(header)
+    return (blob[:4] + len(packed).to_bytes(4, "little") + packed
+            + blob[info.data_start:])
+
+
 class TestStreamEquivalence:
     @pytest.mark.parametrize("dims", [(7, 5, 9), (4, 4, 1), (3, 3, 2),
                                       (16, 16, 16), (1, 6, 6), (2, 2, 2)])
     @pytest.mark.parametrize("mode", ["cell-closure", "edge"])
     @pytest.mark.parametrize("codec_name", ["raw", "gzip"])
     def test_matches_materializing(self, dims, mode, codec_name):
-        grid, f = make_grid(dims, nan_every=37)
+        grid, _ = make_grid(dims, nan_every=37)
         ref = prefilter_contour(grid, "s", VALUES, mode=mode)
-        codec = get_codec(codec_name)
-        stored = codec.compress(f.tobytes())
-        for chunk_layers in (0, 1, 2, 5):
-            got = prefilter_contour_stream(
-                codec.iter_decompress(stored), dims, f.dtype, "s", VALUES,
-                mode=mode, chunk_layers=chunk_layers,
-            )
-            assert same_selection(got, ref), (dims, mode, codec_name, chunk_layers)
+        got = prefilter_contour(decoded(grid, codec_name), "s", VALUES, mode=mode)
+        assert same_selection(got, ref), (dims, mode, codec_name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
     def test_dtype_preserved(self, dtype):
-        dims = (6, 5, 7)
-        grid, f = make_grid(dims, dtype=dtype)
+        grid, _ = make_grid((6, 5, 7), dtype=dtype)
         ref = prefilter_contour(grid, "s", [0.1])
-        got = prefilter_contour_stream(
-            [f.tobytes()], dims, dtype, "s", [0.1], chunk_layers=2
-        )
+        got = prefilter_contour(decoded(grid), "s", [0.1])
         assert got.values.dtype == np.dtype(dtype)
         assert same_selection(got, ref)
 
@@ -90,52 +114,51 @@ class TestStreamEquivalence:
         f = np.random.default_rng(2).normal(size=(5, 4, 6)).astype(np.float32)
         grid.point_data.add(DataArray("s", f.reshape(-1)))
         ref = prefilter_contour(grid, "s", [0.1])
-        got = prefilter_contour_stream(
-            [f.tobytes()], (6, 4, 5), np.float32, "s", [0.1],
-            axes=axes, chunk_layers=2,
-        )
+        got = prefilter_contour(decoded(grid, "gzip"), "s", [0.1])
         assert got == ref  # full equality, axes included (no NaN here)
 
     def test_arbitrary_chunk_splits(self):
-        # The byte stream need not align to layers or even elements.
-        dims = (6, 4, 5)
-        grid, f = make_grid(dims, seed=3)
+        # The store hands the block back in chunks that need not align
+        # to layers or even to elements.
+        grid, _ = make_grid((6, 4, 5), seed=3)
         ref = prefilter_contour(grid, "s", VALUES)
-        raw = f.tobytes()
+        blob = write_vgf(grid, codec="gzip")
         for step in (1, 7, 13, 64):
-            chunks = [raw[i : i + step] for i in range(0, len(raw), step)]
-            got = prefilter_contour_stream(
-                chunks, dims, np.float32, "s", VALUES, chunk_layers=1
-            )
-            assert same_selection(got, ref), step
+            fs = memory_fs(chunk_bytes=step)
+            fs.write_object("x.vgf", blob)
+            reply = NDPServer(fs).prefilter_contour("x.vgf", "s", list(VALUES))
+            assert same_selection(decode_selection(reply), ref), step
 
     def test_truncated_stream_raises(self):
-        dims = (6, 4, 5)
-        _, f = make_grid(dims, seed=4)
-        raw = f.tobytes()
-        for bad in (raw[:-4], raw[:-1], raw[: len(raw) // 2], b""):
-            with pytest.raises(FormatError):
-                prefilter_contour_stream(
-                    [bad], dims, np.float32, "s", [0.1], chunk_layers=2
-                )
+        """A block that decodes to one element or one byte less than its
+        header says is refused by the library reader and the server."""
+        self.assert_size_mismatch_refused(deltas=(4, 1))
 
     def test_oversized_stream_raises(self):
-        dims = (6, 4, 5)
-        _, f = make_grid(dims, seed=5)
-        raw = f.tobytes()
-        for extra in (b"\x00", raw[:12], b"x"):
-            with pytest.raises(FormatError):
-                prefilter_contour_stream(
-                    [raw, extra], dims, np.float32, "s", [0.1], chunk_layers=2
-                )
+        """... and so is one that decodes to one element or one byte more."""
+        self.assert_size_mismatch_refused(deltas=(-4, -1))
+
+    @staticmethod
+    def assert_size_mismatch_refused(deltas):
+        grid, f = make_grid((6, 4, 5), seed=4)
+        assert f.dtype.itemsize == 4
+        for codec in ("raw", "gzip"):
+            clean = write_vgf(grid, codec=codec, checksums=False)
+            for delta in deltas:
+                blob = with_raw_bytes(clean, delta)
+                said = f.nbytes + delta
+                line = f"decoded {f.nbytes} bytes, header says {said}"
+                with pytest.raises(FormatError, match=line):
+                    read_vgf_array(blob, "s")
+                fs = memory_fs()
+                fs.write_object("x.vgf", blob)
+                with pytest.raises(FormatError, match=line):
+                    NDPServer(fs).prefilter_contour("x.vgf", "s", [0.1])
 
     def test_bad_mode_rejected(self):
-        dims = (4, 4, 4)
-        _, f = make_grid(dims, seed=6)
+        grid, _ = make_grid((4, 4, 4), seed=6)
         with pytest.raises(FilterError):
-            prefilter_contour_stream(
-                [f.tobytes()], dims, np.float32, "s", [0.1], mode="nope"
-            )
+            prefilter_contour(decoded(grid), "s", [0.1], mode="nope")
 
 
 #: kind -> what the client sends for it (``mode`` picks the contour variant)
@@ -169,8 +192,8 @@ def same_polydata(a, b) -> bool:
 
 
 class TestServerFusedPath:
-    """The fused (streamed) store read against every other source a
-    deployment can serve the same request from."""
+    """The cache-off store read against every other source a deployment
+    can serve the same request from."""
 
     GRID, _ = make_grid((11, 9, 13), seed=7)
 
@@ -207,6 +230,7 @@ class TestServerFusedPath:
     @pytest.mark.parametrize("codec", STORE_CODECS)
     @pytest.mark.parametrize("request_name", REQUESTS)
     def test_same_bytes(self, fs, request_name, codec, encoding):
+        """Every source ships the store read's reply, byte for byte."""
         kind, fields = REQUESTS[request_name]
         op = SPLIT_FILTERS[kind]
         args = op.bind({**fields, "encoding": encoding, "wire_codec": "gzip"})
@@ -220,9 +244,9 @@ class TestServerFusedPath:
     @pytest.mark.parametrize("codec", STORE_CODECS)
     @pytest.mark.parametrize("request_name", ["cell-closure", "threshold", "slice"])
     def test_post_matches_stock(self, fs, request_name, codec):
-        # Every source, decoded and post-filtered, is the stock filter on
-        # the full grid ("edge" mode is approximate by design, see
-        # prefilter.py, so it is not held to this).
+        """Every source, decoded and post-filtered, is the stock filter on
+        the full grid ("edge" mode is approximate by design, see
+        prefilter.py, so it is not held to this)."""
         kind, fields = REQUESTS[request_name]
         op = SPLIT_FILTERS[kind]
         args = op.bind(fields)
@@ -232,7 +256,7 @@ class TestServerFusedPath:
             assert same_polydata(got, expected), source
 
     def test_fallbacks_still_serve(self, fs):
-        # ROI, caches, and batches materialize the block and work.
+        """An ROI, both caches and a mixed batch serve on one server."""
         server = NDPServer(fs, cache_bytes=1 << 20,
                            selection_cache_bytes=1 << 20)
         client = RPCClient(InProcessTransport(server.dispatch))

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import FormatError
 from repro.grid import DataArray, UniformGrid
 from repro.io import read_vgf, read_vgf_array, read_vgf_info, write_vgf
+from repro.io.vgf import StoredBlock, read_vgf_block
 
 
 def make_grid():
@@ -107,6 +108,14 @@ class TestArraySelection:
         assert arr == make_grid().point_data.get("rho")
         assert entry.codec == "gzip"
         assert entry.raw_bytes == arr.nbytes
+        # The library reader hands the caller an array it owns; the
+        # server's one decode keeps a read-only view over the payload.
+        assert arr.values.flags.writeable
+        info = read_vgf_info(blob)
+        stored, entry = read_vgf_block(blob, "rho", info)
+        view = StoredBlock(info, entry, stored).grid().point_data.get("rho")
+        assert view == arr
+        assert not view.values.flags.writeable
 
 
 class TestHeaderInfo:

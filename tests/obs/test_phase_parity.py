@@ -69,7 +69,7 @@ class TestPhaseParity:
             "w.vgf", "f", *op.wire(op.bind(fields)))
 
     def test_cache_off(self, kind):
-        # Streams for the contour, materializes for the others: same trail.
+        # Cache off, every kind decodes the block once: same trail.
         server = serve()
         assert trail(server, self.call(server, kind, FIELDS[kind])) == (READ, READ)
 
