@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.filter_splits import DEFAULT_WIRE_CODEC
+from repro.core.filter_splits import DEFAULT_WIRE_CODEC, SPLIT_FILTERS
 from repro.core.ndp_server import NDPServer
 from repro.core.prefilter import prefilter_contour, selection_rate
 from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
@@ -184,19 +184,11 @@ class BenchEnv:
         tb = self.testbed
         t0 = tb.clock.now
         ssd0, net0 = tb.ssd.total_bytes, tb.net.total_bytes
-        if hasattr(values, "__iter__"):
-            values = list(values)
-        else:
-            values = [values]
+        op = SPLIT_FILTERS["contour"]
+        args = op.bind({"values": values, "mode": mode, "encoding": encoding,
+                        "wire_codec": wire_codec})
         encoded = self.ndp_client.call(
-            "prefilter_contour",
-            self.key(dataset, codec, step),
-            array,
-            values,
-            mode,
-            encoding,
-            wire_codec,
-        )
+            op.method, self.key(dataset, codec, step), array, *op.wire(args))
         stats = encoded.get("stats", {})
         if wire_codec != "raw":
             # Client-side decompression of the selection payload.

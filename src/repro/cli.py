@@ -451,28 +451,16 @@ def cmd_contour(args) -> int:
         fallback = FallbackPolicy(
             _open_fs(args.store, args.bucket), stats=rstats, tracer=tracer
         )
-    client = None
     close = lambda: None  # noqa: E731 - replaced when a client is built
     try:
         if args.connect:
             host, port = parse_address(args.connect)
-            try:
-                transport = TCPTransport(host, port)
-            except RPCTransportError as exc:
-                if fallback is None:
-                    raise
-                # Server unreachable before the first frame: degrade now.
-                polydata, stats = fallback.contour(
-                    args.key, args.array, values, reason=exc
-                )
-                rc = _report_contour(args, polydata, stats, rstats)
-                if tracer is not None:
-                    _write_trace(tracer, args.trace_out)
-                return rc
+            # Dialled on first use, so an unreachable server fails the
+            # call itself and degrades inside ndp_contour's fallback.
             client = RPCClient(
                 ResilientTransport(
-                    transport, retry=retry, breaker=breaker, stats=rstats,
-                    tracer=tracer,
+                    TCPTransport(host, port, lazy=True), retry=retry,
+                    breaker=breaker, stats=rstats, tracer=tracer,
                 ),
                 tracer=tracer,
             )
@@ -553,10 +541,6 @@ def _cluster_contour(args, values, retry, breaker, rstats, tracer) -> int:
         cluster = ClusterClient(
             pool, manifest, fallback_fs=fs if args.fallback else None,
             tracer=tracer, manifest_fs=fs,
-            hedge=not args.no_hedge,
-            hedge_quantile=args.hedge_quantile,
-            hedge_floor=args.hedge_floor,
-            hedge_cap=args.hedge_cap,
         )
         polydata, stats = cluster.contour(args.array, values)
     rc = _report_contour(args, polydata, stats, rstats)
@@ -1407,17 +1391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", action="store_true",
                    help="degrade to a baseline full read through --store "
                         "when the NDP server is unreachable")
-    p.add_argument("--no-hedge", action="store_true",
-                   help="cluster mode: disable hedged replica reads "
-                        "(strict primary-then-failover ordering)")
-    p.add_argument("--hedge-quantile", type=float, default=0.95,
-                   help="cluster mode: launch a hedge once the primary is "
-                        "slower than this quantile of its recent latency "
-                        "(default 0.95)")
-    p.add_argument("--hedge-floor", type=float, default=0.005,
-                   help="minimum hedge delay in seconds (default 0.005)")
-    p.add_argument("--hedge-cap", type=float, default=1.0,
-                   help="maximum hedge delay in seconds (default 1.0)")
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("health", help="probe an NDP server's health endpoint")

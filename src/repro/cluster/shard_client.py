@@ -7,16 +7,20 @@ ROI (in parallel, one worker per shard so each endpoint sees its blocks
 in order), gathers the per-block sparse selections, stitches them into
 one global-structure selection (:mod:`repro.cluster.stitch` — the
 bit-identity argument lives there), and runs the stock post-filter once.
+Each per-block call is :func:`~repro.core.ndp_client.request_selection`
+with the contour row's bound arguments, so a shard sees exactly the
+request a monolithic client would send for that block.
 
 Failure handling composes with the existing resilience stack, and with
-replication (PR 9) failover is a *fast path*, not a degradation.  Each
-block's manifest entry names an ordered replica chain; the client ranks
-the chain by live endpoint health (open breakers last, then rolling
-latency) and drives it through the pool's
-:class:`~repro.rpc.pool.HedgedCall`: the first replica gets the request,
-a hedge fires to the next after a latency-quantile delay, and timeouts,
-breaker-opens, sheds, and integrity failures fail over down the chain
-immediately.  The failover ladder per block is therefore
+replication failover is a *fast path*, not a degradation.  Each block's
+manifest entry names an ordered replica chain; the client ranks the
+chain by live endpoint health (open breakers last, then rolling
+latency).  A chain with more than one live replica runs through the
+pool's :class:`~repro.rpc.pool.HedgedCall`: the first replica gets the
+request, a hedge fires to the next after a latency-quantile delay, and
+timeouts, breaker-opens, sheds, and integrity failures fail over down
+the chain immediately.  A single live replica is called directly.  The
+failover ladder per block is therefore
 
     retry (inside ResilientTransport) → hedge → next replica → baseline
 
@@ -39,20 +43,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro.cluster.manifest import ShardManifest, load_manifest
-from repro.cluster.stitch import stitch_selections
-from repro.core.encoding import decode_selection
-from repro.core.filter_splits import DEFAULT_WIRE_CODEC
-from repro.core.prefilter import prefilter_contour
-from repro.core.postfilter import postfilter_contour
-from repro.errors import (
-    CircuitOpenError,
-    IntegrityError,
-    ReproError,
-    RPCTransportError,
-)
-from repro.filters.contour import normalize_values
+from repro.cluster.stitch import stitch_exact, stitch_selections
+from repro.core.filter_splits import SPLIT_FILTERS
+from repro.core.ndp_client import request_selection
+from repro.errors import FAILOVER_ERRORS, ReproError, SelectionError
 from repro.grid.bounds import Bounds
 from repro.io.vgf import read_vgf
 from repro.obs.flightrec import NULL_RECORDER
@@ -60,9 +57,8 @@ from repro.obs.trace import NULL_TRACER
 
 __all__ = ["ClusterClient"]
 
-#: Errors that exhaust a replica (and, when the whole chain is exhausted,
-#: trigger per-block baseline fallback).
-FALLBACK_TRIGGERS = (RPCTransportError, CircuitOpenError, IntegrityError)
+#: the split filter a cluster scatters
+_CONTOUR = SPLIT_FILTERS["contour"]
 
 
 class ClusterClient:
@@ -86,14 +82,6 @@ class ClusterClient:
         in a reply → re-fetch + swap, no restart).
     sign_key:
         HMAC key for manifest verification on live re-fetch.
-    hedge:
-        Enable hedged reads for replicated blocks (default on; single-
-        replica chains always use the direct path, so pre-replication
-        layouts behave exactly as before).
-    hedge_quantile, hedge_floor, hedge_cap:
-        Hedge timing model: wait for the endpoint's rolling latency at
-        ``hedge_quantile`` (clamped to ``[hedge_floor, hedge_cap]``
-        seconds) before racing the next replica.
     recorder:
         Optional :class:`~repro.obs.flightrec.FlightRecorder`; fallback,
         failover, and map-refresh decisions land in the always-on flight
@@ -101,12 +89,7 @@ class ClusterClient:
     """
 
     def __init__(self, pool, manifest: ShardManifest, fallback_fs=None, *,
-                 mode: str = "cell-closure", encoding: str = "auto",
-                 wire_codec: str = DEFAULT_WIRE_CODEC, tracer=None,
-                 max_workers=None,
-                 recorder=None, manifest_fs=None, sign_key=None,
-                 hedge: bool = True, hedge_quantile: float = 0.95,
-                 hedge_floor: float = 0.005, hedge_cap: float = 1.0):
+                 tracer=None, recorder=None, manifest_fs=None, sign_key=None):
         if len(pool) < manifest.shards:
             raise ReproError(
                 f"pool has {len(pool)} endpoints but manifest names "
@@ -117,61 +100,42 @@ class ClusterClient:
         self.fallback_fs = fallback_fs
         self.manifest_fs = manifest_fs
         self.sign_key = sign_key
-        self.mode = mode
-        self.encoding = encoding
-        self.wire_codec = wire_codec
-        self.hedge = hedge
-        self.hedge_quantile = hedge_quantile
-        self.hedge_floor = hedge_floor
-        self.hedge_cap = hedge_cap
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.max_workers = max_workers
         self._map_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _block_prefilter_local(self, bo, array_name, values, roi):
-        """Baseline path for one block: read it and pre-filter locally.
+    def _block_prefilter_local(self, bo, array_name, args):
+        """Baseline path for one block: ``(selection, bytes read)``.
 
-        This computes exactly what a shard's pre-filter would have
-        returned for this block — same grid slice, same corner values,
-        same world-coordinate ROI — so selection-level stitching stays
-        bit-identical even on the degraded path.
+        Runs the contour row's own ``pre`` on the block object — same
+        grid slice, same corner values, same world-coordinate ROI as a
+        shard — so selection-level stitching stays bit-identical even on
+        the degraded path.
         """
         with self.fallback_fs.open(bo.key) as fh:
             grid = read_vgf(fh)
-        size = self.fallback_fs.size(bo.key)
-        selection = prefilter_contour(
-            grid, array_name, values, mode=self.mode, roi=roi
-        )
-        return selection, {"fallback_bytes": size}
+        return (_CONTOUR.pre(grid, array_name, args),
+                self.fallback_fs.size(bo.key))
 
-    def _rpc_once(self, endpoint, bo, array_name, values, roi_wire,
-                  counts, lock, ctx_extra=None):
+    def _rpc_once(self, endpoint, bo, array_name, args, counts, lock,
+                  ctx_extra=None):
         """One block's pre-filter over RPC, with one integrity re-read."""
-        try:
-            encoded = self.pool.call(
-                endpoint, "prefilter_contour", bo.key, array_name,
-                list(values), self.mode, self.encoding, self.wire_codec,
-                roi_wire, ctx_extra=ctx_extra,
-            )
-            selection = decode_selection(encoded)
-        except IntegrityError:
-            # One immediate re-read on the *same* replica: a flipped bit
-            # on the wire is transient.  A second failure means this copy
-            # (or this shard) is bad — the exception escapes and the
-            # hedged ladder moves to the next replica.
+        def retried(_exc):
+            # The re-read goes to the *same* replica: a flipped bit on the
+            # wire is transient.  A second failure means this copy (or
+            # this shard) is bad — it escapes and the hedged ladder moves
+            # to the next replica.
             with lock:
                 counts["integrity_retries"] += 1
             self.tracer.add_event("integrity.retry", key=bo.key)
             self.recorder.record("integrity.retry", key=bo.key,
                                  endpoint=endpoint)
-            encoded = self.pool.call(
-                endpoint, "prefilter_contour", bo.key, array_name,
-                list(values), self.mode, self.encoding, self.wire_codec,
-                roi_wire, ctx_extra=ctx_extra,
-            )
-            selection = decode_selection(encoded)
+
+        selection, encoded = request_selection(
+            partial(self.pool.call, endpoint, ctx_extra=ctx_extra),
+            _CONTOUR, bo.key, array_name, args, retried,
+        )
         version = encoded.get("map_version")
         if version is not None:
             with lock:
@@ -184,32 +148,22 @@ class ClusterClient:
             "raw_bytes": st.get("raw_bytes", 0),
         }
 
-    def _block_prefilter_replicated(self, chain, bo, array_name, values,
-                                    roi_wire, counts, lock, stats):
+    def _block_prefilter_replicated(self, chain, bo, array_name, args,
+                                    counts, lock, stats):
         """Drive one block through its (ranked, live) replica chain."""
-        if len(chain) == 1 or not self.hedge:
-            # Single live replica (or hedging off): the classic direct
-            # path — no extra thread, byte-for-byte the old behaviour.
-            return self._rpc_once(
-                chain[0], bo, array_name, values, roi_wire, counts, lock,
-            ) + ({"winner": chain[0], "losers": []},)
-        hedged = self.pool.hedged(
-            self.hedge_quantile, self.hedge_floor, self.hedge_cap
-        )
+        if len(chain) == 1:
+            # Nothing to hedge to: call the one live replica directly.
+            return self._rpc_once(chain[0], bo, array_name, args, counts,
+                                  lock)
 
         def attempt(endpoint, cancel, kind):
-            ctx_extra = None
-            if kind == "hedge":
-                ctx_extra = {"hedge": True}
-            elif kind == "failover":
-                ctx_extra = {"failover": True}
+            # Hedges and failovers are tagged for the servers' counters.
             return self._rpc_once(
-                endpoint, bo, array_name, values, roi_wire, counts, lock,
-                ctx_extra=ctx_extra,
+                endpoint, bo, array_name, args, counts, lock,
+                ctx_extra=None if kind == "primary" else {kind: True},
             )
 
-        result = hedged.run(chain, attempt)
-        selection, wire_stats = result.value
+        result = self.pool.hedged().run(chain, attempt)
         with lock:
             stats["hedges"] += result.hedges
             stats["failovers"] += result.failovers
@@ -218,12 +172,9 @@ class ClusterClient:
                 self.pool.health(result.winner).record_hedge_win()
             if result.winner != chain[0]:
                 stats["failover_blocks"] += 1
-        return selection, wire_stats, {
-            "winner": result.winner,
-            "losers": [endpoint for endpoint, _ in result.errors],
-        }
+        return result.value
 
-    def _shard_worker(self, leader, items, array_name, values, roi, opener):
+    def _shard_worker(self, leader, items, array_name, args, opener):
         """Pre-filter every block led by one endpoint; one result per block.
 
         ``items`` is ``[(BlockObject, ranked_chain), ...]``.  Returns
@@ -232,7 +183,6 @@ class ClusterClient:
         failover accounting.  Raises only when a block's whole chain is
         exhausted *and* no fallback filesystem exists.
         """
-        roi_wire = list(roi.as_tuple()) if roi is not None else None
         results = []
         lock = threading.Lock()
         counts = {"integrity_retries": 0, "map_version_seen": 0}
@@ -253,17 +203,14 @@ class ClusterClient:
                 live = [e for e in chain if e not in dead]
                 if live:
                     try:
-                        selection, st, _route = (
-                            self._block_prefilter_replicated(
-                                live, bo, array_name, values, roi_wire,
-                                counts, lock, stats,
-                            )
+                        selection, st = self._block_prefilter_replicated(
+                            live, bo, array_name, args, counts, lock, stats,
                         )
                         for k in ("wire_bytes", "stored_bytes", "raw_bytes"):
                             stats[k] += int(st.get(k, 0) or 0)
                         results.append((bo.spec, selection))
                         continue
-                    except FALLBACK_TRIGGERS as exc:
+                    except FAILOVER_ERRORS as exc:
                         if self.fallback_fs is None:
                             raise
                         last_failure = exc
@@ -278,11 +225,11 @@ class ClusterClient:
                             reason=type(exc).__name__,
                             error=f"{type(exc).__name__}: {exc}",
                         )
-                selection, st = self._block_prefilter_local(
-                    bo, array_name, values, roi
+                selection, size = self._block_prefilter_local(
+                    bo, array_name, args
                 )
                 stats["fallback_blocks"] += 1
-                stats["fallback_bytes"] += st["fallback_bytes"]
+                stats["fallback_bytes"] += size
                 results.append((bo.spec, selection))
             if last_failure is not None:
                 stats["fallback_reason"] = (
@@ -297,32 +244,36 @@ class ClusterClient:
         """Group blocks by the lead endpoint of their ranked chains."""
         groups: dict[int, list] = {}
         for bo in wanted:
-            chain = list(bo.replicas)
-            if self.hedge and len(chain) > 1:
-                chain = self.pool.rank(chain)
+            chain = self.pool.rank(bo.replicas)
             groups.setdefault(chain[0], []).append((bo, chain))
         return groups
 
-    def prefilter(self, array_name: str, values, roi: Bounds | None = None,
-                  _span_name: str = "cluster.contour"):
+    def prefilter(self, array_name: str, args: dict):
         """Scatter–gather the pre-filter only: ``(selection, stats)``.
 
-        Everything :meth:`contour` does short of the client-side
-        post-filter: route blocks to shard leaders, gather the per-block
-        encoded selections, stitch them into one global sparse
+        ``args`` are the contour row's bound arguments
+        (``SPLIT_FILTERS["contour"].bind(...)``): values, mode, encoding,
+        wire codec and ROI, sent to every shard as they are; ``edge`` mode
+        with an ROI does not stitch exactly and raises
+        :class:`~repro.errors.SelectionError` (``stitch_exact``).  Everything
+        :meth:`contour` does short of the client-side post-filter: route
+        blocks to shard leaders, gather the per-block encoded selections,
+        stitch them into one global sparse
         :class:`~repro.filters.selection.PointSelection`.  The edge cache
-        tier fronts a cluster through this — it re-encodes the stitched
-        selection for its own clients and leaves post-filtering to them,
-        keeping the pushdown semantics intact across all three tiers.
+        tier fronts a cluster through this with its own request's
+        arguments — it re-encodes the stitched selection for its own
+        clients and leaves post-filtering to them, keeping the pushdown
+        semantics intact across all three tiers.
         """
-        values = normalize_values(values)
+        if not stitch_exact(args):
+            raise SelectionError("edge-mode ROI selections do not stitch")
         m = self.manifest
         array_name = str(array_name)
         value_dtype = m.array_dtype(array_name)
-        wanted = m.intersecting(roi)
+        wanted = m.intersecting(args["roi"])
         groups = self._route(wanted)
         with self.tracer.span(
-            _span_name, array=array_name, shards=m.shards,
+            "cluster.contour", array=array_name, shards=m.shards,
             shards_queried=len(groups), blocks=len(wanted),
         ):
             gathered = []
@@ -350,13 +301,11 @@ class ClusterClient:
                 # context on this thread so worker spans join the trace.
                 opener = self.tracer.fork("cluster.shard")
                 ordered = sorted(groups.items())
-                with ThreadPoolExecutor(
-                    max_workers=self.max_workers or len(ordered)
-                ) as pool:
+                with ThreadPoolExecutor(max_workers=len(ordered)) as pool:
                     futures = [
                         pool.submit(
                             self._shard_worker, leader, items, array_name,
-                            values, roi, opener,
+                            args, opener,
                         )
                         for leader, items in ordered
                     ]
@@ -402,10 +351,10 @@ class ClusterClient:
         :func:`~repro.core.ndp_client.ndp_contour` and a baseline
         full-read :func:`~repro.filters.contour.contour_grid`.
         """
-        values = normalize_values(values)
-        stitched, stats = self.prefilter(array_name, values, roi=roi)
+        args = _CONTOUR.bind({"values": values, "roi": roi})
+        stitched, stats = self.prefilter(array_name, args)
         with self.tracer.span("postfilter", points=stitched.count):
-            polydata = postfilter_contour(stitched, values, roi=roi)
+            polydata = _CONTOUR.post(stitched, args)
         return polydata, stats
 
     # ------------------------------------------------------------------

@@ -22,6 +22,10 @@ sides, and :meth:`~repro.grid.selection.PointSelection.union` keeps the
 first occurrence — blocks are folded in ascending block-index order, so
 the lower-indexed block owns every seam point it selected.
 
+``edge`` mode stitches exactly only without an ROI (:func:`stitch_exact`):
+a seam point is selected when an interesting edge on *either* side meets
+an ROI cell on *either* side, but each block sees only its own side.
+
 Identical selection + identical post-filter = identical bytes out.
 """
 
@@ -32,7 +36,14 @@ import numpy as np
 from repro.errors import SelectionError
 from repro.grid.selection import PointSelection
 
-__all__ = ["rebase_block_selection", "stitch_selections", "empty_selection"]
+__all__ = ["rebase_block_selection", "stitch_selections", "empty_selection",
+           "stitch_exact"]
+
+
+def stitch_exact(args: dict) -> bool:
+    """Whether the union of per-block selections for the contour row's
+    bound ``args`` is the monolithic selection."""
+    return args["mode"] != "edge" or args["roi"] is None
 
 
 def rebase_block_selection(selection: PointSelection, spec, dims, origin,

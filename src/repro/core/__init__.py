@@ -34,7 +34,6 @@ from repro.core.ndp_client import (
     FallbackPolicy,
     NDPContourSource,
     ndp_batch,
-    ndp_cluster_contour,
     ndp_contour,
     ndp_slice,
     ndp_threshold,
@@ -67,7 +66,6 @@ __all__ = [
     "ndp_threshold",
     "ndp_slice",
     "ndp_batch",
-    "ndp_cluster_contour",
     "prefilter_threshold",
     "postfilter_threshold",
     "prefilter_slice",

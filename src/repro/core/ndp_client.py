@@ -10,6 +10,11 @@ pre-filter and emits the decoded
 :func:`ndp_contour` is the one-call convenience wrapping source +
 post-filter for scripts.
 
+:func:`request_selection` is the one request path every client shares —
+this module's calls, the source, the cluster client's per-block calls:
+it sends a :data:`~repro.core.filter_splits.SPLIT_FILTERS` row's bound
+arguments, decodes the selection and re-reads a corrupt reply once.
+
 :class:`FallbackPolicy` is the graceful-degradation half of the fault
 story: when the NDP hop is unreachable (transport errors survive the
 resilient transport's retries, or its circuit breaker is open), the client
@@ -29,12 +34,7 @@ from repro.core.filter_splits import (
     bind_request,
     wire_request,
 )
-from repro.errors import (
-    CircuitOpenError,
-    IntegrityError,
-    PipelineError,
-    RPCTransportError,
-)
+from repro.errors import FAILOVER_ERRORS, IntegrityError, PipelineError
 from repro.filters.contour import _values_unset, contour_grid, normalize_values
 from repro.grid.polydata import PolyData
 from repro.grid.selection import PointSelection
@@ -49,8 +49,32 @@ __all__ = [
     "ndp_threshold",
     "ndp_slice",
     "ndp_batch",
-    "ndp_cluster_contour",
+    "request_selection",
 ]
+
+
+def request_selection(call, op, key: str, array_name: str, args: dict,
+                      on_retry=None) -> tuple[PointSelection, dict]:
+    """One split-filter request: ``(selection, encoded reply)``.
+
+    ``call(method, *params)`` sends ``op.method`` with ``op.wire(args)``.
+    A checksum mismatch (:class:`~repro.errors.IntegrityError`, found at
+    decode or reported by the server's at-rest verification) is re-read
+    exactly once, after ``on_retry(exc)`` is told; a second one raises.
+    """
+    params = op.wire(args)
+    try:
+        encoded = call(op.method, key, array_name, *params)
+        return decode_selection(encoded), encoded
+    except IntegrityError as exc:
+        # Corruption is often transient (a flipped bit in flight).  The
+        # server never caches errors and keys its caches by store version,
+        # so the re-read reaches honest bytes: a clean cached reply, or a
+        # fresh read.
+        if on_retry is not None:
+            on_retry(exc)
+        encoded = call(op.method, key, array_name, *params)
+        return decode_selection(encoded), encoded
 
 
 class NDPContourSource(Source):
@@ -119,17 +143,14 @@ class NDPContourSource(Source):
             raise PipelineError(
                 "NDPContourSource needs key, array_name, and values configured"
             )
-        encoded = self._client.call(
-            "prefilter_contour",
-            self._key,
-            self._array_name,
-            list(self._values),
-            self._mode,
-            self._encoding,
-            self._wire_codec,
-        )
+        op = SPLIT_FILTERS["contour"]
+        args = op.bind({"values": self._values, "mode": self._mode,
+                        "encoding": self._encoding,
+                        "wire_codec": self._wire_codec})
+        selection, encoded = request_selection(
+            self._client.call, op, self._key, self._array_name, args)
         self.last_stats = encoded.get("stats")
-        return decode_selection(encoded)
+        return selection
 
 
 class FallbackPolicy:
@@ -166,11 +187,7 @@ class FallbackPolicy:
     def __init__(
         self,
         fs,
-        triggers: tuple[type[BaseException], ...] = (
-            RPCTransportError,
-            CircuitOpenError,
-            IntegrityError,
-        ),
+        triggers: tuple[type[BaseException], ...] = FAILOVER_ERRORS,
         stats: Tally | None = None,
         tracer=None,
     ):
@@ -238,12 +255,19 @@ class FallbackPolicy:
 
 
 def _offload(client: RPCClient, kind: str, key: str, array_name: str,
-             fields: dict) -> tuple[PolyData, dict | None]:
-    """One offloaded split filter: bind, call, decode, post-filter."""
+             fields: dict, fallback=None) -> tuple[PolyData, dict | None]:
+    """One offloaded split filter: bind, request, post-filter."""
     op = SPLIT_FILTERS[kind]
     args = op.bind(fields)
-    encoded = client.call(op.method, key, array_name, *op.wire(args))
-    selection = decode_selection(encoded)
+
+    def retried(exc):
+        client.tracer.add_event(
+            "integrity.retry", cause=f"{type(exc).__name__}: {exc}")
+        if fallback is not None:
+            fallback.stats.record("integrity_retries")
+
+    selection, encoded = request_selection(
+        client.call, op, key, array_name, args, retried)
     with client.tracer.span("postfilter"):
         polydata = op.post(selection, args)
     return polydata, encoded.get("stats")
@@ -331,29 +355,12 @@ def ndp_contour(
     the server's remote subtree, the local post-filter, and any fallback
     all nest under it — the complete end-to-end request tree.
     """
-    tracer = client.tracer
-
-    def run_ndp() -> tuple[PolyData, dict | None]:
-        return _offload(client, "contour", key, array_name, {
-            "values": values, "mode": mode, "encoding": encoding,
-            "wire_codec": wire_codec, "roi": roi,
-        })
-
-    with tracer.span("ndp.contour", key=key, array=array_name):
+    with client.tracer.span("ndp.contour", key=key, array=array_name):
         try:
-            try:
-                polydata, stats = run_ndp()
-            except IntegrityError as exc:
-                # Corruption is often transient (a flipped bit in flight):
-                # re-read exactly once.  The server never caches errors and
-                # keys its caches by store version, so the retry reaches
-                # honest bytes — a clean cached reply, or a fresh read.
-                tracer.add_event(
-                    "integrity.retry", cause=f"{type(exc).__name__}: {exc}"
-                )
-                if fallback is not None:
-                    fallback.stats.record("integrity_retries")
-                polydata, stats = run_ndp()
+            polydata, stats = _offload(client, "contour", key, array_name, {
+                "values": values, "mode": mode, "encoding": encoding,
+                "wire_codec": wire_codec, "roi": roi,
+            }, fallback)
         except Exception as exc:
             if fallback is None or not fallback.should_fallback(exc):
                 raise
@@ -363,17 +370,3 @@ def ndp_contour(
         if fallback is not None:
             fallback.record_ndp_success()
         return polydata, stats
-
-
-def ndp_cluster_contour(cluster, array_name: str, values, roi=None):
-    """Contour against a sharded NDP cluster (scatter–gather path).
-
-    ``cluster`` is a :class:`~repro.cluster.shard_client.ClusterClient`;
-    this thin wrapper exists so call sites can treat monolithic
-    (:func:`ndp_contour`) and sharded contouring uniformly: both return
-    ``(polydata, stats)`` and both are bit-identical to the baseline
-    full-read pipeline.  Per-shard resilience and fallback live inside
-    the cluster client itself (one failure domain per shard), not in a
-    wrapping :class:`FallbackPolicy`.
-    """
-    return cluster.contour(array_name, values, roi=roi)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.cluster.stitch import stitch_exact
 from repro.core.encoding import finish_reply
 from repro.core.filter_splits import SPLIT_FILTERS, require_point_scalar
 from repro.edge.coherence import CoherenceTracker
@@ -51,7 +52,7 @@ from repro.obs.metrics import Registry
 from repro.obs.trace import NULL_TRACER
 from repro.rpc import envelope
 from repro.rpc.client import RPCClient
-from repro.rpc.forward import FAILOVER_ERRORS, ForwardingHandler
+from repro.rpc.forward import RELAY_ERRORS, ForwardingHandler
 from repro.rpc.mux import DEFAULT_DRAIN_TIMEOUT, AsyncServerTransport
 from repro.rpc.server import RPCServer
 from repro.storage.cache import ArrayCache, SelectionCache
@@ -78,9 +79,9 @@ class EdgeCacheServer:
         are used).
     cluster:
         Optional :class:`~repro.cluster.shard_client.ClusterClient`; when
-        set, ``prefilter_contour`` misses are computed by scatter-gather
-        across the shards (and stitched/encoded at the edge) instead of
-        forwarded to a single server.
+        set, ``prefilter_contour`` misses on the manifest's object are
+        computed by scatter-gather across the shards (and stitched/encoded
+        at the edge); every other key is forwarded.
     cache_bytes:
         Byte budget for the decoded-array block cache (``0`` disables the
         local-compute path).
@@ -233,7 +234,7 @@ class EdgeCacheServer:
         for client in self._clients:
             try:
                 return client.call(method, *params)
-            except FAILOVER_ERRORS as exc:
+            except RELAY_ERRORS as exc:
                 self._upstream_errors.inc()
                 last_error = exc
         raise last_error
@@ -260,7 +261,7 @@ class EdgeCacheServer:
         if req.kind == envelope.NOTIFY:
             try:
                 return self.forwarder.handle(req)
-            except FAILOVER_ERRORS:
+            except RELAY_ERRORS:
                 return None
         if req.method in self.LOCAL_METHODS:
             return self.rpc.handle(req)
@@ -298,7 +299,7 @@ class EdgeCacheServer:
         request_key = op.request_key(key, array, args)
         try:
             version, map_version = self.coherence.revalidate(key)
-        except FAILOVER_ERRORS:
+        except RELAY_ERRORS:
             stale = self._try_serve_stale(req, request_key, key)
             if stale is not None:
                 return stale
@@ -391,11 +392,14 @@ class EdgeCacheServer:
 
         Single-server mode pulls hot blocks and runs the storage server's
         own ``op.pre`` and reply tail, so the bytes match; cluster mode
-        scatter-gathers the shards and stitches/encodes here.  Any
-        condition the local path cannot honour (non-point arrays, unknown
-        modes, decode surprises) falls back to forwarding.
+        scatter-gathers the shards of the manifest's object and
+        stitches/encodes here.  Any condition the local path cannot
+        honour (other objects, edge-mode ROIs, non-point arrays, decode
+        surprises) falls back to forwarding.
         """
         if self.cluster is not None:
+            if key != self.cluster.manifest.source_key:
+                return None  # the shards hold only the manifest's object
             return self._cluster_compute(op, array, args, map_version)
         if self.block_cache is None:
             return None
@@ -411,7 +415,7 @@ class EdgeCacheServer:
             try:
                 pair = self.block_cache.get_or_load(
                     block_key, lambda: self._fetch_block(key, array))
-            except FAILOVER_ERRORS:
+            except RELAY_ERRORS:
                 raise
             except Exception:
                 # Block fetch/decoding failed for a reason the upstream
@@ -426,7 +430,7 @@ class EdgeCacheServer:
                 selection = op.pre(grid, array, args)
                 return self._finish(selection, entry.stats(), args,
                                     map_version)
-        except FAILOVER_ERRORS:
+        except RELAY_ERRORS:
             raise
         except Exception:
             # The upstream reports it with its own typed error.
@@ -467,12 +471,10 @@ class EdgeCacheServer:
 
     def _cluster_compute(self, op, array, args, map_version):
         """Scatter-gather across the shards, stitch and encode here."""
-        if op.kind != "contour" or args["mode"] != getattr(
-                self.cluster, "mode", args["mode"]):
-            return None  # the shards compute contours, in their own mode
+        if op.kind != "contour" or not stitch_exact(args):
+            return None  # only these stitch to the origin server's bytes
         try:
-            selection, stats = self.cluster.prefilter(
-                array, args["values"], roi=args["roi"])
+            selection, stats = self.cluster.prefilter(array, args)
             # The probe saw the live shard-map generation; the cluster
             # client's stats may still carry the manifest's cached one.
             live = map_version if map_version is not None \
@@ -482,7 +484,7 @@ class EdgeCacheServer:
                 "raw_bytes": int(stats.get("raw_bytes", 0)),
                 "codec": "cluster",
             }, args, live)
-        except FAILOVER_ERRORS:
+        except RELAY_ERRORS:
             raise
         except Exception:
             return None

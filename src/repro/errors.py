@@ -26,6 +26,7 @@ __all__ = [
     "NoSuchObjectError",
     "NoSuchBucketError",
     "SelectionError",
+    "FAILOVER_ERRORS",
 ]
 
 
@@ -145,3 +146,9 @@ class NoSuchObjectError(StorageError):
 
 class SelectionError(ReproError):
     """Invalid sparse point selection."""
+
+
+#: Failures of one site rather than of the request: another replica, or
+#: the baseline read, may answer.  Everything else (bad params, remote
+#: handler bugs) is deterministic and would fail identically elsewhere.
+FAILOVER_ERRORS = (RPCTransportError, CircuitOpenError, IntegrityError)

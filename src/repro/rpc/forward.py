@@ -32,8 +32,10 @@ from repro.rpc import envelope
 __all__ = ["ForwardingHandler"]
 
 #: Failures that mean "this upstream, right now" rather than "this
-#: request": the chain advances instead of reporting them.
-FAILOVER_ERRORS = (RPCTransportError, CircuitOpenError)
+#: request": the chain advances instead of reporting them.  Narrower
+#: than :data:`repro.errors.FAILOVER_ERRORS` on purpose: a relayed frame
+#: is never decoded here, so an integrity failure is the client's to see.
+RELAY_ERRORS = (RPCTransportError, CircuitOpenError)
 
 
 class ForwardingHandler:
@@ -81,7 +83,7 @@ class ForwardingHandler:
                        else transport.request(payload))
                 self._count("forwards")
                 return raw
-            except FAILOVER_ERRORS as exc:
+            except RELAY_ERRORS as exc:
                 self._count("upstream_errors")
                 last_error = exc
         raise last_error

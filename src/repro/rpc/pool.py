@@ -27,12 +27,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.errors import (
-    CircuitOpenError,
-    IntegrityError,
-    ReproError,
-    RPCTransportError,
-)
+from repro.errors import FAILOVER_ERRORS, ReproError
 from repro.obs.flightrec import NULL_RECORDER
 from repro.obs.metrics import Tally
 from repro.obs.slo import RollingSketch
@@ -43,12 +38,9 @@ from repro.rpc.transport import TCPTransport
 __all__ = ["EndpointPool", "EndpointHealth", "HedgedCall", "HedgedResult",
            "parse_address", "FAILOVER_ERRORS"]
 
-#: Errors that exhaust one replica and move a hedged call down its chain.
-#: Everything else (bad params, remote handler bugs) is deterministic —
-#: another replica would fail identically, so it propagates immediately.
-FAILOVER_ERRORS = (RPCTransportError, CircuitOpenError, IntegrityError)
-
 _PORT_RANGE = (1, 65535)
+#: hedge after this latency quantile of the lead, clamped to [floor, cap] s
+HEDGE_QUANTILE, HEDGE_FLOOR, HEDGE_CAP = 0.95, 0.005, 1.0
 
 
 def parse_address(addr) -> tuple[str, int]:
@@ -528,21 +520,18 @@ class EndpointPool:
         """
         return sorted(replicas, key=lambda e: self._health[e].rank_key())
 
-    def hedge_delay(self, endpoint: int, quantile: float = 0.95,
-                    floor: float = 0.005, cap: float = 1.0) -> float:
+    def hedge_delay(self, endpoint: int) -> float:
         """Seconds to wait on ``endpoint`` before hedging to the next.
 
-        The observed latency quantile, clamped to ``[floor, cap]`` —
-        a cold sketch (no observations yet) hedges after ``floor``.
+        The observed ``HEDGE_QUANTILE`` latency, clamped to
+        ``[HEDGE_FLOOR, HEDGE_CAP]`` — a cold sketch (no observations
+        yet) hedges after the floor.
         """
-        return min(cap, max(floor, self._health[endpoint].quantile(quantile)))
+        return min(HEDGE_CAP, max(
+            HEDGE_FLOOR, self._health[endpoint].quantile(HEDGE_QUANTILE)))
 
-    def hedged(self, quantile: float = 0.95, floor: float = 0.005,
-               cap: float = 1.0) -> HedgedCall:
+    def hedged(self) -> HedgedCall:
         """A :class:`HedgedCall` wired to this pool's health + counters."""
-        def delay(endpoint: int) -> float:
-            return self.hedge_delay(endpoint, quantile, floor, cap)
-
         def on_hedge(endpoint: int) -> None:
             self._health[endpoint].record_hedge()
             self.stats.record("hedges")
@@ -552,7 +541,7 @@ class EndpointPool:
             self.stats.record("failovers")
 
         return HedgedCall(
-            delay, clock=self._clock, recorder=self.recorder,
+            self.hedge_delay, clock=self._clock, recorder=self.recorder,
             ledger=self._ledger, on_hedge=on_hedge, on_failover=on_failover,
         )
 

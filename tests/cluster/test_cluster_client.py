@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterClient, load_manifest, shard_object
-from repro.core.ndp_client import ndp_cluster_contour, ndp_contour
+from repro.core.filter_splits import SPLIT_FILTERS
+from repro.core.ndp_client import ndp_contour
 from repro.core.ndp_server import NDPServer
+from repro.core.prefilter import prefilter_contour
 from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
 from repro.datasets.nyx import NyxDataset, NyxParams
 from repro.errors import ReproError
@@ -92,6 +94,14 @@ def test_cluster_matches_monolithic_and_baseline(dataset, shards):
     assert stats["fallback_blocks"] == 0
     assert stats["selected_points"] > 0
 
+    # The shards get each request's own bound args (the edge tier sends
+    # its client's): in every mode the stitch is the monolithic selection.
+    op = SPLIT_FILTERS["contour"]
+    for mode in ("cell-closure", "edge"):
+        selection, _ = cluster.prefilter(
+            array, op.bind({"values": values, "mode": mode}))
+        assert selection == prefilter_contour(grid, array, values, mode=mode)
+
 
 @pytest.mark.parametrize("shards", (1, 2))
 def test_cluster_roi_matches_baseline(dataset, shards):
@@ -140,15 +150,6 @@ def test_empty_roi_yields_empty_but_valid(dataset):
     reference = contour_grid(grid, array, seam_values(grid, array)[:1],
                              roi=far)
     assert_poly_bytes_equal(result, reference)
-
-
-def test_ndp_cluster_contour_wrapper(dataset):
-    fs, grid, array = dataset
-    values = seam_values(grid, array)[:1]
-    cluster = make_cluster(fs, "data/full.k2.manifest.json", 2)
-    poly, stats = ndp_cluster_contour(cluster, array, values)
-    assert_poly_bytes_equal(poly, contour_grid(grid, array, values))
-    assert stats["path"] == "cluster"
 
 
 def test_pool_size_must_match_manifest(dataset):

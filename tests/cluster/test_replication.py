@@ -163,27 +163,6 @@ class TestFailoverByteIdentity:
         if dead_led:
             assert stats["failovers"] >= dead_led
 
-    def test_hedging_off_still_fails_over(self):
-        fs, manifest_obj, reference = make_cluster(replicas=2)
-        clock = FakeClock()
-
-        def wrap(shard, transport):
-            if shard == 0:
-                return FaultyTransport(
-                    transport, FaultSchedule.permanently_down(), clock
-                )
-            return transport
-
-        pool = build_pool(fs, wrap, clock=clock, retries=1)
-        manifest = load_manifest(fs, manifest_obj.manifest_key)
-        cluster = ClusterClient(pool, manifest, fallback_fs=fs, hedge=False)
-        result, stats = cluster.contour("f", VALUES)
-        assert_poly_bytes_equal(result, reference)
-        # Hedge-off keeps the old single-path client per block: the dead
-        # primary's blocks degrade to baseline (chain isn't walked), so
-        # this documents *why* hedging is the default.
-        assert stats["hedges"] == 0
-
     def test_r1_without_fallback_still_raises(self):
         fs, manifest_obj, _ = make_cluster(replicas=1)
         clock = FakeClock()

@@ -12,8 +12,12 @@ import pytest
 
 from repro.cluster import ClusterClient, load_manifest, shard_object
 from repro.core import NDPServer
+from repro.core.encoding import decode_selection
+from repro.core.filter_splits import SPLIT_FILTERS
+from repro.core.prefilter import prefilter_contour
 from repro.edge import CoherenceTracker, EdgeCacheServer
-from repro.errors import ReproError, RPCTransportError
+from repro.errors import ReproError, RPCTransportError, SelectionError
+from repro.grid.bounds import Bounds
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient
 from repro.rpc.msgpack import pack
@@ -242,6 +246,72 @@ class TestMapVersionPath:
         fresh = client.call("prefilter_contour", "g.vgf", "f", [0.0])
         assert fresh["map_version"] == gen["v"]
         assert edge_counts(edge)["misses"] == misses + 1
+
+    @staticmethod
+    def _cluster_front(fs):
+        """An edge fronting a 2-shard cluster of ``a.vgf``, plus a direct
+        client to a single server over the same store."""
+        shard_object(fs, "a.vgf", blocks=(1, 2, 2), shards=2,
+                     manifest_key="a.manifest")
+        pool = EndpointPool(
+            [InProcessTransport(NDPServer(fs, map_version=1).rpc.dispatch)
+             for _ in range(2)])
+        edge = EdgeCacheServer(
+            cluster=ClusterClient(pool, load_manifest(fs, "a.manifest")))
+        direct = RPCClient(InProcessTransport(NDPServer(fs).dispatch))
+        return edge, RPCClient(InProcessTransport(edge.dispatch)), direct
+
+    def test_cluster_front_forwards_other_keys(self):
+        # The shards hold a.vgf only: a request for b.vgf must be answered
+        # from b.vgf, not scatter-gathered over a.vgf's blocks.
+        fs = make_fs()
+        fs.write_object("a.vgf", write_vgf(make_wave_grid(16), codec="lz4"))
+        fs.write_object("b.vgf", write_vgf(make_wave_grid(16, seed=11),
+                                           codec="lz4"))
+        edge, client, direct = self._cluster_front(fs)
+        ref = direct.call("prefilter_contour", "b.vgf", "f", [0.0])
+        assert ref["count"] != direct.call(
+            "prefilter_contour", "a.vgf", "f", [0.0])["count"]
+        out = client.call("prefilter_contour", "b.vgf", "f", [0.0])
+        assert out["count"] == ref["count"]
+        assert edge_counts(edge)["local_computes"] == 0
+
+    def test_cluster_front_computes_edge_mode_locally(self):
+        fs = make_fs()
+        fs.write_object("a.vgf", write_vgf(make_wave_grid(16), codec="lz4"))
+        edge, client, direct = self._cluster_front(fs)
+        out = client.call("prefilter_contour", "a.vgf", "f", [0.0], "edge")
+        ref = direct.call("prefilter_contour", "a.vgf", "f", [0.0], "edge")
+        assert out["count"] == ref["count"]
+        assert out["count"] != direct.call(
+            "prefilter_contour", "a.vgf", "f", [0.0])["count"]
+        assert edge_counts(edge)["local_computes"] == 1
+
+    def test_cluster_front_forwards_edge_mode_roi_on_a_seam(self):
+        # An ROI ending on the y seam: a seam point whose only crossing
+        # edge lies in the upper block has its ROI cells in the lower one,
+        # so no single block selects it while the monolithic scan does.
+        fs = make_fs()
+        grid = make_wave_grid(16)
+        fs.write_object("a.vgf", write_vgf(grid, codec="lz4"))
+        edge, client, direct = self._cluster_front(fs)
+        m = edge.cluster.manifest
+        seam = m.block_world_bounds(m.block_objects[0]).ymax
+        b = grid.bounds
+        roi = Bounds(b.xmin - 1, b.xmax + 1, b.ymin - 1, seam,
+                     b.zmin - 1, b.zmax + 1)
+        args = SPLIT_FILTERS["contour"].bind(
+            {"values": [0.0], "mode": "edge", "roi": roi})
+        wire = SPLIT_FILTERS["contour"].wire(args)
+        ref = prefilter_contour(grid, "f", [0.0], mode="edge", roi=roi)
+        out = client.call("prefilter_contour", "a.vgf", "f", *wire)
+        assert decode_selection(out) == ref
+        assert decode_selection(direct.call(
+            "prefilter_contour", "a.vgf", "f", *wire)) == ref
+        assert edge_counts(edge)["local_computes"] == 0
+        assert edge_counts(edge)["forwards"] == 1
+        with pytest.raises(SelectionError):
+            edge.cluster.prefilter("f", args)
 
     def test_cluster_front_stampede_single_compute(self):
         import threading

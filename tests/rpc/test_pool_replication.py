@@ -21,6 +21,8 @@ from repro.errors import (
 )
 from repro.obs.flightrec import FlightRecorder
 from repro.rpc.pool import (
+    HEDGE_CAP,
+    HEDGE_FLOOR,
     EndpointPool,
     HedgedCall,
     parse_address,
@@ -110,11 +112,11 @@ class TestEndpointPool:
     def test_hedge_delay_clamps_cold_and_hot(self):
         pool = _echo_pool(2)
         # Cold sketch: no observations -> the floor.
-        assert pool.hedge_delay(0, floor=0.004, cap=1.0) == 0.004
+        assert pool.hedge_delay(0) == HEDGE_FLOOR == 0.005
         for _ in range(10):
             pool.health(1).observe(5.0)
         # Pathological latency is capped.
-        assert pool.hedge_delay(1, floor=0.004, cap=0.25) == 0.25
+        assert pool.hedge_delay(1) == HEDGE_CAP == 1.0
 
     def test_call_feeds_health_counters(self):
         pool = _echo_pool(1)

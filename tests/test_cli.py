@@ -120,6 +120,23 @@ class TestResilienceFlags:
         assert "contour:" in out
         assert "baseline fallback" in out
 
+    def test_unreachable_server_without_fallback_is_an_error(self, store,
+                                                             capsys):
+        rc = main([
+            "contour", "--connect", f"127.0.0.1:{self._dead_port()}",
+            "--store", store,
+            "--key", "asteroid/ts00000.vgf", "--array", "v02",
+            "--values", "0.1", "--retries", "1", "--deadline", "5",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "RPCTransportError" in err
+
+    def test_contour_help_lists_no_hedging_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["contour", "--help"])
+        assert "hedge" not in capsys.readouterr().out
+
     def test_fallback_flag_requires_store(self, capsys):
         rc = main([
             "contour", "--connect", "127.0.0.1:1", "--fallback",

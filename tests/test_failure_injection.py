@@ -13,7 +13,7 @@ errors (retry/backoff/breaker/fallback) is covered in
 import numpy as np
 import pytest
 
-from repro.core import NDPServer, ndp_contour
+from repro.core import NDPServer, ndp_contour, ndp_slice, ndp_threshold
 from repro.errors import (
     FormatError,
     IntegrityError,
@@ -169,16 +169,21 @@ class TestFaultyBackendStorageLayer:
         with pytest.raises(RPCRemoteError):
             ndp_contour(client, "g.vgf", "r", [3.0])
 
-    def test_backend_corruption_detected_and_recovered(self):
+    @pytest.mark.parametrize("offload", [
+        lambda client: ndp_contour(client, "g.vgf", "r", [3.0]),
+        lambda client: ndp_threshold(client, "g.vgf", "r", 2.0, 4.0),
+        lambda client: ndp_slice(client, "g.vgf", "r", 2, 4.5),
+    ], ids=["contour", "threshold", "slice"])
+    def test_backend_corruption_detected_and_recovered(self, offload):
         """Transient corruption: detected by checksum, healed by re-read.
 
         The first backend read is corrupted; the at-rest CRC catches it
-        (``IntegrityError``), ``ndp_contour`` re-reads once, and the
-        second — clean — read serves correct geometry.  The failure is
-        still visible in the server's integrity counter.
+        (``IntegrityError``), every split-filter call re-reads once, and
+        the second — clean — read serves correct geometry.  The failure
+        is still visible in the server's integrity counter.
         """
         client = self._faulty_env(FaultSchedule([Corrupt(offset=-10)]))
-        pd, stats = ndp_contour(client, "g.vgf", "r", [3.0])
+        pd, stats = offload(client)
         assert pd.num_points > 0
         assert client.call("health")["integrity_failures"] >= 1
 
