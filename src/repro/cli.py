@@ -147,7 +147,6 @@ def cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         selection_cache_bytes=args.selection_cache,
         tracer=tracer,
-        verify_checksums=args.verify_checksums == "on",
         flight_recorder=recorder,
         slo=slo_engine,
         profiler=profiler,
@@ -183,7 +182,6 @@ def cmd_serve(args) -> int:
           f"(store={args.store}, bucket={args.bucket}, "
           f"workers={args.workers}, "
           f"{caches[0]}, {caches[1]}, "
-          f"checksums={args.verify_checksums}, "
           f"{obs[0]}, {obs[1]}, {obs[2]}"
           f"{', tracing on' if tracer else ''})")
 
@@ -289,9 +287,7 @@ def cmd_verify(args) -> int:
     """Check every stored VGF's header and per-array checksums.
 
     Exit status 0 means every object verified clean; 1 means at least one
-    corrupt object (or nothing to check).  Objects written before
-    checksums existed are reported unverifiable but don't fail the run —
-    they are not *known* bad, merely unprovable.
+    corrupt object (or nothing to check).
     """
     from repro.io.vgf import verify_vgf
 
@@ -301,22 +297,17 @@ def cmd_verify(args) -> int:
         print("no .vgf objects found")
         return 1
     corrupt = 0
-    unverifiable = 0
     for key in keys:
         problems = verify_vgf(fs.read_object(key))
         if not problems:
             print(f"{key}: OK")
-        elif all("unverifiable" in p for p in problems):
-            unverifiable += 1
-            print(f"{key}: UNVERIFIABLE (written without checksums)")
         else:
             corrupt += 1
             print(f"{key}: CORRUPT")
             for problem in problems:
                 print(f"    {problem}")
     print(f"checked {len(keys)} object(s): "
-          f"{len(keys) - corrupt - unverifiable} ok, {corrupt} corrupt, "
-          f"{unverifiable} unverifiable")
+          f"{len(keys) - corrupt} ok, {corrupt} corrupt")
     return 1 if corrupt else 0
 
 
@@ -833,7 +824,6 @@ def cmd_serve_edge(args) -> int:
         coherence=args.coherence,
         serve_stale=args.serve_stale,
         promote_after=args.promote_after,
-        verify_checksums=args.verify_checksums == "on",
         tracer=tracer,
         watch_interval=args.watch_interval if args.watch_interval > 0
         else None,
@@ -1193,10 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_DRAIN_TIMEOUT,
                    help="on shutdown, seconds to let in-flight requests "
                         "finish before forcing connections closed")
-    p.add_argument("--verify-checksums", choices=["on", "off"], default="on",
-                   help="verify at-rest array CRCs on every read and stamp "
-                        "pre-filter replies with an integrity checksum "
-                        "(default on)")
     p.add_argument("--trace-out", default="", metavar="FILE",
                    help="record server-side spans and write them on exit "
                         "(.jsonl = span log, else Chrome trace JSON)")
@@ -1359,9 +1345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-connections", type=int, default=0,
                    help="refuse TCP connections beyond this many concurrent "
                         "(0 = unlimited)")
-    p.add_argument("--verify-checksums", choices=["on", "off"], default="on",
-                   help="stamp CRCs on locally computed replies (must match "
-                        "the upstream server's setting)")
     p.add_argument("--trace-out", default="",
                    help="write the edge's trace spans here on exit")
     p.set_defaults(func=cmd_serve_edge)

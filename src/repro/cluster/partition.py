@@ -33,7 +33,8 @@ from repro.grid.bounds import Bounds
 from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.uniform import UniformGrid
 
-__all__ = ["BlockSpec", "partition_grid", "extract_block", "block_bounds", "axis_cuts"]
+__all__ = ["BlockSpec", "partition_grid", "extract_block", "block_bounds",
+           "lattice_roi", "axis_cuts"]
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,26 @@ def block_bounds(spec: BlockSpec, origin, spacing, axes=None) -> Bounds:
         lo = [origin[a] + spec.lo[a] * spacing[a] for a in range(3)]
         hi = [origin[a] + spec.hi[a] * spacing[a] for a in range(3)]
     return Bounds(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+
+
+def lattice_roi(roi: Bounds, dims, origin, spacing) -> Bounds:
+    """``roi`` with each face moved half a spacing off the uniform lattice.
+
+    A block's coordinates start at ``origin + lo * spacing``, an ulp off
+    the whole grid's, so a face on a lattice plane may keep the plane in
+    one and drop it in the other.  The returned box holds exactly the
+    points ``roi`` holds in the whole grid, in the grid and every block.
+    """
+    grid, box = UniformGrid(dims, origin, spacing), roi.as_tuple()
+    faces = []
+    for axis in range(3):
+        coords = grid.axis_coords(axis)
+        lo, hi = box[2 * axis:2 * axis + 2]
+        first = int(np.searchsorted(coords, lo, side="left"))
+        last = int(np.searchsorted(coords, hi, side="right")) - 1
+        faces += [origin[axis] + (first - 0.5) * spacing[axis],
+                  origin[axis] + (last + 0.5) * spacing[axis]]
+    return Bounds(*faces)
 
 
 def extract_block(grid, spec: BlockSpec):

@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from repro.cluster.manifest import ShardManifest, load_manifest
+from repro.cluster.partition import lattice_roi
 from repro.cluster.stitch import stitch_exact, stitch_selections
 from repro.core.filter_splits import SPLIT_FILTERS
 from repro.core.ndp_client import request_selection
@@ -270,6 +271,11 @@ class ClusterClient:
         m = self.manifest
         array_name = str(array_name)
         value_dtype = m.array_dtype(array_name)
+        if args["roi"] is not None and m.axes is None:
+            # Uniform blocks' coordinates can be an ulp off the whole
+            # grid's (rectilinear blocks slice its axes exactly).
+            args = dict(args, roi=lattice_roi(args["roi"], m.dims, m.origin,
+                                              m.spacing))
         wanted = m.intersecting(args["roi"])
         groups = self._route(wanted)
         with self.tracer.span(

@@ -14,22 +14,22 @@ schemes:
 * ``"auto"`` — whichever of the two is smaller for this selection.
 
 Independently of the method, the bulk payload fields (values and ids or
-bitmap) can be compressed with any registered codec
-(``payload_codec="lz4"`` is the NDP server's default): selection values
-cluster around the contour values and delta-coded ids are tiny integers,
-so the paper's Fig. 9 observation that compression and NDP compose
-extends to the selection wire format itself — typically a further 2-4x
-(see the ``test_abl_encoding`` benchmark).
+bitmap) can be compressed with any registered codec (requests default
+to :data:`~repro.core.filter_splits.DEFAULT_WIRE_CODEC`): selection
+values cluster around the contour values and delta-coded ids are tiny
+integers, so the paper's Fig. 9 observation that compression and NDP
+compose extends to the selection wire format itself — typically a
+further 2-4x (see the ``test_abl_encoding`` benchmark).
 
 Every encoding is a flat dict of msgpack-friendly values (strs, ints,
 bytes), so it rides the RPC layer without auxiliary framing.
 
-Integrity: :func:`attach_checksum` stamps an encoded reply with a digest
-over its canonical serialization (every field except the stamp itself),
-and :func:`decode_selection` verifies the stamp — when present — *before*
-decompressing or trusting any field, raising
-:class:`~repro.errors.IntegrityError` on mismatch.  Replies without a
-stamp decode exactly as before, so old and new peers interoperate.
+Integrity: every reply a server or edge sends is stamped by
+:func:`attach_checksum` with a digest over its canonical serialization
+(every field except the stamp itself).  :func:`verify_reply` is the one
+check of a stamp, made by :func:`decode_selection` before it trusts any
+field and by the edge before it caches a reply; a mismatch raises
+:class:`~repro.errors.IntegrityError`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression import get_codec
-from repro.errors import FormatError, SelectionError
+from repro.errors import FormatError, IntegrityError, SelectionError
 from repro.grid.selection import PointSelection
 from repro.io.checksum import DEFAULT_ALGO, checksum
 from repro.io.checksum import verify as verify_bytes
@@ -47,6 +47,7 @@ __all__ = [
     "encode_selection",
     "decode_selection",
     "attach_checksum",
+    "verify_reply",
     "finish_reply",
     "wire_size",
     "ids_wire_bytes_per_point",
@@ -233,12 +234,21 @@ def attach_checksum(encoded: dict, algo: str = DEFAULT_ALGO) -> dict:
     return out
 
 
+def verify_reply(encoded: dict) -> None:
+    """The one reply check: ``encoded``'s stamp against its content, or
+    :class:`~repro.errors.IntegrityError` (an unstamped reply fails too)."""
+    if not isinstance(encoded, dict) or "crc" not in encoded:
+        raise IntegrityError("encoded selection reply carries no checksum")
+    verify_bytes(_digest_bytes(encoded), encoded["crc"],
+                 encoded.get("crc_algo", DEFAULT_ALGO),
+                 "encoded selection reply")
+
+
 def finish_reply(
     selection: PointSelection,
     block_stats: dict,
     encoding: str,
     wire_codec: str,
-    checksum: bool = True,
     testbed=None,
 ) -> dict:
     """The tail every pre-filter reply shares: encode, stats, stamp.
@@ -260,28 +270,20 @@ def finish_reply(
         "total_points": int(selection.total_points),
         "wire_bytes": wire_size(encoded),
     }
-    if checksum:
-        # Stamp covers everything that crosses the wire (stats too);
-        # the client verifies at decode before trusting a byte.
-        encoded = attach_checksum(encoded)
-    return encoded
+    # Stamp covers everything that crosses the wire (stats too); the
+    # client verifies at decode before trusting a byte.
+    return attach_checksum(encoded)
 
 
 def decode_selection(encoded: dict) -> PointSelection:
     """Rebuild a :class:`PointSelection` from :func:`encode_selection` output.
 
-    A reply stamped by :func:`attach_checksum` is verified before any
-    field is trusted; mismatch raises
-    :class:`~repro.errors.IntegrityError`.  Unstamped replies skip the
-    check (pre-checksum peers).
+    A reply stamped by :func:`attach_checksum` is verified
+    (:func:`verify_reply`) before any field is trusted; mismatch raises
+    :class:`~repro.errors.IntegrityError`.
     """
     if "crc" in encoded:
-        verify_bytes(
-            _digest_bytes(encoded),
-            encoded["crc"],
-            encoded.get("crc_algo", DEFAULT_ALGO),
-            "encoded selection reply",
-        )
+        verify_reply(encoded)
     payload_codec = encoded.get("payload_codec", "raw")
     if payload_codec != "raw":
         codec = get_codec(payload_codec)

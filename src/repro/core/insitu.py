@@ -23,7 +23,8 @@ so both the writer and any reader can derive it without a catalog.
 
 from __future__ import annotations
 
-from repro.core.encoding import decode_selection, encode_selection, wire_size
+from repro.core.encoding import (attach_checksum, decode_selection,
+                                 encode_selection, wire_size)
 from repro.core.filter_splits import DEFAULT_WIRE_CODEC
 from repro.core.postfilter import postfilter_contour
 from repro.core.prefilter import prefilter_contour
@@ -59,7 +60,8 @@ def precompute_selections(
     """Pre-filter stored data and persist the encoded selections.
 
     Run this where the data lives (the simulation node or the storage
-    node) right after the timestep is written.
+    node) right after the timestep is written.  Selections are stored
+    stamped, as replies on the wire are.
 
     Returns ``[(selection_key, stored_bytes), ...]``.
     """
@@ -68,8 +70,8 @@ def precompute_selections(
     written = []
     for array in arrays:
         selection = prefilter_contour(grid, array, values, mode=mode)
-        encoded = encode_selection(selection, payload_codec=wire_codec)
-        blob = pack(encoded)
+        blob = pack(attach_checksum(
+            encode_selection(selection, payload_codec=wire_codec)))
         sel_key = selection_key(key, array, values, mode)
         fs.write_object(sel_key, blob)
         written.append((sel_key, len(blob)))

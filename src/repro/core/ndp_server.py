@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.encoding import encode_selection, finish_reply, wire_size
 from repro.core.filter_splits import (
+    DEFAULT_WIRE_CODEC,
     SPLIT_FILTERS,
     SplitFilter,
     bind_request,
@@ -93,11 +94,6 @@ class NDPServer:
         when omitted.  All request counters, the request-latency
         histograms, and both cache stats surface through its
         ``snapshot()`` (also exposed as the ``stats`` RPC endpoint).
-    verify_checksums:
-        When true (default), at-rest VGF block checksums are verified on
-        every read and every pre-filter reply is stamped with a wire
-        checksum (see :func:`~repro.core.encoding.attach_checksum`).
-        ``False`` reproduces pre-integrity behaviour for compat tests.
     flight_recorder:
         ``"auto"`` (default) builds an always-on
         :class:`~repro.obs.flightrec.FlightRecorder`; pass an instance to
@@ -133,7 +129,6 @@ class NDPServer:
         selection_cache_bytes: int = 0,
         tracer=None,
         registry: Registry | None = None,
-        verify_checksums: bool = True,
         flight_recorder="auto",
         slo="auto",
         profiler="auto",
@@ -150,7 +145,6 @@ class NDPServer:
         self.testbed = testbed
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else Registry()
-        self.verify_checksums = verify_checksums
         if flight_recorder == "auto":
             self.recorder = FlightRecorder(dump_dir=dump_dir, process="server")
         else:
@@ -293,8 +287,8 @@ class NDPServer:
         block once and decoding it locally, after which nearby-ROI
         requests never cross the WAN.  The reply carries exactly what
         :meth:`~repro.io.vgf.StoredBlock.from_wire` needs: grid
-        structure, the :class:`~repro.io.vgf.ArrayInfo` decode fields, the
-        stored (still-compressed, checksum-verified) bytes, and the
+        structure, the :class:`~repro.io.vgf.ArrayInfo` decode fields and
+        checksum, the stored (still-compressed) bytes, and the
         version token the block was read under, so the edge caches it
         coherently.
         """
@@ -323,9 +317,7 @@ class NDPServer:
                     self.recorder.phase("store.read", key=key, array=array):
                 with self.fs.open(key) as fh:
                     info = read_vgf_info(fh)
-                    stored, entry = read_vgf_block(
-                        fh, array, info, verify=self.verify_checksums
-                    )
+                    stored, entry = read_vgf_block(fh, array, info)
         except IntegrityError:
             # Fail loudly, never serve wrong geometry: the typed error
             # crosses the wire and the client re-reads / falls back.
@@ -403,10 +395,8 @@ class NDPServer:
             with self.tracer.span("encode", encoding=encoding,
                                   wire_codec=wire_codec), \
                     self.recorder.phase("encode", wire_codec=wire_codec):
-                return finish_reply(
-                    selection, entry.stats(), encoding, wire_codec,
-                    checksum=self.verify_checksums, testbed=self.testbed,
-                )
+                return finish_reply(selection, entry.stats(), encoding,
+                                    wire_codec, testbed=self.testbed)
 
         wall0 = time.perf_counter()
         sim0 = self.testbed.clock.now if self.testbed is not None else None
@@ -588,7 +578,8 @@ class NDPServer:
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
         selection = prefilter_contour(grid, array, values, mode=mode)
-        encoded = encode_selection(selection, payload_codec="lz4")
+        encoded = encode_selection(selection,
+                                   payload_codec=DEFAULT_WIRE_CODEC)
         return {
             **entry.stats(),
             "selected_points": int(selection.count),

@@ -43,10 +43,10 @@ import threading
 import time
 
 from repro.cluster.stitch import stitch_exact
-from repro.core.encoding import finish_reply
+from repro.core.encoding import finish_reply, verify_reply
 from repro.core.filter_splits import SPLIT_FILTERS, require_point_scalar
 from repro.edge.coherence import CoherenceTracker
-from repro.errors import FormatError, RPCError, RPCRemoteError
+from repro.errors import FormatError, IntegrityError, RPCError, RPCRemoteError
 from repro.io.vgf import StoredBlock
 from repro.obs.metrics import Registry
 from repro.obs.trace import NULL_TRACER
@@ -61,7 +61,7 @@ __all__ = ["EdgeCacheServer"]
 
 
 class _TransientReply(Exception):
-    """Loader-internal: an upstream error reply that must not be cached."""
+    """Loader-internal: an upstream reply that must not be cached."""
 
     def __init__(self, line: str):
         super().__init__(line)
@@ -98,9 +98,6 @@ class EdgeCacheServer:
     promote_after:
         Distinct reply-cache misses for one ``(object, array)`` before the
         edge pulls the block and starts computing selections locally.
-    verify_checksums:
-        Stamp CRCs on locally computed replies; must match the upstream
-        server's setting for byte-identity.
     watch_interval:
         In ``watch`` mode, the background re-probe period in seconds
         (``None`` leaves polling to explicit :meth:`poll` calls).
@@ -122,7 +119,6 @@ class EdgeCacheServer:
         coherence: str = "strict",
         serve_stale: bool = False,
         promote_after: int = 2,
-        verify_checksums: bool = True,
         tracer=None,
         registry: Registry | None = None,
         testbed=None,
@@ -136,7 +132,6 @@ class EdgeCacheServer:
         self.cluster = cluster
         self.serve_stale = bool(serve_stale)
         self.promote_after = int(promote_after)
-        self.verify_checksums = bool(verify_checksums)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else Registry()
         self.testbed = testbed
@@ -331,9 +326,14 @@ class EdgeCacheServer:
                 raise RPCError("upstream returned a non-response frame") from None
             raw_box.append(raw)
             if reply.error is None:
-                if isinstance(reply.result, dict):
-                    self.coherence.note_map_version(
-                        key, reply.result.get("map_version"))
+                try:
+                    verify_reply(reply.result)
+                except IntegrityError as exc:
+                    # Corrupted on the upstream link: relayed (the client's
+                    # re-read recovers) but never cached.
+                    raise _TransientReply(envelope.error_line(exc)) from None
+                self.coherence.note_map_version(
+                    key, reply.result.get("map_version"))
                 return ("ok", reply.result)
             line = str(reply.error)
             if envelope.parse_error(line)[0] is not None:
@@ -438,10 +438,8 @@ class EdgeCacheServer:
             return None
 
     def _finish(self, selection, block_stats, args, map_version):
-        encoded = finish_reply(
-            selection, block_stats, args["encoding"], args["wire_codec"],
-            checksum=self.verify_checksums, testbed=self.testbed,
-        )
+        encoded = finish_reply(selection, block_stats, args["encoding"],
+                               args["wire_codec"], testbed=self.testbed)
         if map_version is not None:
             encoded["map_version"] = map_version
         self._local_computes.inc()

@@ -37,8 +37,10 @@ that one key (our encoder is deterministic and round-trips its own
 output byte-for-byte, so the reader re-packs and compares).  A bit-flip
 anywhere in a checksummed file therefore surfaces as
 :class:`~repro.errors.IntegrityError` / :class:`~repro.errors.FormatError`,
-never as silently-wrong geometry.  Both keys are optional: files written
-before checksums existed (or with ``checksums=False``) still load.
+never as silently-wrong geometry.  Both keys are part of the format: a
+header or array entry without its checksum is a ``FormatError``.  A
+``read_block`` reply carries the block's checksum too, so the block an
+edge pulls across the WAN is verified by the same check as a store read.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression import get_codec
-from repro.errors import CodecError, FormatError, IntegrityError
+from repro.errors import CodecError, FormatError
 from repro.grid.array import DataArray
 from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.uniform import UniformGrid
@@ -87,8 +89,14 @@ class ArrayInfo:
     offset: int
     stored_bytes: int
     raw_bytes: int
-    checksum: int | None = None  # over the *stored* (compressed) block
-    checksum_algo: str | None = None
+    checksum: int  # over the *stored* (compressed) block
+    checksum_algo: str
+
+    def verify(self, stored) -> None:
+        """The one block check: ``stored`` against this entry's checksum,
+        or :class:`~repro.errors.IntegrityError`."""
+        verify_bytes(stored, self.checksum, self.checksum_algo,
+                     f"array {self.name!r} block")
 
     def stats(self) -> dict:
         """The block facts every reply's ``stats`` leads with."""
@@ -138,7 +146,6 @@ def write_vgf(
     grid,
     codec: str | dict[str, str] = "raw",
     meta: dict | None = None,
-    checksums: bool = True,
 ) -> bytes:
     """Serialize a grid to VGF bytes.
 
@@ -152,10 +159,8 @@ def write_vgf(
         dict (unlisted arrays fall back to ``"raw"``).
     meta:
         Free-form metadata stored in the header (e.g. timestep number).
-    checksums:
-        Write per-array block checksums plus the header self-check
-        (default).  ``False`` reproduces the pre-checksum format
-        byte-for-byte — kept for wire/file compatibility tests.
+
+    Every array block carries its checksum and the header its self-check.
     """
 
     def codec_for(name: str) -> str:
@@ -181,10 +186,9 @@ def write_vgf(
                 "offset": offset,
                 "stored_bytes": len(stored),
                 "raw_bytes": len(payload),
+                "crc": checksum(stored),
+                "crc_algo": DEFAULT_ALGO,
             }
-            if checksums:
-                entry["crc"] = checksum(stored)
-                entry["crc_algo"] = DEFAULT_ALGO
             array_entries.append(entry)
             offset += len(stored)
 
@@ -202,12 +206,11 @@ def write_vgf(
     else:
         header_map["origin"] = list(grid.origin)
         header_map["spacing"] = list(grid.spacing)
-    if checksums:
-        # Self-check over the header minus the "header_crc" key: pack,
-        # digest, append last.  The reader pops that key, re-packs the rest
-        # (our encoder is deterministic) and compares.
-        header_map["header_crc_algo"] = DEFAULT_ALGO
-        header_map["header_crc"] = checksum(pack(header_map))
+    # Self-check over the header minus the "header_crc" key: pack, digest,
+    # append last.  The reader pops that key, re-packs the rest (our
+    # encoder is deterministic) and compares.
+    header_map["header_crc_algo"] = DEFAULT_ALGO
+    header_map["header_crc"] = checksum(pack(header_map))
     header = pack(header_map)
     return _MAGIC + _LEN.pack(len(header)) + header + b"".join(blocks)
 
@@ -243,12 +246,14 @@ def read_vgf_info(source) -> VGFInfo:
         raise FormatError(f"undecodable VGF header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("malformed VGF header: not a map")
-    if "header_crc" in header:
-        # Re-pack everything except the trailing self-check key (dict order
-        # is preserved by unpack, and pack round-trips deterministically).
+    # Re-pack everything except the trailing self-check key (dict order is
+    # preserved by unpack, and pack round-trips deterministically).
+    try:
         stated = header.pop("header_crc")
-        algo = header.get("header_crc_algo", DEFAULT_ALGO)
-        verify_bytes(pack(header), stated, algo, "VGF header")
+        algo = header["header_crc_algo"]
+    except KeyError as exc:
+        raise FormatError(f"malformed VGF header: no {exc}") from None
+    verify_bytes(pack(header), stated, algo, "VGF header")
     try:
         arrays = tuple(
             ArrayInfo(
@@ -260,8 +265,8 @@ def read_vgf_info(source) -> VGFInfo:
                 offset=int(e["offset"]),
                 stored_bytes=int(e["stored_bytes"]),
                 raw_bytes=int(e["raw_bytes"]),
-                checksum=int(e["crc"]) if "crc" in e else None,
-                checksum_algo=e.get("crc_algo"),
+                checksum=int(e["crc"]),
+                checksum_algo=e["crc_algo"],
             )
             for e in header["arrays"]
         )
@@ -290,9 +295,8 @@ def read_vgf_block(
     """Read one array's *stored* (still-compressed) block, not decoded.
 
     The single ranged read behind :func:`read_vgf_array` and the NDP
-    server's :class:`StoredBlock`.  Checksum verification over the stored
-    bytes happens here, so every consumer gets the same integrity
-    guarantee.
+    server's :class:`StoredBlock`.  The stored bytes are checked here
+    (``verify=False`` leaves the check to the caller).
     """
     fh = _open(source)
     if info is None:
@@ -302,19 +306,14 @@ def read_vgf_block(
     stored = fh.read(entry.stored_bytes)
     if len(stored) != entry.stored_bytes:
         raise FormatError(f"truncated block for array {name!r}")
-    if verify and entry.checksum is not None:
-        verify_bytes(
-            stored,
-            entry.checksum,
-            entry.checksum_algo or DEFAULT_ALGO,
-            f"array {name!r} block",
-        )
+    if verify:
+        entry.verify(stored)
     return stored, entry
 
 
 #: the :class:`ArrayInfo` fields a ``read_block`` reply carries, in order
 _WIRE_FIELDS = ("name", "dtype", "components", "association", "codec",
-                "stored_bytes", "raw_bytes")
+                "stored_bytes", "raw_bytes", "checksum", "checksum_algo")
 
 
 @dataclass(frozen=True)
@@ -351,7 +350,9 @@ class StoredBlock:
 
     @classmethod
     def from_wire(cls, reply: dict) -> "StoredBlock":
-        """Inverse of :meth:`to_wire` (the version token is not kept)."""
+        """Inverse of :meth:`to_wire` (the version token is not kept); a
+        block that fails its checksum is an
+        :class:`~repro.errors.IntegrityError`."""
         entry = ArrayInfo(offset=0, **reply["array"])
         axes = None
         if reply.get("axes"):
@@ -361,7 +362,9 @@ class StoredBlock:
             tuple(reply["dims"]), tuple(reply["origin"]),
             tuple(reply["spacing"]), {}, (entry,), 0, axes,
         )
-        return cls(info, entry, bytes(reply["stored"]))
+        stored = bytes(reply["stored"])
+        entry.verify(stored)
+        return cls(info, entry, stored)
 
     def grid(self):
         """A grid of the stored structure holding just this array, decoded
@@ -396,22 +399,20 @@ def array_collection(grid, entry: ArrayInfo):
 
 
 def read_vgf_array(
-    source, name: str, info: VGFInfo | None = None, verify: bool = True,
+    source, name: str, info: VGFInfo | None = None,
 ) -> tuple[DataArray, ArrayInfo]:
     """Read one array block (a single ranged read) and decode it into a
     writable array the caller owns.
 
-    When the header carries a checksum for the block and ``verify`` is
-    true (default), the stored bytes are verified before decompression;
-    a mismatch raises :class:`~repro.errors.IntegrityError`.  Files
-    written without checksums skip verification.
+    The stored bytes are verified before decompression; a mismatch raises
+    :class:`~repro.errors.IntegrityError`.
     """
-    stored, entry = read_vgf_block(source, name, info, verify=verify)
+    stored, entry = read_vgf_block(source, name, info)
     arr = _decode(stored, entry)
     return DataArray(arr.name, arr.values.copy(), arr.components), entry
 
 
-def read_vgf(source, array_names: list[str] | None = None, verify: bool = True):
+def read_vgf(source, array_names: list[str] | None = None):
     """Read a grid, optionally restricted to selected arrays.
 
     ``array_names=None`` loads everything; otherwise only the named arrays
@@ -424,7 +425,7 @@ def read_vgf(source, array_names: list[str] | None = None, verify: bool = True):
     grid = info.make_grid()
     wanted = info.array_names() if array_names is None else list(array_names)
     for name in wanted:
-        arr, entry = read_vgf_array(fh, name, info, verify=verify)
+        arr, entry = read_vgf_array(fh, name, info)
         array_collection(grid, entry).add(arr)
     return grid
 
@@ -433,9 +434,7 @@ def verify_vgf(source) -> list[str]:
     """Audit a VGF file; return a list of problems (empty ⇒ healthy).
 
     Checks the magic/header structure, the header self-check, and every
-    array block's checksum.  Arrays stored without checksums are reported
-    as unverifiable rather than passed silently, so ``repro verify`` is
-    honest about coverage.  Never raises for corruption — corruption is
+    array block's checksum.  Never raises for corruption — corruption is
     the *finding* here, not an error.
     """
     problems: list[str] = []
@@ -444,12 +443,6 @@ def verify_vgf(source) -> list[str]:
     except FormatError as exc:
         return [f"header: {exc}"]
     for entry in info.arrays:
-        if entry.checksum is None:
-            problems.append(
-                f"array {entry.name!r}: no stored checksum (written before "
-                "checksums existed) — unverifiable"
-            )
-            continue
         try:
             read_vgf_array(source, entry.name, info)
         except FormatError as exc:  # IntegrityError included

@@ -27,6 +27,7 @@ from repro.storage.object_store import MemoryBackend, ObjectStore
 from repro.storage.s3fs import S3FileSystem
 
 from tests.cluster.test_stitch import assert_poly_bytes_equal
+from tests.conftest import make_wave_grid
 
 SHARD_COUNTS = (1, 2, 4)
 #: 1x2x2 = 4 blocks: every shard count in SHARD_COUNTS divides cleanly
@@ -56,13 +57,17 @@ def seam_values(grid, array):
     return [float(np.quantile(vals, q)) for q in (0.35, 0.6)]
 
 
-@pytest.fixture(scope="module", params=["asteroid", "nyx"])
+@pytest.fixture(scope="module", params=["asteroid", "nyx", "wave"])
 def dataset(request):
     fs = make_fs()
     if request.param == "asteroid":
         ds = AsteroidImpactDataset(AsteroidParams(dims=(20, 20, 20)))
         grid = ds.generate_arrays(ds.timesteps[2], ["v02"])
         array = "v02"
+    elif request.param == "wave":
+        # Non-dyadic spacing: block origins land an ulp off the whole
+        # grid's lattice planes.
+        grid, array = make_wave_grid(16), "f"
     else:
         grid = NyxDataset(NyxParams(dims=(16, 16, 16))).generate()
         array = "baryon_density"
@@ -108,17 +113,16 @@ def test_cluster_roi_matches_baseline(dataset, shards):
     fs, grid, array = dataset
     values = seam_values(grid, array)[:1]
     b = grid.bounds
-    # An off-center box crossing both seam planes.
-    roi = Bounds(
-        b.xmin + 0.2 * (b.xmax - b.xmin), b.xmax,
-        b.ymin, b.ymin + 0.7 * (b.ymax - b.ymin),
-        b.zmin + 0.1 * (b.zmax - b.zmin), b.zmax,
-    )
-    baseline = contour_grid(grid, array, values, roi=roi)
     cluster = make_cluster(fs, f"data/full.k{shards}.manifest.json", shards)
-    result, stats = cluster.contour(array, values, roi=roi)
-    assert_poly_bytes_equal(result, baseline)
-    assert stats["blocks"] <= 4
+    # An off-center box crossing both seam planes, and the whole grid:
+    # every face of the second lies on a lattice plane.
+    for roi in (Bounds(b.xmin + 0.2 * (b.xmax - b.xmin), b.xmax,
+                       b.ymin, b.ymin + 0.7 * (b.ymax - b.ymin),
+                       b.zmin + 0.1 * (b.zmax - b.zmin), b.zmax), b):
+        baseline = contour_grid(grid, array, values, roi=roi)
+        result, stats = cluster.contour(array, values, roi=roi)
+        assert_poly_bytes_equal(result, baseline)
+        assert stats["blocks"] <= 4
 
 
 def test_roi_prunes_shards(dataset):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import settings
 
 from repro.grid import DataArray, UniformGrid
+from repro.io.checksum import checksum
+from repro.rpc.msgpack import pack, unpack
 
 # CI runs tests/rpc/test_envelope.py with --hypothesis-profile=envelope-ci:
 # more examples than a developer run, and the same ones every time.
@@ -63,3 +65,23 @@ def wave_grid():
 @pytest.fixture
 def grid_2d():
     return make_2d_grid()
+
+
+def restamp_vgf(blob: bytes, edit=None) -> bytes:
+    """VGF ``blob`` with ``edit(header)`` applied to its header map and
+    every checksum the header carries recomputed over the bytes as they
+    now are: a well-formed file around a corrupt block or header field."""
+    hlen = int.from_bytes(blob[4:8], "little")
+    header, data = unpack(blob[8:8 + hlen]), blob[8 + hlen:]
+    if edit is not None:
+        edit(header)
+    for e in header["arrays"]:
+        if "crc" in e:
+            stored = data[e["offset"]:e["offset"] + e["stored_bytes"]]
+            e["crc"] = checksum(stored, e["crc_algo"])
+    if "header_crc" in header:
+        del header["header_crc"]
+        header["header_crc"] = checksum(pack(header),
+                                        header["header_crc_algo"])
+    packed = pack(header)
+    return blob[:4] + len(packed).to_bytes(4, "little") + packed + data

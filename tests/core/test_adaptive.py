@@ -51,6 +51,16 @@ class TestProbeEndpoint:
         sel = prefilter_contour(grids["sparse"], "r", [5.0])
         assert probe["selected_points"] == sel.count
 
+    @pytest.mark.parametrize("key, value", [("sparse.vgf", 5.0),
+                                            ("dense.vgf", 0.0)])
+    def test_probe_wire_bytes_are_the_default_reply_s(self, setup, key,
+                                                      value):
+        """The probe prices the reply a default request would ship."""
+        _, client, _ = setup
+        probe = client.call("probe_selectivity", key, "r", [value])
+        reply = client.call("prefilter_contour", key, "r", [value])
+        assert probe["wire_bytes"] == reply["stats"]["wire_bytes"]
+
     def test_dense_field_probes_near_one(self, setup):
         _, client, _ = setup
         probe = client.call("probe_selectivity", "dense.vgf", "r", [0.0], "cell-closure")

@@ -22,7 +22,7 @@ from repro.rpc import RPCClient
 from repro.rpc.transport import InProcessTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
-from tests.conftest import make_wave_grid
+from tests.conftest import make_wave_grid, restamp_vgf
 
 FIELDS = {
     "contour": {"values": [0.0, 0.25]},
@@ -81,15 +81,14 @@ def test_decode_runs_once_inside_the_decompress_span(kind, route_name,
 
 @pytest.fixture(scope="module")
 def corrupt():
-    """A checksum-less gzip block with flipped bytes mid-stream, and the
-    error line the library reader gives for it."""
-    blob = bytearray(write_vgf(make_wave_grid(12), codec="gzip",
-                               checksums=False))
+    """A gzip block with flipped bytes mid-stream under a re-stamped
+    checksum, and the error line the library reader gives for it."""
+    blob = bytearray(write_vgf(make_wave_grid(12), codec="gzip"))
     info = read_vgf_info(bytes(blob))
     entry = info.array("f")
     mid = info.data_start + entry.offset + entry.stored_bytes // 2
     blob[mid:mid + 4] = bytes(b ^ 0xFF for b in blob[mid:mid + 4])
-    blob = bytes(blob)
+    blob = restamp_vgf(bytes(blob))
     with pytest.raises(FormatError) as exc:
         read_vgf_array(blob, "f")
     return blob, f"FormatError: {exc.value}"

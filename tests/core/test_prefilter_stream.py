@@ -34,9 +34,11 @@ from repro.io.vgf import (
     read_vgf_info,
     write_vgf,
 )
-from repro.rpc import RPCClient, pack, unpack
+from repro.rpc import RPCClient, pack
 from repro.rpc.transport import InProcessTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
+
+from tests.conftest import restamp_vgf
 
 VALUES = (-0.5, 0.0, 0.7)
 
@@ -78,14 +80,11 @@ def memory_fs(**options):
 
 
 def with_raw_bytes(blob: bytes, delta: int) -> bytes:
-    """A checksum-less VGF ``blob`` whose first array's header
-    ``raw_bytes`` is moved by ``delta``: the block itself is untouched."""
-    info = read_vgf_info(blob)
-    header = unpack(blob[8:info.data_start])
-    header["arrays"][0]["raw_bytes"] += delta
-    packed = pack(header)
-    return (blob[:4] + len(packed).to_bytes(4, "little") + packed
-            + blob[info.data_start:])
+    """VGF ``blob`` whose first array's header ``raw_bytes`` is moved by
+    ``delta``, checksums re-stamped: the block itself is untouched."""
+    def edit(header):
+        header["arrays"][0]["raw_bytes"] += delta
+    return restamp_vgf(blob, edit)
 
 
 class TestStreamEquivalence:
@@ -143,7 +142,7 @@ class TestStreamEquivalence:
         grid, f = make_grid((6, 4, 5), seed=4)
         assert f.dtype.itemsize == 4
         for codec in ("raw", "gzip"):
-            clean = write_vgf(grid, codec=codec, checksums=False)
+            clean = write_vgf(grid, codec=codec)
             for delta in deltas:
                 blob = with_raw_bytes(clean, delta)
                 said = f.nbytes + delta

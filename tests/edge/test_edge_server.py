@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.core import NDPServer
+from repro.core.ndp_client import ndp_contour
 from repro.edge import EdgeCacheServer
 from repro.errors import (
     CircuitOpenError,
@@ -34,6 +35,7 @@ from repro.rpc import (
 from repro.rpc.msgpack import pack, unpack
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
+from tests.cluster.test_stitch import assert_poly_bytes_equal
 from tests.conftest import make_sphere_grid, make_wave_grid
 
 
@@ -244,6 +246,58 @@ class TestNegativeCaching:
                 client.call("prefilter_contour", "g.vgf", "r", [1.0])
         assert calls["n"] == 3  # retried upstream every time
         assert edge_counts(edge)["negative_hits"] == 0
+
+
+def flipping(dispatch, method, field, times=None):
+    """A dispatcher that flips one byte of ``field`` in the first ``times``
+    (default: every) ``method`` replies: corruption on the upstream link."""
+    flipped = []
+
+    def relay(payload):
+        out = dispatch(payload)
+        if unpack(payload)[2] != method or len(flipped) == times:
+            return out
+        message = unpack(out)
+        data = bytearray(message[3][field])
+        data[len(data) // 2] ^= 0x01
+        message[3][field] = bytes(data)
+        flipped.append(method)
+        return pack(message)
+
+    return relay
+
+
+class TestUpstreamCorruption:
+    @pytest.mark.parametrize("codec", ["lz4", "raw"])
+    def test_corrupt_block_pull_is_never_computed_on(self, codec):
+        """A ``read_block`` reply is checked against the stored block's
+        checksum, so a flipped byte makes the edge forward instead of
+        signing selections computed from corrupt values."""
+        _, server, _, _ = make_env(grid=make_wave_grid(14), codec=codec)
+        edge = EdgeCacheServer(
+            [InProcessTransport(flipping(server.dispatch, "read_block",
+                                         "stored"))])
+        client = RPCClient(InProcessTransport(edge.dispatch))
+        direct = RPCClient(InProcessTransport(server.dispatch))
+        for i in range(9):
+            values = [-0.6 + 0.15 * i]
+            assert client.call("prefilter_contour", "g.vgf", "f", values) \
+                == direct.call("prefilter_contour", "g.vgf", "f", values)
+        assert edge_counts(edge)["local_computes"] == 0
+
+    def test_corrupt_reply_never_poisons_the_reply_cache(self):
+        """One flipped upstream reply is relayed (the client's re-read
+        recovers) but never cached."""
+        _, server, _, _ = make_env(grid=make_wave_grid(14))
+        edge = EdgeCacheServer(
+            [InProcessTransport(flipping(server.dispatch, "prefilter_contour",
+                                         "values", times=1))])
+        client = RPCClient(InProcessTransport(edge.dispatch))
+        direct = RPCClient(InProcessTransport(server.dispatch))
+        expected, _ = ndp_contour(direct, "g.vgf", "f", [0.0])
+        for _ in range(4):
+            got, _ = ndp_contour(client, "g.vgf", "f", [0.0])
+            assert_poly_bytes_equal(got, expected)
 
 
 class TestFailureLadder:

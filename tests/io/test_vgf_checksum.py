@@ -1,6 +1,5 @@
-"""VGF end-to-end integrity: per-array CRCs, the header self-check, and
-the backward-compatibility contract (files written without checksums —
-i.e. by the pre-checksum writer — still load everywhere).
+"""VGF end-to-end integrity: per-array CRCs and the header self-check are
+part of the format — a file without them is malformed, not unchecked.
 """
 
 import struct
@@ -18,7 +17,7 @@ from repro.io.vgf import (
     write_vgf,
 )
 
-from tests.conftest import make_sphere_grid
+from tests.conftest import make_sphere_grid, restamp_vgf
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +58,7 @@ class TestRoundTrip:
         assert all(a.checksum is not None for a in info.arrays)
         assert all(a.checksum_algo == DEFAULT_ALGO for a in info.arrays)
         assert "header_crc" not in info.meta  # self-check keys stay internal
+        assert write_vgf(grid, codec="gzip") == blob  # deterministic
         out = read_vgf(blob)
         np.testing.assert_array_equal(
             out.point_data.get("r").values, grid.point_data.get("r").values
@@ -83,11 +83,6 @@ class TestCorruptionDetection:
         blob = _flip(write_vgf(grid, codec="raw"), -10)
         with pytest.raises(IntegrityError):
             read_vgf_array(blob, "r")
-        # Disabling verification reads the corrupted bytes without error:
-        # exactly the silent-wrong-data failure the checksum prevents.
-        arr = read_vgf_array(blob, "r", verify=False)
-        clean = read_vgf_array(write_vgf(grid, codec="raw"), "r")
-        assert not np.array_equal(arr, clean)
 
     def test_header_corruption_fails_the_self_check(self, grid):
         blob = write_vgf(grid)
@@ -107,28 +102,17 @@ class TestCorruptionDetection:
         assert problems and "header" in problems[0].lower() or problems
 
 
-class TestBackwardCompatibility:
-    def test_checksum_free_files_still_load(self, grid):
-        blob = write_vgf(grid, checksums=False)
-        info = read_vgf_info(blob)
-        assert all(a.checksum is None for a in info.arrays)
-        out = read_vgf(blob)  # verify=True must skip absent checksums
-        np.testing.assert_array_equal(
-            out.point_data.get("r").values, grid.point_data.get("r").values
-        )
+class TestChecksumsAreMandatory:
+    """A header or array entry without its checksum is malformed."""
 
-    def test_checksum_free_format_has_no_crc_keys(self, grid):
-        blob = write_vgf(grid, checksums=False)
-        hlen = struct.unpack_from("<I", blob, 4)[0]
-        header = blob[8 : 8 + hlen]
-        assert b"header_crc" not in header
-        assert b"crc_algo" not in header
+    def test_header_without_its_checksum_is_a_format_error(self, grid):
+        blob = restamp_vgf(write_vgf(grid), lambda h: h.pop("header_crc"))
+        with pytest.raises(FormatError, match="no 'header_crc'"):
+            read_vgf_info(blob)
+        assert verify_vgf(blob)
 
-    def test_checksum_free_files_are_unverifiable_not_corrupt(self, grid):
-        problems = verify_vgf(write_vgf(grid, checksums=False))
-        assert problems  # reported, so operators know coverage is partial
-        assert all("unverifiable" in p for p in problems)
-
-    def test_deterministic_output_per_flag(self, grid):
-        assert write_vgf(grid) == write_vgf(grid)
-        assert write_vgf(grid, checksums=False) == write_vgf(grid, checksums=False)
+    def test_array_without_its_checksum_is_a_format_error(self, grid):
+        blob = restamp_vgf(write_vgf(grid), lambda h: h["arrays"][0].pop("crc"))
+        with pytest.raises(FormatError, match="malformed VGF header: 'crc'"):
+            read_vgf(blob)
+        assert verify_vgf(blob)

@@ -343,8 +343,7 @@ class TestServeRobustnessFlags:
             done.append(main([
                 "serve", "--store", store, "--port", "0", "--timeout", "0.3",
                 "--workers", "4", "--tenant-pending", "2",
-                "--drain-timeout", "1.0", "--verify-checksums", "on",
-                "--max-connections", "8",
+                "--drain-timeout", "1.0", "--max-connections", "8",
             ]))
 
         t = threading.Thread(target=run)
@@ -355,6 +354,13 @@ class TestServeRobustnessFlags:
         out = capsys.readouterr().out
         assert "workers=4" in out
         assert "stopped (clean" in out
+
+    @pytest.mark.parametrize("command", ["serve", "serve-edge"])
+    def test_help_lists_no_checksum_switch(self, command, capsys):
+        """Checksums are part of the format and the wire, not a mode."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "checksum" not in capsys.readouterr().out
 
 
 def _live_listeners(store, n=2):
