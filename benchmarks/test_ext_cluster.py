@@ -19,15 +19,19 @@ import numpy as np
 from repro.bench.reporting import print_table
 from repro.cluster import ClusterClient, load_manifest, shard_object
 from repro.core import NDPServer
+from repro.core.filter_splits import SPLIT_FILTERS
 from repro.filters import contour_grid
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport
 from repro.rpc.pool import EndpointPool
 from repro.storage import ObjectStore, S3FileSystem
-from repro.storage.netsim import Testbed
+from repro.storage.netsim import NATIVE_WIRE_CODEC, Testbed
 
 SHARD_COUNTS = (1, 2, 4, 8)
 VALUES = [0.3]
+CONTOUR = SPLIT_FILTERS["contour"]
+#: the testbed prices the paper's native reply codec
+ARGS = CONTOUR.bind({"values": VALUES, "wire_codec": NATIVE_WIRE_CODEC})
 
 
 def _assert_bytes_equal(a, b):
@@ -69,7 +73,8 @@ def test_ext_cluster_scan_scaling(benchmark, bench_record, env):
     for shards in SHARD_COUNTS:
         last_fs, cluster, testbeds = _build_cluster(env, shards)
         marks = [tb.clock.now for tb in testbeds]
-        result, stats = cluster.contour("v02", VALUES)
+        stitched, stats = cluster.prefilter("v02", ARGS)
+        result = CONTOUR.post(stitched, ARGS)
         # The gather completes when the slowest shard does.
         critical = max(
             tb.clock.now - t0 for tb, t0 in zip(testbeds, marks)

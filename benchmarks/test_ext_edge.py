@@ -30,13 +30,15 @@ from repro.rpc import InProcessTransport, RPCClient
 from repro.rpc.msgpack import pack
 from repro.rpc.transport import SimulatedTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
-from repro.storage.netsim import Testbed, wan_link_pair
+from repro.storage.netsim import NATIVE_WIRE_CODEC, Testbed, wan_link_pair
 
 KEY = "ts.vgf"
 ARRAY = "v02"
 VALUE = 0.5
 REPEATS = 9
 WAN = "wan-cross-country"
+#: the testbed prices the paper's native reply codec
+NATIVE = ("cell-closure", "auto", NATIVE_WIRE_CODEC)
 
 
 def _setup(env):
@@ -84,16 +86,16 @@ def test_ext_edge_wan(benchmark, env, bench_record):
     # -- direct over WAN: every repeat pays the round trip + transfer
     direct_times = [
         _timed(tb, lambda: direct_client.call(
-            "prefilter_contour", KEY, ARRAY, [VALUE]))
+            "prefilter_contour", KEY, ARRAY, [VALUE], *NATIVE))
         for _ in range(REPEATS)
     ]
 
     # -- edge: one cold miss (forwarded over the WAN), then warm repeats
     cold_s = _timed(tb, lambda: edge_client.call(
-        "prefilter_contour", KEY, ARRAY, [VALUE]))
+        "prefilter_contour", KEY, ARRAY, [VALUE], *NATIVE))
     warm_times = [
         _timed(tb, lambda: edge_client.call(
-            "prefilter_contour", KEY, ARRAY, [VALUE]))
+            "prefilter_contour", KEY, ARRAY, [VALUE], *NATIVE))
         for _ in range(REPEATS)
     ]
 
@@ -101,11 +103,11 @@ def test_ext_edge_wan(benchmark, env, bench_record):
     # threshold, the edge pulls the decoded block once over the WAN, and
     # every nearby-ROI contour after that is computed on the LAN side.
     promote_s = _timed(tb, lambda: edge_client.call(
-        "prefilter_contour", KEY, ARRAY, [VALUE + 0.1]))
+        "prefilter_contour", KEY, ARRAY, [VALUE + 0.1], *NATIVE))
     roi_times = [
         _timed(tb, lambda: edge_client.call(
             "prefilter_contour", KEY, ARRAY, [VALUE + 0.2],
-            "cell-closure", "auto", "lz4", _roi_for(grid, i)))
+            *NATIVE, _roi_for(grid, i)))
         for i in range(REPEATS)
     ]
 
@@ -150,7 +152,7 @@ def test_ext_edge_wan(benchmark, env, bench_record):
     assert info["block_promotions"] == 1
 
     benchmark(lambda: edge_client.call(
-        "prefilter_contour", KEY, ARRAY, [VALUE]))
+        "prefilter_contour", KEY, ARRAY, [VALUE], *NATIVE))
 
 
 def test_ext_edge_cold_byte_identity(env):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.filter_splits import DEFAULT_WIRE_CODEC, SPLIT_FILTERS
+from repro.core.filter_splits import SPLIT_FILTERS
 from repro.core.ndp_server import NDPServer
 from repro.core.prefilter import prefilter_contour, selection_rate
 from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
@@ -35,7 +35,7 @@ from repro.grid.uniform import UniformGrid
 from repro.io.vgf import read_vgf_array, read_vgf_info, write_vgf
 from repro.rpc.client import RPCClient
 from repro.rpc.transport import InProcessTransport, SimulatedTransport
-from repro.storage.netsim import Testbed
+from repro.storage.netsim import NATIVE_WIRE_CODEC, Testbed
 from repro.storage.object_store import MemoryBackend, ObjectStore
 from repro.storage.s3fs import S3FileSystem
 
@@ -178,7 +178,7 @@ class BenchEnv:
         values,
         mode: str = "cell-closure",
         encoding: str = "auto",
-        wire_codec: str = DEFAULT_WIRE_CODEC,
+        wire_codec: str = NATIVE_WIRE_CODEC,
     ) -> tuple[dict, LoadResult]:
         """Offloaded pre-filter load; returns the encoded selection + cost."""
         tb = self.testbed

@@ -23,8 +23,6 @@ from functools import partial
 
 from repro.core.ndp_client import FallbackPolicy, ndp_contour
 from repro.core.ndp_server import NDPServer
-from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
-from repro.datasets.nyx import NyxDataset, NyxParams
 from repro.errors import ReproError, RPCTransportError
 from repro.io.ppm import write_ppm
 from repro.io.vgf import read_vgf_info, write_vgf
@@ -73,6 +71,10 @@ def _write_trace(tracer: Tracer, path: str) -> None:
 
 
 def cmd_generate(args) -> int:
+    # Imported here so the serving commands never load SciPy.
+    from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
+    from repro.datasets.nyx import NyxDataset, NyxParams
+
     fs = _open_fs(args.store, args.bucket, create=True)
     dims = (args.dim, args.dim, args.dim)
     if args.dataset == "asteroid":

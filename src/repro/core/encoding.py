@@ -15,11 +15,15 @@ schemes:
 
 Independently of the method, the bulk payload fields (values and ids or
 bitmap) can be compressed with any registered codec (requests default
-to :data:`~repro.core.filter_splits.DEFAULT_WIRE_CODEC`): selection
+to :data:`~repro.core.filter_splits.DEFAULT_WIRE_CODEC`, gzip): selection
 values cluster around the contour values and delta-coded ids are tiny
 integers, so the paper's Fig. 9 observation that compression and NDP
 compose extends to the selection wire format itself — typically a
-further 2-4x (see the ``test_abl_encoding`` benchmark).
+further 2-4x (see the ``test_abl_encoding`` benchmark).  The paper ships
+LZ4, native and cheap in VTK; here LZ4 is pure Python and zlib encodes
+the same reply about ten times faster and smaller, so gzip is what a
+server sends unless asked.  The simulated testbed still prices the
+paper's codec (:data:`~repro.storage.netsim.NATIVE_WIRE_CODEC`).
 
 Every encoding is a flat dict of msgpack-friendly values (strs, ints,
 bytes), so it rides the RPC layer without auxiliary framing.

@@ -160,8 +160,10 @@ def _roi(value) -> Bounds | None:
     return Bounds(*map(float, value))
 
 
-#: the reply codec every client asks for unless told otherwise
-DEFAULT_WIRE_CODEC = "lz4"
+#: the reply codec every client asks for unless told otherwise: zlib
+#: encodes a reply about ten times faster than the pure-Python LZ4, and
+#: smaller (the simulated testbed prices ``netsim.NATIVE_WIRE_CODEC``)
+DEFAULT_WIRE_CODEC = "gzip"
 
 _ENCODING = ("encoding", str, "auto")
 _WIRE_CODEC = ("wire_codec", str, DEFAULT_WIRE_CODEC)

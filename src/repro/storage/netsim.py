@@ -31,6 +31,7 @@ __all__ = [
     "DeviceModel",
     "LinkModel",
     "CodecTiming",
+    "NATIVE_WIRE_CODEC",
     "Testbed",
     "PAPER_TESTBED",
     "WanProfile",
@@ -150,6 +151,13 @@ class CodecTiming:
 
     compress_bps: float
     decompress_bps: float
+
+
+#: the reply codec the paper's native testbed ships.  ``Testbed`` prices
+#: codecs at native (VTK) speeds, where LZ4 is the cheap one; a real
+#: server's default (:data:`~repro.core.filter_splits.DEFAULT_WIRE_CODEC`)
+#: is gzip, because this package's LZ4 encoder is pure Python.
+NATIVE_WIRE_CODEC = "lz4"
 
 
 @dataclass

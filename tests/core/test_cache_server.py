@@ -19,7 +19,7 @@ from repro.grid import Bounds, DataArray, UniformGrid
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
-from repro.storage.netsim import Testbed
+from repro.storage.netsim import NATIVE_WIRE_CODEC, Testbed
 
 from tests.conftest import make_sphere_grid, make_wave_grid
 
@@ -165,10 +165,12 @@ class TestTestbedHonesty:
 
     def test_array_hit_skips_read_and_decompress_charges(self):
         tb, client = self.make_tb_env(cache_bytes=64 * 2**20)
-        client.call("prefilter_contour", "g.vgf", "r", [4.0])
+        # Priced with the paper's reply codec, as the testbed models it.
+        native = ("cell-closure", "auto", NATIVE_WIRE_CODEC)
+        client.call("prefilter_contour", "g.vgf", "r", [4.0], *native)
         cold_time = tb.clock.now
         cold_ssd = tb.ssd.total_bytes
-        client.call("prefilter_contour", "g.vgf", "r", [5.0])
+        client.call("prefilter_contour", "g.vgf", "r", [5.0], *native)
         warm_time = tb.clock.now - cold_time
         assert tb.ssd.total_bytes == cold_ssd  # no new simulated SSD bytes
         # Warm request pays scan + wire compress only; the gzip read +

@@ -10,9 +10,12 @@ asteroid series, dim 48, v02/v03, raw/gzip/lz4) served three ways — a
 cache-off server, the ``repro serve`` default caches, and an edge in
 front of a ``map_version``-stamping server.  One digest covers the
 replies for one ``(server, object, array)`` in request order, except
-that ``read_block`` replies have their own ``...|read_block`` rows: those
-were re-recorded when the reply gained the stored block's checksum, and
-every other row was checked unchanged by capturing both layouts.
+that ``read_block`` replies have their own ``...|read_block`` rows (those
+were re-recorded when the reply gained the stored block's checksum) and
+that the requests which name no wire codec have their own
+``...|default-codec`` rows (those were re-recorded when the default moved
+from lz4 to gzip).  Every other row was checked unchanged by capturing
+the new layout before and after each of those two changes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ TIMESTEPS = AsteroidParams().timesteps
 CODECS = ("raw", "gzip", "lz4")
 ARRAYS = ("v02", "v03")
 ISOVALUES = (0.2, 0.35, 0.5, 0.65, 0.8)
+#: the requests below that leave the wire codec to the server's default
+DEFAULT_CODEC = {"contour", "contour-new", "threshold", "slice",
+                 "contour-again", "batch"}
 
 
 def ledger_fs(step: int) -> S3FileSystem:
@@ -121,10 +127,12 @@ def step_digests(step: int) -> dict:
             for array in ARRAYS:
                 i += 1
                 calls += [(array,) + r for r in block_requests(key, array, i)]
-            for array, _label, method, params in calls:
+            for array, label, method, params in calls:
                 group = f"{name}|{key}|{array}"
                 if method == "read_block":
                     group += "|read_block"
+                elif label in DEFAULT_CODEC:
+                    group += "|default-codec"
                 digest = out.setdefault(group, hashlib.sha256())
                 digest.update(pack(client.call(method, *params)))
     return {group: digest.hexdigest() for group, digest in out.items()}

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import ndp_client
-from repro.core.filter_splits import SPLIT_FILTERS, bind_request, wire_request
+from repro.core.filter_splits import (
+    DEFAULT_WIRE_CODEC,
+    SPLIT_FILTERS,
+    bind_request,
+    wire_request,
+)
 from repro.core.ndp_server import NDPServer
 from repro.core.prefetch import NDPPrefetcher
 from repro.edge import EdgeCacheServer
@@ -90,13 +95,14 @@ class TestTableComplete:
 
     def test_spelled_defaults_are_the_same_request(self):
         op = SPLIT_FILTERS["contour"]
+        codec = DEFAULT_WIRE_CODEC
         short = op.bind([[0.5]])
-        assert short == op.bind([[0.5], "cell-closure", "auto", "lz4"])
+        assert short == op.bind([[0.5], "cell-closure", "auto", codec])
         assert short == op.bind({"values": (0.5,), "roi": None})
         assert op.request_key("k", "a", short) == op.request_key(
-            "k", "a", op.bind([0.5, "cell-closure", "auto", "lz4", None]))
+            "k", "a", op.bind([0.5, "cell-closure", "auto", codec, None]))
         assert op.bind({"values": 1, "roi": Bounds(0, 1, 0, 1, 0, 1)}) == \
-            op.bind([[1.0], "cell-closure", "auto", "lz4", [0, 1, 0, 1, 0, 1]])
+            op.bind([[1.0], "cell-closure", "auto", codec, [0, 1, 0, 1, 0, 1]])
 
     def test_edge_keys_replies_canonically(self):
         fs, _ = make_fs()
@@ -104,7 +110,7 @@ class TestTableComplete:
         client = connect(edge)
         first = client.call("prefilter_contour", "g.vgf", "p", [0.5])
         again = client.call("prefilter_contour", "g.vgf", "p", [0.5],
-                            "cell-closure", "auto", "lz4")
+                            "cell-closure", "auto", DEFAULT_WIRE_CODEC)
         assert again == first
         info = edge.stats_snapshot()["collected"]["edge"]
         assert (info["hits"], info["misses"]) == (1, 1)

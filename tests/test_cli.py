@@ -186,6 +186,26 @@ class TestServe:
         assert done == [0]
         assert "NDP server on" in capsys.readouterr().out
 
+    def test_serving_commands_load_no_scipy(self):
+        """Only ``generate`` builds datasets, and the generators are the
+        only SciPy users, so importing the CLI loads neither: a server
+        spawn pays for the serving stack alone.  This lists modules, not
+        seconds, so a slow host cannot flip it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = ("import repro.cli, sys; print(*sorted(m for m in sys.modules"
+                 " if m.startswith(('scipy', 'repro.datasets'))))")
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout.split()
+        assert loaded == []
+
 
 class TestTraceOut:
     def test_contour_writes_chrome_trace(self, store, tmp_path, capsys):
