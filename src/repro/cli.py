@@ -17,18 +17,18 @@ so a downstream user can drive the system without writing Python.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from collections.abc import Callable
 from functools import partial
 
 from repro.core.ndp_client import FallbackPolicy, ndp_contour
 from repro.core.ndp_server import NDPServer
-from repro.errors import ReproError, RPCTransportError
+from repro.errors import ReproError
 from repro.io.ppm import write_ppm
 from repro.io.vgf import read_vgf_info, write_vgf
-from repro.obs.export import prometheus_text, write_chrome_trace, write_jsonl
+from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.flightrec import FlightRecorder, install_signal_dump
-from repro.obs.metrics import Registry, Tally, merge_snapshots, snapshot_quantile
+from repro.obs.metrics import Tally
 from repro.obs.profile import SamplingProfiler
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.trace import Tracer
@@ -52,9 +52,11 @@ def _open_fs(store_dir: str, bucket: str, create: bool = False) -> S3FileSystem:
     return S3FileSystem(store, bucket)
 
 
-def _write_trace(tracer: Tracer, path: str) -> None:
-    """Export a tracer's spans: ``.jsonl`` writes a span log, anything
-    else the Chrome trace-event JSON Perfetto loads."""
+def _write_trace(tracer: Tracer | None, path: str) -> None:
+    """Export a tracer's spans (none without one): ``.jsonl`` writes a
+    span log, anything else the Chrome trace-event JSON Perfetto loads."""
+    if tracer is None:
+        return
     spans = tracer.finished()
     if path.endswith(".jsonl"):
         n = write_jsonl(spans, path)
@@ -193,8 +195,7 @@ def cmd_serve(args) -> int:
     info = server.admission_info()
     print(f"stopped ({'clean' if clean else 'forced'}; "
           f"{info['admitted']} requests served, {info['shed']} shed)")
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out)
+    _write_trace(tracer, args.trace_out)
     return 0 if clean else 1
 
 
@@ -403,21 +404,21 @@ def cmd_serve_cluster(args) -> int:
     return 0 if clean else 1
 
 
-def _resilience_from_args(args) -> tuple[RetryPolicy, CircuitBreaker | None, Tally]:
+def _resilience_from_args(args) -> tuple[RetryPolicy, Callable | None, Tally]:
+    """``(retry, breaker_factory, stats)`` from the resilience flags: the
+    factory makes one fresh breaker per endpoint (None: breakers off),
+    as :class:`~repro.rpc.pool.EndpointPool` takes it."""
     retry = RetryPolicy(
         max_attempts=max(1, args.retries),
         base_delay=args.backoff,
         deadline=args.deadline if args.deadline > 0 else None,
     )
-    breaker = (
-        CircuitBreaker(
-            failure_threshold=args.breaker_threshold,
-            reset_timeout=args.breaker_reset,
-        )
-        if args.breaker_threshold > 0
-        else None
+    breaker_factory = (
+        partial(CircuitBreaker, failure_threshold=args.breaker_threshold,
+                reset_timeout=args.breaker_reset)
+        if args.breaker_threshold > 0 else None
     )
-    return retry, breaker, Tally()
+    return retry, breaker_factory, Tally()
 
 
 def cmd_contour(args) -> int:
@@ -431,10 +432,11 @@ def cmd_contour(args) -> int:
         print("error: provide exactly one of --key (monolithic) or "
               "--cluster MANIFEST_KEY (sharded)", file=sys.stderr)
         return 2
-    retry, breaker, rstats = _resilience_from_args(args)
     tracer = Tracer(process="client") if args.trace_out else None
     if args.cluster:
-        return _cluster_contour(args, values, retry, breaker, rstats, tracer)
+        return _cluster_contour(args, values, tracer)
+    retry, breaker_factory, rstats = _resilience_from_args(args)
+    breaker = breaker_factory() if breaker_factory else None
     fallback = None
     if args.fallback:
         if not args.store:
@@ -444,53 +446,36 @@ def cmd_contour(args) -> int:
         fallback = FallbackPolicy(
             _open_fs(args.store, args.bucket), stats=rstats, tracer=tracer
         )
-    close = lambda: None  # noqa: E731 - replaced when a client is built
-    try:
-        if args.connect:
-            host, port = parse_address(args.connect)
-            # Dialled on first use, so an unreachable server fails the
-            # call itself and degrades inside ndp_contour's fallback.
-            client = RPCClient(
-                ResilientTransport(
-                    TCPTransport(host, port, lazy=True), retry=retry,
-                    breaker=breaker, stats=rstats, tracer=tracer,
-                ),
-                tracer=tracer,
-            )
-            close = client.close
-        else:
-            if not args.store:
-                print("error: provide --connect host:port or --store DIR",
-                      file=sys.stderr)
-                return 2
-            fs = _open_fs(args.store, args.bucket)
-            from repro.rpc.transport import InProcessTransport
+    if args.connect:
+        # Dialled on first use, so an unreachable server fails the call
+        # itself and degrades inside ndp_contour's fallback.
+        transport = TCPTransport(*parse_address(args.connect), lazy=True)
+    elif args.store:
+        from repro.rpc.transport import InProcessTransport
 
-            # The in-process server gets its own tracer: its spans travel
-            # back through the reply envelope exactly as over TCP, so the
-            # exported trace has the same two-process shape either way.
-            server = NDPServer(
-                fs, tracer=Tracer(process="server") if tracer else None
-            )
-            client = RPCClient(
-                ResilientTransport(
-                    InProcessTransport(server.rpc.dispatch),
-                    retry=retry, breaker=breaker, stats=rstats, tracer=tracer,
-                ),
-                tracer=tracer,
-            )
+        # The in-process server gets its own tracer: its spans travel
+        # back through the reply envelope exactly as over TCP, so the
+        # exported trace has the same two-process shape either way.
+        server = NDPServer(_open_fs(args.store, args.bucket),
+                           tracer=Tracer(process="server") if tracer else None)
+        transport = InProcessTransport(server.rpc.dispatch)
+    else:
+        print("error: provide --connect host:port or --store DIR",
+              file=sys.stderr)
+        return 2
+    client = RPCClient(
+        ResilientTransport(transport, retry=retry, breaker=breaker,
+                           stats=rstats, tracer=tracer),
+        tracer=tracer,
+    )
+    with client:
         polydata, stats = ndp_contour(
             client, args.key, args.array, values, fallback=fallback
         )
-    finally:
-        close()
-    rc = _report_contour(args, polydata, stats, rstats)
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out)
-    return rc
+    return _report_contour(args, polydata, stats, rstats, tracer)
 
 
-def _cluster_contour(args, values, retry, breaker, rstats, tracer) -> int:
+def _cluster_contour(args, values, tracer) -> int:
     """Scatter–gather contour against the shards of a manifest."""
     from repro.cluster import ClusterClient, load_manifest
     from repro.rpc.pool import EndpointPool
@@ -502,17 +487,10 @@ def _cluster_contour(args, values, retry, breaker, rstats, tracer) -> int:
         return 2
     fs = _open_fs(args.store, args.bucket)
     manifest = load_manifest(fs, args.cluster)
-    breaker_factory = (
-        (lambda: CircuitBreaker(breaker.failure_threshold,
-                                breaker.reset_timeout))
-        if breaker is not None else None
-    )
+    retry, breaker_factory, rstats = _resilience_from_args(args)
     if args.connect:
-        addresses = [a for a in args.connect.split(",") if a]
-        if len(addresses) < manifest.shards:
-            print(f"error: manifest names {manifest.shards} shard(s) but "
-                  f"--connect lists only {len(addresses)} address(es)",
-                  file=sys.stderr)
+        addresses = _split_addresses(args.connect, manifest.shards)
+        if addresses is None:
             return 2
         pool = EndpointPool.connect_tcp(
             addresses, retry=retry, breaker_factory=breaker_factory,
@@ -536,13 +514,10 @@ def _cluster_contour(args, values, retry, breaker, rstats, tracer) -> int:
             tracer=tracer, manifest_fs=fs,
         )
         polydata, stats = cluster.contour(args.array, values)
-    rc = _report_contour(args, polydata, stats, rstats)
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out)
-    return rc
+    return _report_contour(args, polydata, stats, rstats, tracer)
 
 
-def _report_contour(args, polydata, stats, rstats: Tally) -> int:
+def _report_contour(args, polydata, stats, rstats: Tally, tracer) -> int:
     print(
         f"contour: {polydata.triangles().shape[0]} triangles, "
         f"{polydata.num_points} points"
@@ -599,190 +574,57 @@ def _report_contour(args, polydata, stats, rstats: Tally) -> int:
         scene.add_mesh(polydata, color=(0.3, 0.75, 0.9))
         write_ppm(args.render, scene.render(args.width, args.height))
         print(f"wrote {args.render}")
+    _write_trace(tracer, args.trace_out)
     return 0
 
 
-def _split_addresses(spec: str) -> list[tuple[str, str, int]] | None:
-    """Parse ``"a:1,b:2"`` into ``[(label, host, port), ...]`` or None."""
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            host, port = parse_address(part)
-        except ReproError as exc:
-            print(f"error: bad address: {exc}", file=sys.stderr)
-            return None
-        out.append((part, host, port))
-    if not out:
+def _split_addresses(spec: str, shards: int = 0) -> list[str] | None:
+    """Validate ``"a:1,b:2"`` into its address labels, at least one per
+    manifest shard; None (after printing why) for a usage error."""
+    labels = [part.strip() for part in spec.split(",") if part.strip()]
+    if not labels:
         print("error: bad address spec: --connect lists no addresses",
               file=sys.stderr)
         return None
-    return out
+    for label in labels:
+        try:
+            parse_address(label)
+        except ReproError as exc:
+            print(f"error: bad address: {exc}", file=sys.stderr)
+            return None
+    if len(labels) < shards:
+        print(f"error: manifest names {shards} shard(s) but --connect "
+              f"lists only {len(labels)} address(es)", file=sys.stderr)
+        return None
+    return labels
 
 
-def _call_addresses(addresses, args, method: str, rstats, params=()):
-    """Call one RPC method on every address; never raises.
+def _console(args, run, *params, resilience: bool = True) -> int:
+    """``run(pool, addresses, *params)`` over every ``--connect`` address.
 
-    Returns ``(results, failures)`` where results are ``(label, reply)``
-    and failures ``(label, exc)``.  Each address gets its own transport
-    and breaker (a dead shard must not open the breaker for the rest);
-    ``rstats`` is shared so the probe reports one resilience ledger.
+    One :class:`~repro.rpc.pool.EndpointPool` dials them all, lazily and
+    inside each endpoint's resilient transport, so the resilience flags
+    cover the dial too and each endpoint has a breaker of its own.
     """
-    results, failures = [], []
-    for label, host, port in addresses:
-        retry, breaker, _ = _resilience_from_args(args)
-        try:
-            transport = TCPTransport(host, port)
-        except RPCTransportError as exc:
-            failures.append((label, exc))
-            continue
-        client = RPCClient(
-            ResilientTransport(transport, retry=retry, breaker=breaker,
-                               stats=rstats)
-        )
-        try:
-            results.append((label, client.call(method, *params)))
-        except RPCTransportError as exc:
-            failures.append((label, exc))
-        finally:
-            client.close()
-    return results, failures
+    from repro.rpc.pool import EndpointPool
 
-
-def cmd_health(args) -> int:
     addresses = _split_addresses(args.connect)
     if addresses is None:
         return 2
-    rstats = Tally()
-    results, failures = _call_addresses(addresses, args, "health", rstats)
-    if len(addresses) > 1:
-        return _health_table(addresses, results, failures)
-    for _, exc in failures:
-        print(f"unreachable: {exc}")
-        return 1
-    report = results[0][1]
-    if report.get("kind") == "edge":
-        print(
-            f"status: {report['status']} (edge, "
-            f"upstream_reachable={report.get('upstream_reachable')}, "
-            f"requests_served={report.get('requests_served', 0)})"
-        )
-        edge = report.get("edge") or {}
-        print(
-            f"edge: hit_rate {float(edge.get('hit_rate') or 0.0):.0%}, "
-            f"revalidations {int(edge.get('revalidations', 0))}, "
-            f"invalidations {int(edge.get('invalidations', 0))}, "
-            f"upstream_errors {int(edge.get('upstream_errors', 0))}"
-        )
-        if report.get("upstream_error"):
-            print(f"upstream_error: {report['upstream_error']}")
-        return 0 if report["status"] == "ok" else 1
-    print(
-        f"status: {report['status']} "
-        f"(store_reachable={report['store_reachable']}, "
-        f"requests_served={report['requests_served']})"
-    )
-    admission = report.get("admission") or {}
-    if admission:
-        print(
-            f"admission: inflight={admission.get('inflight', 0)}/"
-            f"{admission.get('max_inflight', 0)} workers, "
-            f"pending={admission.get('pending', 0)}, "
-            f"shed={admission.get('shed', 0)}, "
-            f"expired={admission.get('expired', 0)}"
-        )
-    integrity = int(report.get("integrity_failures", 0))
-    if integrity:
-        print(f"integrity_failures: {integrity} (checksum mismatches on "
-              f"at-rest reads — run `repro verify` against the store)")
-    if "map_version" in report or report.get("hedged_requests") \
-            or report.get("failover_requests"):
-        line = (f"replication: {int(report.get('hedged_requests', 0))} "
-                f"hedged, {int(report.get('failover_requests', 0))} "
-                f"failover request(s)")
-        if "map_version" in report:
-            line += f", serving map_version {report['map_version']}"
-        print(line)
-    for label in ("array_cache", "selection_cache"):
-        cache = report.get(label)
-        if not cache:
-            continue
-        if not cache.get("enabled"):
-            print(f"{label}: off")
-            continue
-        print(
-            f"{label}: {cache['entries']} entries, "
-            f"{cache['current_bytes'] / 2**20:.1f}/"
-            f"{cache['max_bytes'] / 2**20:.0f} MiB, "
-            f"{cache['hits']} hits / {cache['misses']} misses / "
-            f"{cache['coalesced']} coalesced"
-        )
-    return 0 if report["status"] == "ok" else 1
+    flags = {}
+    if resilience:
+        retry, breaker_factory, rstats = _resilience_from_args(args)
+        flags = dict(retry=retry, breaker_factory=breaker_factory,
+                     stats=rstats)
+    with EndpointPool.connect_tcp(addresses, **flags) as pool:
+        return run(pool, addresses, *params)
 
 
-def _health_table(addresses, results, failures) -> int:
-    """One merged table for a comma-separated address list."""
-    print(f"{'ADDRESS':<22}{'STATUS':<13}{'SERVED':>8}{'INFL':>6}"
-          f"{'SHED':>7}{'INTEG':>7}  BURNING")
-    reports = dict(results)
-    ok = 0
-    for label, _, _ in addresses:
-        report = reports.get(label)
-        if report is None:
-            print(f"{label:<22}{'unreachable':<13}")
-            continue
-        admission = report.get("admission") or {}
-        slo = report.get("slo") or {}
-        burning = ",".join(slo.get("burning") or []) or "-"
-        print(
-            f"{label:<22}{report['status']:<13}"
-            f"{int(report.get('requests_served', 0)):>8}"
-            f"{int(admission.get('inflight', 0)):>6}"
-            f"{int(admission.get('shed', 0)):>7}"
-            f"{int(report.get('integrity_failures', 0)):>7}  {burning}"
-        )
-        if report["status"] == "ok":
-            ok += 1
-    print(f"{ok}/{len(addresses)} healthy")
-    return 0 if ok == len(addresses) else 1
+def cmd_health(args) -> int:
+    """Probe each server's health endpoint (a table for a list)."""
+    from repro.obs.top import run_health
 
-
-def _hist_summary(hist: dict) -> str:
-    """Compact one-line view of a snapshot histogram dict."""
-    count = int(hist.get("count", 0))
-    if count == 0:
-        return "no observations"
-    mean = hist.get("sum", 0.0) / count
-
-    def quantile(q: float) -> str:
-        le = snapshot_quantile(hist, q, overflow=math.inf)
-        return "+Inf" if le == math.inf else f"{le * 1e3:.3g}ms"
-
-    return (
-        f"count={count} mean={mean * 1e3:.3g}ms "
-        f"p50<={quantile(0.5)} p90<={quantile(0.9)} p99<={quantile(0.99)}"
-    )
-
-
-def _print_cache_line(label: str, cache: dict) -> None:
-    if not cache or not cache.get("enabled", True):
-        print(f"{label}: off")
-        return
-    hits = int(cache.get("hits", 0))
-    misses = int(cache.get("misses", 0))
-    coalesced = int(cache.get("coalesced", 0))
-    served = hits + coalesced
-    total = served + misses
-    rate = f"{100.0 * served / total:.1f}%" if total else "n/a"
-    line = f"{label}: hit_rate {rate} ({hits} hits / {misses} misses / " \
-           f"{coalesced} coalesced)"
-    if "entries" in cache:
-        line += (f", {cache['entries']} entries, "
-                 f"{cache.get('current_bytes', 0) / 2**20:.1f}/"
-                 f"{cache.get('max_bytes', 0) / 2**20:.0f} MiB")
-    print(line)
+    return _console(args, run_health)
 
 
 def cmd_serve_edge(args) -> int:
@@ -803,9 +645,9 @@ def cmd_serve_edge(args) -> int:
     if addresses is None:
         return 2
     transports = []
-    for _label, host, port in addresses:
-        transport = TCPTransport(host, port, timeout=args.upstream_timeout,
-                                 lazy=True)
+    for address in addresses:
+        transport = TCPTransport(*parse_address(address),
+                                 timeout=args.upstream_timeout, lazy=True)
         if args.wan_profile:
             transport = ThrottledTransport(transport,
                                            WAN_PROFILES[args.wan_profile])
@@ -833,7 +675,7 @@ def cmd_serve_edge(args) -> int:
     max_conns = args.max_connections if args.max_connections > 0 else None
     listener = server.serve_tcp(host=args.host, port=args.port,
                                 max_connections=max_conns)
-    upstream_desc = ",".join(label for label, _h, _p in addresses)
+    upstream_desc = ",".join(addresses)
     print(f"edge cache on {listener.host}:{listener.port} "
           f"(upstream={upstream_desc}"
           f"{', wan=' + args.wan_profile if args.wan_profile else ''}, "
@@ -851,211 +693,32 @@ def cmd_serve_edge(args) -> int:
           f"hit_rate {info['hit_rate']:.0%}, "
           f"{info['forwards']} forwards, "
           f"{info['upstream_errors']} upstream errors)")
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out)
+    _write_trace(tracer, args.trace_out)
     return 0 if clean else 1
 
 
 def cmd_stats(args) -> int:
-    """Fetch and pretty-print a server's unified registry snapshot.
+    """A server's registry snapshot; an address list is merged into one
+    table — the static counterpart of ``repro top``."""
+    from repro.obs.top import run_stats
 
-    ``--connect`` accepts a comma-separated address list; snapshots from
-    every reachable shard are merged (counters summed, histograms merged
-    bucket-wise) into one table — the static counterpart of ``repro top``.
-    """
-    addresses = _split_addresses(args.connect)
-    if addresses is None:
-        return 2
-    rstats = Tally()
-    results, failures = _call_addresses(addresses, args, "stats", rstats)
-    for label, exc in failures:
-        if len(addresses) == 1:
-            print(f"unreachable: {exc}")
-        else:
-            print(f"unreachable: {label}: {exc}")
-    if not results:
-        return 1
-    if len(results) == 1:
-        snapshot = results[0][1]
-    else:
-        snapshot = merge_snapshots([snap for _, snap in results])
-    # Fold this probe's own client-side resilience counters into the same
-    # snapshot: one tree for everything the request chain observed.
-    registry = Registry()
-    registry.register("resilience_client", rstats.as_dict)
-    snapshot.setdefault("collected", {}).update(
-        registry.snapshot()["collected"]
-    )
-    if args.prom:
-        print(prometheus_text(snapshot), end="")
-        return 0 if not failures else 1
-    counters = snapshot.get("counters", {})
-    if len(addresses) == 1:
-        print(f"stats for {args.connect}:")
-    else:
-        print(f"stats for {len(results)}/{len(addresses)} endpoint(s), "
-              f"merged:")
-    print(
-        f"requests: {int(counters.get('requests', 0))}  "
-        f"prefilter_calls: {int(counters.get('prefilter_calls', 0))}  "
-        f"selected_points: {int(counters.get('selected_points', 0))}"
-    )
-    scanned = counters.get("raw_bytes_scanned", 0)
-    sent = counters.get("wire_bytes_sent", 0)
-    reduction = f" (reduction {scanned / sent:.1f}x)" if sent else ""
-    print(
-        f"raw_bytes_scanned: {scanned / 1e6:.2f} MB  "
-        f"wire_bytes_sent: {sent / 1e3:.1f} kB{reduction}"
-    )
-    hists = snapshot.get("histograms", {})
-    if "request_latency_seconds" in hists:
-        print(f"latency (wall): {_hist_summary(hists['request_latency_seconds'])}")
-    sim = hists.get("request_sim_seconds")
-    if sim and sim.get("count"):
-        print(f"latency (simulated): {_hist_summary(sim)}")
-    collected = snapshot.get("collected", {})
-    for label in ("array_cache", "selection_cache"):
-        _print_cache_line(label, collected.get(label, {}))
-    edge = collected.get("edge") or {}
-    if edge.get("kind") == "edge":
-        print(
-            f"edge: hit_rate {float(edge.get('hit_rate') or 0.0):.0%}  "
-            f"revalidations {int(edge.get('revalidations', 0))}  "
-            f"invalidations {int(edge.get('invalidations', 0))}  "
-            f"stale_served {int(edge.get('stale_served', 0))}  "
-            f"upstream_errors {int(edge.get('upstream_errors', 0))}  "
-            f"local_computes {int(edge.get('local_computes', 0))}"
-        )
-        for label in ("reply_cache", "block_cache"):
-            _print_cache_line(label, collected.get(label, {}))
-    admission = collected.get("admission") or {}
-    if admission:
-        print(
-            f"admission: {int(admission.get('admitted', 0))} admitted, "
-            f"{int(admission.get('shed', 0))} shed, "
-            f"{int(admission.get('expired', 0))} expired, "
-            f"peak_inflight {int(admission.get('peak_inflight', 0))}/"
-            f"{int(admission.get('max_inflight', 0))} workers"
-        )
-    integrity = int(counters.get("integrity_failures", 0))
-    if integrity:
-        print(f"integrity_failures: {integrity}")
-    hedged = int(counters.get("hedged_requests", 0))
-    failover = int(counters.get("failover_requests", 0))
-    if hedged or failover:
-        print(f"replication: {hedged} hedged request(s), "
-              f"{failover} failover request(s)")
-    slo = collected.get("slo") or {}
-    for name in sorted(slo.get("tenants") or {}):
-        state = slo["tenants"][name]
-        flag = "  BURNING" if state.get("burning") else ""
-        print(
-            f"slo[{name}]: burn_fast {float(state.get('burn_fast', 0)):.2f} "
-            f"burn_slow {float(state.get('burn_slow', 0)):.2f} "
-            f"p99 {float(state.get('p99', 0)) * 1e3:.3g}ms "
-            f"slo_sheds {int(state.get('slo_sheds', 0))}{flag}"
-        )
-    flightrec = collected.get("flightrec") or {}
-    if flightrec.get("enabled"):
-        print(
-            f"flightrec: {int(flightrec.get('recorded', 0))} recorded, "
-            f"{int(flightrec.get('retained', 0))}/"
-            f"{int(flightrec.get('capacity', 0))} retained, "
-            f"{int(flightrec.get('dumps', 0))} dumps"
-        )
-    profiler = collected.get("profiler") or {}
-    if profiler.get("enabled") and profiler.get("samples"):
-        print(
-            f"profiler: {int(profiler.get('samples', 0))} samples @ "
-            f"{float(profiler.get('hz', 0)):g} Hz, "
-            f"{int(profiler.get('distinct_stacks', 0))} distinct stacks"
-        )
-    resilience = collected.get("resilience_client") or {}
-    if resilience:
-        inner = " ".join(f"{k}={v}" for k, v in sorted(resilience.items()))
-        print(f"resilience (this probe): {inner}")
-    return 0 if not failures else 1
-
-
-def _suffixed(path: str, label: str) -> str:
-    """``dump.jsonl`` + ``shard1`` -> ``dump-shard1.jsonl``."""
-    root, dot, ext = path.rpartition(".")
-    safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
-    if not dot:
-        return f"{path}-{safe}"
-    return f"{root}-{safe}.{ext}"
+    return _console(args, run_stats, args.prom)
 
 
 def cmd_dump(args) -> int:
     """Pull a server's flight-recorder ring over RPC (``repro dump``)."""
-    import json
+    from repro.obs.top import run_dump
 
-    addresses = _split_addresses(args.connect)
-    if addresses is None:
-        return 2
-    rstats = Tally()
-    results, failures = _call_addresses(
-        addresses, args, "dump", rstats,
-        params=(args.reason, args.last if args.last > 0 else None),
-    )
-    for label, exc in failures:
-        print(f"unreachable: {label}: {exc}")
-    for label, reply in results:
-        if not reply.get("enabled"):
-            print(f"{label}: flight recorder disabled")
-            continue
-        events = reply.get("events") or []
-        where = reply.get("path") or "not written (server has no --dump-dir)"
-        print(f"{label}: {len(events)} event(s); server-side dump: {where}")
-        if args.out:
-            path = (args.out if len(results) == 1
-                    else _suffixed(args.out, label))
-            header = {
-                "kind": "flightrec.header", "source": label,
-                "reason": args.reason, "events": len(events),
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for event in events:
-                    fh.write(json.dumps(event, sort_keys=True, default=str)
-                             + "\n")
-            print(f"wrote {path}")
-    return 0 if results and not failures else 1
+    return _console(args, run_dump, args.out, args.reason,
+                    args.last if args.last > 0 else None)
 
 
 def cmd_prof(args) -> int:
     """Pull a server's sampling-profiler stacks (``repro prof``)."""
-    addresses = _split_addresses(args.connect)
-    if addresses is None:
-        return 2
-    rstats = Tally()
-    results, failures = _call_addresses(
-        addresses, args, "profile", rstats,
-        params=(args.top if args.top > 0 else None,),
-    )
-    for label, exc in failures:
-        print(f"unreachable: {label}: {exc}")
-    for label, snap in results:
-        if not snap.get("enabled"):
-            print(f"{label}: profiler disabled")
-            continue
-        stacks = snap.get("stacks") or {}
-        print(f"{label}: {int(snap.get('samples', 0))} samples @ "
-              f"{float(snap.get('hz', 0)):g} Hz over "
-              f"{float(snap.get('elapsed', 0)):.1f}s, "
-              f"{len(stacks)} distinct stack(s)")
-        lines = [f"{stack} {count}" for stack, count in stacks.items()]
-        if args.out:
-            path = (args.out if len(results) == 1
-                    else _suffixed(args.out, label))
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-            print(f"wrote {path} (collapsed-stack format: feed to "
-                  f"flamegraph.pl or speedscope)")
-        else:
-            for line in lines[:args.show]:
-                print(f"  {line}")
-    return 0 if results and not failures else 1
+    from repro.obs.top import run_prof
+
+    return _console(args, run_prof, args.out,
+                    args.top if args.top > 0 else None, args.show)
 
 
 def cmd_rebalance(args) -> int:
@@ -1084,18 +747,11 @@ def cmd_rebalance(args) -> int:
         from repro.obs.top import poll_stats
         from repro.rpc.pool import EndpointPool
 
-        addresses = _split_addresses(args.connect)
+        addresses = _split_addresses(args.connect, manifest.shards)
         if addresses is None:
             return 2
-        if len(addresses) < manifest.shards:
-            print(f"error: manifest names {manifest.shards} shard(s) but "
-                  f"--connect lists only {len(addresses)} address(es)",
-                  file=sys.stderr)
-            return 2
-        labels = [label for label, _, _ in addresses]
-        with EndpointPool.connect_tcp(labels) as pool:
-            polls = poll_stats(pool, labels)
-        loads = loads_from_polls(polls)
+        with EndpointPool.connect_tcp(addresses) as pool:
+            loads = loads_from_polls(poll_stats(pool, addresses))
     plan = plan_rebalance(
         manifest, loads=loads,
         replicas=args.replicas if args.replicas > 0 else None,
@@ -1123,16 +779,11 @@ def cmd_top(args) -> int:
     """Live cluster console over every address's ``stats`` endpoint."""
     from repro.obs.top import run_top
 
-    addresses = _split_addresses(args.connect)
-    if addresses is None:
-        return 2
-    return run_top(
-        [label for label, _, _ in addresses],
-        interval=args.interval,
+    return _console(args, lambda pool, addresses: run_top(
+        addresses, pool=pool, interval=args.interval,
         iterations=args.iterations if args.iterations > 0 else None,
-        once=args.once,
-        as_json=args.json,
-    )
+        once=args.once, as_json=args.json,
+    ), resilience=False)
 
 
 # ---------------------------------------------------------------------------

@@ -433,13 +433,13 @@ class TestOneQuantileRoutine:
 
     @given(histograms())
     def test_cli_summary_prints_what_it_did(self, hist):
-        from repro.cli import _hist_summary
+        from repro.obs.top import latency_summary as _hist_summary
 
         snap = as_snapshot(*hist)
         assert _hist_summary(snap) == replaced_cli_summary(snap)
 
     def test_cli_still_prints_inf_for_the_overflow_bucket(self):
-        from repro.cli import _hist_summary
+        from repro.obs.top import latency_summary as _hist_summary
 
         snap = as_snapshot((0.001, 0.004), (1, 0, 9))
         assert _hist_summary(snap).endswith(

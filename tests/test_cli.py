@@ -448,6 +448,60 @@ class TestMultiAddress:
             for ls in listeners:
                 ls.stop()
 
+    def test_open_breaker_on_one_endpoint_does_not_abort_the_run(self, store,
+                                                                 capsys):
+        """A peer that accepts and then hangs up trips its breaker after two
+        failures; the third attempt raises ``CircuitOpenError``.  That is one
+        endpoint's failure row, not the end of the whole probe."""
+        import socket
+
+        closer = socket.socket()
+        closer.bind(("127.0.0.1", 0))
+        closer.listen()
+        closed = f"127.0.0.1:{closer.getsockname()[1]}"
+
+        def hang_up():
+            while True:
+                try:
+                    conn, _ = closer.accept()
+                except OSError:  # the listening socket was shut down
+                    return
+                conn.close()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        listeners, addrs = _live_listeners(store, 1)
+        try:
+            rc = main(["stats", "--connect", f"{addrs[0]},{closed}",
+                       "--retries", "4", "--breaker-threshold", "2",
+                       "--backoff", "0.001"])
+            out = capsys.readouterr().out
+            assert rc == 1
+            assert "stats for 1/2 endpoint(s), merged:" in out
+            assert f"unreachable: {closed}:" in out
+        finally:
+            listeners[0].stop()
+            closer.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+            closer.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_resilience_flags_cover_the_dial(self, store, capsys):
+        """A refused dial is a retried attempt like any other: one attempt
+        for the live endpoint plus ``--retries`` for the refused one."""
+        listeners, addrs = _live_listeners(store, 1)
+        dead = f"127.0.0.1:{TestResilienceFlags._dead_port()}"
+        try:
+            rc = main(["stats", "--connect", f"{addrs[0]},{dead}",
+                       "--retries", "3", "--backoff", "0.001"])
+            out = capsys.readouterr().out
+        finally:
+            listeners[0].stop()
+        assert rc == 1
+        [line] = [l for l in out.splitlines()
+                  if l.startswith("resilience (this probe):")]
+        assert "attempts=4" in line.split()
+
     def test_bad_address_spec_is_usage_error(self, capsys):
         assert main(["stats", "--connect", "noport"]) == 2
         assert main(["health", "--connect", ""]) == 2
