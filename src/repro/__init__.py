@@ -30,7 +30,6 @@ See ``examples/`` for the NDP offload path and the paper's workloads.
 from repro.core import (
     ContourPostFilter,
     ContourPreFilter,
-    NDPContourSource,
     NDPServer,
     ndp_contour,
     postfilter_contour,
@@ -40,7 +39,7 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.filters import ContourFilter, contour_grid
 from repro.grid import DataArray, PointSelection, PolyData, RectilinearGrid, UniformGrid
-from repro.io import GridReader, GridWriter, read_vgf, write_vgf
+from repro.io import read_vgf, write_vgf
 
 __version__ = "1.0.0"
 
@@ -60,10 +59,7 @@ __all__ = [
     "ContourPostFilter",
     "split_contour_filter",
     "NDPServer",
-    "NDPContourSource",
     "ndp_contour",
     "read_vgf",
     "write_vgf",
-    "GridReader",
-    "GridWriter",
 ]

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.bench.harness import CODECS, CONTOUR_VALUES, BenchEnv
 from repro.core.encoding import encode_selection, wire_size
-from repro.core.postfilter import postfilter_contour
 
 __all__ = [
     "run_fig1",
@@ -246,18 +245,3 @@ def run_link_sweep(env: BenchEnv, array: str = "v02",
     finally:
         env.testbed.net.bandwidth_bps = base_net
     return rows
-
-
-def verify_ndp_equivalence(env: BenchEnv, dataset: str, step: int, array: str,
-                           values) -> bool:
-    """Cross-check: NDP-loaded geometry equals locally contoured geometry."""
-    from repro.core.encoding import decode_selection
-    from repro.filters.contour import contour_grid
-
-    encoded, _ = env.ndp_load(dataset, "raw", step, array, values)
-    recon = postfilter_contour(decode_selection(encoded), values)
-    full = contour_grid(env.grid(dataset, step), array, values)
-    return bool(
-        np.array_equal(full.points, recon.points)
-        and np.array_equal(full.polys.connectivity, recon.polys.connectivity)
-    )

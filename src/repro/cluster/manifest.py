@@ -6,9 +6,7 @@ map — plus one JSON *manifest* recording the global grid structure, the
 block layout (extents + object key + owning shard), and the shard
 count.  The manifest is the unit of discovery: a
 :class:`~repro.cluster.shard_client.ClusterClient` needs nothing else to
-fan a request out, and :class:`repro.io.catalog.ClusterCatalog` scans a
-mount for them the way :class:`~repro.io.catalog.TimestepCatalog` scans
-for timesteps.
+fan a request out.
 
 Manifests are **signed**: a digest over the canonical JSON encoding of
 everything except the signature itself — plain SHA-256 by default, or

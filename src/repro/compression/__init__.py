@@ -17,7 +17,7 @@ Extensions beyond the paper's evaluation:
   of SZ/ZFP-style compressors.
 """
 
-from repro.compression.base import Codec, available_codecs, get_codec, register_codec
+from repro.compression.base import Codec, get_codec, register_codec
 from repro.compression.gzip_codec import GzipCodec
 from repro.compression.lossy import QuantizerCodec
 from repro.compression.lz4 import lz4_compress_block, lz4_decompress_block
@@ -30,7 +30,6 @@ __all__ = [
     "Codec",
     "get_codec",
     "register_codec",
-    "available_codecs",
     "NullCodec",
     "GzipCodec",
     "LZ4Codec",

@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 
 from repro.errors import CodecError
 
-__all__ = ["Codec", "register_codec", "get_codec", "available_codecs"]
+__all__ = ["Codec", "register_codec", "get_codec"]
 
 
 class Codec(ABC):
@@ -69,8 +69,3 @@ def get_codec(name: str) -> Codec:
         raise CodecError(
             f"unknown codec {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_codecs() -> list[str]:
-    """Names of all registered codecs."""
-    return sorted(_REGISTRY)

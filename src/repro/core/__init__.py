@@ -10,7 +10,7 @@ The pieces map one-to-one onto the paper's Sec. V/VI design:
 * :mod:`~repro.core.encoding` — compact wire encodings for selections,
 * :mod:`~repro.core.postfilter` — the client-side post-filter: selection
   in, contour geometry out, bit-identical to contouring the full array,
-* :mod:`~repro.core.split` — splits a stock contour pipeline into the
+* :mod:`~repro.core.split` — splits a stock contour filter into its
   storage-side and client-side halves (paper Fig. 10),
 * :mod:`~repro.core.ndp_server` / :mod:`~repro.core.ndp_client` — the two
   halves wired over the RPC layer,
@@ -32,8 +32,6 @@ from repro.core.filter_splits import (
 )
 from repro.core.ndp_client import (
     FallbackPolicy,
-    NDPContourSource,
-    ndp_batch,
     ndp_contour,
     ndp_slice,
     ndp_threshold,
@@ -43,7 +41,7 @@ from repro.core.planner import OffloadDecision, OffloadPlanner
 from repro.core.prefetch import NDPPrefetcher
 from repro.core.postfilter import ContourPostFilter, postfilter_contour
 from repro.core.prefilter import ContourPreFilter, prefilter_contour, selection_rate
-from repro.core.split import SplitContourPipeline, split_contour_filter
+from repro.core.split import split_contour_filter
 
 __all__ = [
     "interesting_point_mask",
@@ -58,14 +56,11 @@ __all__ = [
     "decode_selection",
     "wire_size",
     "split_contour_filter",
-    "SplitContourPipeline",
     "NDPServer",
-    "NDPContourSource",
     "FallbackPolicy",
     "ndp_contour",
     "ndp_threshold",
     "ndp_slice",
-    "ndp_batch",
     "prefilter_threshold",
     "postfilter_threshold",
     "prefilter_slice",

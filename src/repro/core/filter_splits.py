@@ -20,7 +20,7 @@ live here:
   the post-filter interpolates the plane exactly as the stock filter
   does.
 
-Both reconstructions are bit-exact against their stock filters, with the
+Both reconstructions are bit-exact against their kernels, with the
 same argument shape as the contour split: the selection carries true
 values for every point the downstream kernel will read.
 """
@@ -68,7 +68,7 @@ __all__ = [
 def prefilter_threshold(
     grid: UniformGrid, array_name: str, lower: float, upper: float
 ) -> PointSelection:
-    """Storage-side half of :class:`~repro.filters.threshold.ThresholdPoints`."""
+    """Storage-side half of :func:`~repro.filters.threshold.threshold_point_ids`."""
     ids = threshold_point_ids(grid, array_name, lower, upper)
     return PointSelection.from_grid(grid, array_name, ids)
 
@@ -76,9 +76,8 @@ def prefilter_threshold(
 def postfilter_threshold(selection: PointSelection) -> PolyData:
     """Client-side half: materialize the selected points as vertices.
 
-    Identical to running the stock threshold filter on the full grid: the
-    selection *is* the filter's result set, so no recomputation is needed
-    — thresholding is the ideal offload case.
+    The selection *is* the threshold kernel's result set on the full grid,
+    so no recomputation is needed — thresholding is the ideal offload case.
     """
     if selection.axes is not None:
         from repro.grid.rectilinear import RectilinearGrid
@@ -103,7 +102,7 @@ def postfilter_threshold(selection: PointSelection) -> PolyData:
 def prefilter_slice(
     grid: UniformGrid, array_name: str, axis: int, coordinate: float
 ) -> PointSelection:
-    """Storage-side half of :class:`~repro.filters.slice.SliceFilter`.
+    """Storage-side half of :func:`~repro.filters.slice.slice_grid`.
 
     Ships the lattice plane(s) bracketing ``coordinate`` — everything the
     client-side interpolation will read.

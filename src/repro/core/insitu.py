@@ -28,7 +28,6 @@ from repro.core.encoding import (attach_checksum, decode_selection,
 from repro.core.filter_splits import DEFAULT_WIRE_CODEC
 from repro.core.postfilter import postfilter_contour
 from repro.core.prefilter import prefilter_contour
-from repro.errors import NoSuchObjectError
 from repro.filters.contour import normalize_values
 from repro.grid.polydata import PolyData
 from repro.io.vgf import read_vgf
@@ -37,7 +36,6 @@ from repro.rpc.msgpack import pack, unpack
 __all__ = [
     "selection_key",
     "precompute_selections",
-    "load_precomputed_selection",
     "ndp_contour_precomputed",
 ]
 
@@ -76,21 +74,6 @@ def precompute_selections(
         fs.write_object(sel_key, blob)
         written.append((sel_key, len(blob)))
     return written
-
-
-def load_precomputed_selection(fs, key: str, array: str, values,
-                               mode: str = "cell-closure"):
-    """Read a precomputed selection back from the store.
-
-    Raises
-    ------
-    NoSuchObjectError
-        If :func:`precompute_selections` was never run for these
-        parameters.
-    """
-    sel_key = selection_key(key, array, values, mode)
-    blob = fs.read_object(sel_key)
-    return decode_selection(unpack(blob))
 
 
 def ndp_contour_precomputed(

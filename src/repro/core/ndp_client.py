@@ -1,18 +1,14 @@
-"""The client-side NDP source (paper Fig. 10, right half / Fig. 11a).
+"""The client side of NDP (paper Fig. 10, right half / Fig. 11a).
 
-:class:`NDPContourSource` is what replaces the reader in the client's
-pipeline: instead of pulling whole arrays through a remote mount, it asks
-the storage-side :class:`~repro.core.ndp_server.NDPServer` to run the
-pre-filter and emits the decoded
-:class:`~repro.grid.selection.PointSelection`, ready for a
-:class:`~repro.core.postfilter.ContourPostFilter`.
-
-:func:`ndp_contour` is the one-call convenience wrapping source +
-post-filter for scripts.
+:func:`ndp_contour` replaces the reader in the client's pipeline: instead
+of pulling whole arrays through a remote mount, it asks the storage-side
+:class:`~repro.core.ndp_server.NDPServer` to run the pre-filter, decodes
+the :class:`~repro.grid.selection.PointSelection` and finishes the contour
+locally; :func:`ndp_threshold` and :func:`ndp_slice` do the same for the
+other split filters.
 
 :func:`request_selection` is the one request path every client shares —
-this module's calls, the source, the cluster client's per-block calls:
-it sends a :data:`~repro.core.filter_splits.SPLIT_FILTERS` row's bound
+this module's calls and the cluster client's per-block calls: it sends a :data:`~repro.core.filter_splits.SPLIT_FILTERS` row's bound
 arguments, decodes the selection and re-reads a corrupt reply once.
 
 :class:`FallbackPolicy` is the graceful-degradation half of the fault
@@ -28,27 +24,19 @@ and that difference is surfaced through the policy's
 from __future__ import annotations
 
 from repro.core.encoding import decode_selection
-from repro.core.filter_splits import (
-    DEFAULT_WIRE_CODEC,
-    SPLIT_FILTERS,
-    bind_request,
-    wire_request,
-)
-from repro.errors import FAILOVER_ERRORS, IntegrityError, PipelineError
-from repro.filters.contour import _values_unset, contour_grid, normalize_values
+from repro.core.filter_splits import DEFAULT_WIRE_CODEC, SPLIT_FILTERS
+from repro.errors import FAILOVER_ERRORS, IntegrityError
+from repro.filters.contour import contour_grid
 from repro.grid.polydata import PolyData
 from repro.grid.selection import PointSelection
 from repro.obs.metrics import Tally
-from repro.pipeline.source import Source
 from repro.rpc.client import RPCClient
 
 __all__ = [
-    "NDPContourSource",
     "FallbackPolicy",
     "ndp_contour",
     "ndp_threshold",
     "ndp_slice",
-    "ndp_batch",
     "request_selection",
 ]
 
@@ -75,82 +63,6 @@ def request_selection(call, op, key: str, array_name: str, args: dict,
             on_retry(exc)
         encoded = call(op.method, key, array_name, *params)
         return decode_selection(encoded), encoded
-
-
-class NDPContourSource(Source):
-    """Pipeline source that fetches a pre-filtered selection over RPC.
-
-    Parameters
-    ----------
-    client:
-        An :class:`~repro.rpc.client.RPCClient` connected to an NDP server.
-    key, array_name, values:
-        Which object/array to contour and at which values.
-    mode, encoding:
-        Selection mode and wire encoding, forwarded to the server.
-    """
-
-    def __init__(
-        self,
-        client: RPCClient | None = None,
-        key: str | None = None,
-        array_name: str | None = None,
-        values=(),
-        mode: str = "cell-closure",
-        encoding: str = "auto",
-        wire_codec: str = DEFAULT_WIRE_CODEC,
-    ):
-        super().__init__()
-        self._client = client
-        self._key = key
-        self._array_name = array_name
-        self._values: tuple[float, ...] = ()
-        self._mode = mode
-        self._encoding = encoding
-        self._wire_codec = wire_codec
-        self.last_stats: dict | None = None
-        # Emptiness test that is safe for numpy arrays (``values != ()``
-        # would be elementwise and ambiguous).
-        if not _values_unset(values):
-            self.set_values(values)
-
-    # ------------------------------------------------------------------
-    def set_client(self, client: RPCClient) -> None:
-        self._client = client
-        self.modified()
-
-    def set_key(self, key: str) -> None:
-        self._key = key
-        self.modified()
-
-    def set_array_name(self, name: str) -> None:
-        self._array_name = name
-        self.modified()
-
-    def set_values(self, values) -> None:
-        self._values = normalize_values(values)
-        self.modified()
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self._values
-
-    # ------------------------------------------------------------------
-    def _execute(self) -> PointSelection:
-        if self._client is None:
-            raise PipelineError("NDPContourSource has no RPC client")
-        if self._key is None or self._array_name is None or not self._values:
-            raise PipelineError(
-                "NDPContourSource needs key, array_name, and values configured"
-            )
-        op = SPLIT_FILTERS["contour"]
-        args = op.bind({"values": self._values, "mode": self._mode,
-                        "encoding": self._encoding,
-                        "wire_codec": self._wire_codec})
-        selection, encoded = request_selection(
-            self._client.call, op, self._key, self._array_name, args)
-        self.last_stats = encoded.get("stats")
-        return selection
 
 
 class FallbackPolicy:
@@ -298,29 +210,6 @@ def ndp_slice(
     return _offload(client, "slice", key, array_name,
                     {"axis": axis, "coordinate": coordinate,
                      "wire_codec": wire_codec})
-
-
-def ndp_batch(client: RPCClient, key: str, requests: list[dict]) -> list:
-    """Several offloaded pre-filters in one round trip.
-
-    Returns one finished :class:`~repro.grid.polydata.PolyData` per
-    request (post-filters run locally), each paired with its stats dict.
-    Contour requests may carry a ``roi`` (a
-    :class:`~repro.grid.bounds.Bounds` or 6-sequence); it is forwarded to
-    the server and applied identically in the local post-filter, so a
-    batched ROI contour matches the direct-call geometry bit for bit.
-    A malformed request raises the server's ``RPCError("batch request
-    <i>: …")`` here, before the round trip.
-    """
-    bound = [bind_request(req, i) for i, req in enumerate(requests)]
-    replies = client.call("prefilter_batch", key, [
-        wire_request(op, array, args) for op, array, args in bound
-    ])
-    results = []
-    for (op, _array, args), encoded in zip(bound, replies):
-        polydata = op.post(decode_selection(encoded), args)
-        results.append((polydata, encoded.get("stats")))
-    return results
 
 
 def ndp_contour(

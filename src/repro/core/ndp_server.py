@@ -31,6 +31,7 @@ by construction.
 
 from __future__ import annotations
 
+import operator
 import time
 
 import numpy as np
@@ -596,14 +597,13 @@ class NDPServer:
         array: min/max/mean/std and a histogram cross the wire instead of
         the data (the same near-data idea applied to value exploration).
         """
-        if not 1 <= int(bins) <= 4096:
-            raise RPCError(f"bins must be in [1, 4096], got {bins}")
+        bins = _bounded("bins", bins)
         grid, entry = self._source(key, array)
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
         values = array_collection(grid, entry).get(array).values.astype(
             np.float64)
-        counts, edges = np.histogram(values, bins=int(bins))
+        counts, edges = np.histogram(values, bins=bins)
         return {
             "count": int(values.size),
             "min": float(values.min()),
@@ -629,19 +629,23 @@ class NDPServer:
 
         The third placement option (ParaView's render-server mode): only
         pixels cross the network.  Returns a PPM frame plus stats; the
-        bench ``test_ext_strategies`` compares all three placements.
+        bench ``test_ext_strategies`` compares all three placements.  The
+        frame size is checked before any read: the framebuffer costs ~32
+        bytes a pixel.
         """
         from repro.filters.contour import contour_grid
         from repro.io.ppm import encode_ppm
         from repro.render.scene import Scene
 
+        width = _bounded("width", width)
+        height = _bounded("height", height)
         grid, entry = self._source(key, array)
         if self.testbed is not None:
             self.testbed.charge_filter_scan(entry.raw_bytes)
         polydata = contour_grid(grid, array, values)
         scene = Scene()
         scene.add_mesh(polydata, color=tuple(color) if color else (0.3, 0.75, 0.9))
-        frame = encode_ppm(scene.render(int(width), int(height)))
+        frame = encode_ppm(scene.render(width, height))
         return {
             "ppm": frame,
             "stats": {
@@ -732,6 +736,18 @@ class NDPServer:
 
         listener.stop = stop
         return listener
+
+
+def _bounded(field: str, value, limit: int = 4096) -> int:
+    """A wire-supplied count as an int in [1, ``limit``]; anything else
+    (a float included) raises ``RPCError`` naming the field."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise RPCError(f"{field} must be an integer, got {value!r}") from None
+    if not 1 <= n <= limit:
+        raise RPCError(f"{field} must be in [1, {limit}], got {n}")
+    return n
 
 
 def _endpoint(op: SplitFilter):

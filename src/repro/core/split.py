@@ -3,15 +3,11 @@
 The paper "envision[s] dividing a pipeline filter into a pre-filter
 component and a post-filter component" (Sec. V, Fig. 10): the pre-filter
 joins the source in a partial pipeline on the storage side, the
-post-filter joins the sink on the client side.  Two entry points:
-
-* :func:`split_contour_filter` — derive a configured
-  (:class:`~repro.core.prefilter.ContourPreFilter`,
-  :class:`~repro.core.postfilter.ContourPostFilter`) pair from a stock
-  :class:`~repro.filters.contour.ContourFilter`.
-* :class:`SplitContourPipeline` — take a *whole* client pipeline
-  (reader -> contour -> ...) and rebuild it as the two halves around a
-  selection hand-off, preserving whatever ran downstream of the contour.
+post-filter joins the sink on the client side.
+:func:`split_contour_filter` derives a configured
+(:class:`~repro.core.prefilter.ContourPreFilter`,
+:class:`~repro.core.postfilter.ContourPostFilter`) pair from a stock
+:class:`~repro.filters.contour.ContourFilter`.
 """
 
 from __future__ import annotations
@@ -20,10 +16,8 @@ from repro.core.postfilter import ContourPostFilter
 from repro.core.prefilter import ContourPreFilter
 from repro.errors import PipelineError
 from repro.filters.contour import ContourFilter
-from repro.pipeline.algorithm import Algorithm
-from repro.pipeline.source import TrivialProducer
 
-__all__ = ["split_contour_filter", "SplitContourPipeline"]
+__all__ = ["split_contour_filter"]
 
 
 def split_contour_filter(
@@ -42,60 +36,3 @@ def split_contour_filter(
     pre = ContourPreFilter(contour.array_name, contour.values, mode=mode)
     post = ContourPostFilter(contour.values)
     return pre, post
-
-
-class SplitContourPipeline:
-    """A client pipeline rebuilt as storage-side and client-side halves.
-
-    Parameters
-    ----------
-    source:
-        The original pipeline's source (stays on the storage side).
-    contour:
-        The :class:`ContourFilter` to split.  Must currently consume
-        ``source`` directly (filters between source and contour would have
-        to be classified side-by-side; the paper's prototype, like ours,
-        splits at the contour filter).
-    mode:
-        Selection mode forwarded to the pre-filter.
-
-    Attributes
-    ----------
-    pre_pipeline:
-        The storage-side half: ``source -> ContourPreFilter``.  Its output
-        is the :class:`~repro.grid.selection.PointSelection` to ship.
-    post_pipeline:
-        The client-side half: ``selection -> ContourPostFilter``.  Feed it
-        with :meth:`deliver`.
-    """
-
-    def __init__(self, source: Algorithm, contour: ContourFilter, mode: str = "cell-closure"):
-        conn = contour.input_connection(0)
-        if conn is None or conn.algorithm is not source:
-            raise PipelineError(
-                "ContourFilter must be connected directly to the given source"
-            )
-        pre, post = split_contour_filter(contour, mode=mode)
-        pre.set_input_connection(0, source)
-        self.pre_filter = pre
-        self.post_filter = post
-        self._hand_off = TrivialProducer()
-        post.set_input_connection(0, self._hand_off)
-
-    # ------------------------------------------------------------------
-    def run_storage_side(self):
-        """Execute the storage half; returns the selection to transfer."""
-        return self.pre_filter.output()
-
-    def deliver(self, selection) -> None:
-        """Hand a received selection to the client half."""
-        self._hand_off.set_data(selection)
-
-    def run_client_side(self):
-        """Execute the client half; returns the contour geometry."""
-        return self.post_filter.output()
-
-    def run_local(self):
-        """Run both halves in-process (no transport): the full loop."""
-        self.deliver(self.run_storage_side())
-        return self.run_client_side()

@@ -12,7 +12,6 @@ a rare-halo threshold.  DESIGN.md §2 records the substitution argument.
 from repro.datasets.asteroid import AsteroidImpactDataset, AsteroidParams
 from repro.datasets.fields import (
     fractal_noise,
-    radial_distance,
     smoothstep,
 )
 from repro.datasets.nyx import NyxDataset, NyxParams
@@ -24,5 +23,4 @@ __all__ = [
     "NyxParams",
     "fractal_noise",
     "smoothstep",
-    "radial_distance",
 ]

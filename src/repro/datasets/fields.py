@@ -7,7 +7,7 @@ from scipy import fft as sp_fft
 
 from repro.errors import ReproError
 
-__all__ = ["fractal_noise", "smoothstep", "radial_distance", "unit_coords"]
+__all__ = ["fractal_noise", "smoothstep", "unit_coords"]
 
 
 def fractal_noise(
@@ -65,12 +65,3 @@ def unit_coords(dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.
     y = axis(ny)[None, :, None]
     x = axis(nx)[None, None, :]
     return z, y, x
-
-
-def radial_distance(
-    dims: tuple[int, int, int], center: tuple[float, float, float]
-) -> np.ndarray:
-    """Distance from ``center`` (in unit coordinates), shape ``(nz, ny, nx)``."""
-    z, y, x = unit_coords(dims)
-    cx, cy, cz = center
-    return np.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2)

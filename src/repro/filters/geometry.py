@@ -4,7 +4,7 @@ Contour kernels emit a *triangle soup* (each triangle owns its three
 vertices).  These utilities turn that into analysis-ready form:
 
 * :func:`weld_points` — merge coincident vertices into an indexed mesh,
-* :func:`surface_area` / :func:`segment_length` — measure the output,
+* :func:`surface_area` — measure the output,
 * :func:`connected_components` — split the mesh into its separate
   surfaces, which is how the Nyx example counts halo candidates
   (each closed isosurface around a density peak is one candidate).
@@ -20,7 +20,6 @@ from repro.grid.polydata import CellArray, PolyData
 __all__ = [
     "weld_points",
     "surface_area",
-    "segment_length",
     "connected_components",
     "component_sizes",
 ]
@@ -58,15 +57,6 @@ def surface_area(polydata: PolyData) -> float:
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     return float(0.5 * np.linalg.norm(np.cross(e1, e2), axis=1).sum())
-
-
-def segment_length(polydata: PolyData) -> float:
-    """Total length of the line cells (2-D contour output)."""
-    segs = polydata.segments()
-    if segs.shape[0] == 0:
-        return 0.0
-    pts = polydata.points
-    return float(np.linalg.norm(pts[segs[:, 1]] - pts[segs[:, 0]], axis=1).sum())
 
 
 def _union_find_components(n_points: int, edges: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ contouring (ParaView's Slice with an axis-aligned plane).  Slicing a
 ``N^3`` grid needs at most *two* lattice planes of data — a 2/N fraction —
 which makes it the natural second offload target the paper's conclusion
 calls for ("our current experiments were limited to a single filter
-type"); see :mod:`repro.core.slice_ndp` for its pre/post split.
+type"); see the ``slice`` split filter in :mod:`repro.core.filter_splits`
+for its pre/post split.
 
 The output is a quad mesh (two triangles per cell) in the slicing plane,
 with every requested point array linearly interpolated onto it.
@@ -18,12 +19,8 @@ import numpy as np
 from repro.errors import FilterError
 from repro.grid.array import DataArray
 from repro.grid.polydata import CellArray, PolyData
-from repro.grid.uniform import UniformGrid
-from repro.pipeline.filter_base import Filter
 
-__all__ = ["SliceFilter", "slice_grid", "slice_plane_indices"]
-
-_AXES = {"x": 0, "y": 1, "z": 2}
+__all__ = ["slice_grid", "slice_plane_indices"]
 
 
 def slice_plane_indices(grid, axis: int, coordinate: float):
@@ -137,41 +134,3 @@ def slice_grid(
         # matching the point layout above for every axis choice.
         out.point_data.add(DataArray(name, sliced.reshape(-1)))
     return out
-
-
-class SliceFilter(Filter):
-    """Pipeline form: grid in, axis-aligned slice :class:`PolyData` out."""
-
-    def __init__(self, axis: int | str = "z", coordinate: float = 0.0,
-                 array_names: list[str] | None = None):
-        super().__init__()
-        self._axis = _AXES.get(axis, axis) if isinstance(axis, str) else axis
-        if self._axis not in (0, 1, 2):
-            raise FilterError(f"invalid axis {axis!r}")
-        self._coordinate = float(coordinate)
-        self._array_names = list(array_names) if array_names is not None else None
-
-    def set_plane(self, axis: int | str, coordinate: float) -> None:
-        self._axis = _AXES.get(axis, axis) if isinstance(axis, str) else axis
-        if self._axis not in (0, 1, 2):
-            raise FilterError(f"invalid axis {axis!r}")
-        self._coordinate = float(coordinate)
-        self.modified()
-
-    @property
-    def axis(self) -> int:
-        return self._axis
-
-    @property
-    def coordinate(self) -> float:
-        return self._coordinate
-
-    def _execute(self, grid) -> PolyData:
-        from repro.filters.contour import STRUCTURED_GRID_TYPES
-
-        if not isinstance(grid, STRUCTURED_GRID_TYPES):
-            raise FilterError(
-                f"SliceFilter expects a UniformGrid or RectilinearGrid, "
-                f"got {type(grid).__name__}"
-            )
-        return slice_grid(grid, self._axis, self._coordinate, self._array_names)

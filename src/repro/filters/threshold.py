@@ -1,7 +1,7 @@
-"""Threshold filter: extract points whose scalar value lies in a range.
+"""Threshold kernel: the points whose scalar value lies in a range.
 
-A second selective filter alongside contouring; used by examples and by the
-offload planner's selectivity probes.
+A second selective filter alongside contouring.  Its storage-side half is
+the ``threshold`` split filter (:mod:`repro.core.filter_splits`).
 """
 
 from __future__ import annotations
@@ -9,12 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FilterError
-from repro.grid.array import DataArray
-from repro.grid.polydata import CellArray, PolyData
-from repro.grid.uniform import UniformGrid
-from repro.pipeline.filter_base import Filter
 
-__all__ = ["ThresholdPoints", "threshold_point_ids"]
+__all__ = ["threshold_point_ids"]
 
 
 def threshold_point_ids(
@@ -28,44 +24,3 @@ def threshold_point_ids(
         raise FilterError(f"array {array_name!r} is not a scalar field")
     mask = (arr.values >= lower) & (arr.values <= upper)
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-class ThresholdPoints(Filter):
-    """Extract grid points in a scalar range as vertex :class:`PolyData`."""
-
-    def __init__(self, array_name: str | None = None, lower: float = -np.inf, upper: float = np.inf):
-        super().__init__()
-        self._array_name = array_name
-        self._lower = float(lower)
-        self._upper = float(upper)
-
-    def set_array_name(self, name: str) -> None:
-        self._array_name = name
-        self.modified()
-
-    def set_range(self, lower: float, upper: float) -> None:
-        if lower > upper:
-            raise FilterError(f"lower ({lower}) > upper ({upper})")
-        self._lower = float(lower)
-        self._upper = float(upper)
-        self.modified()
-
-    def _execute(self, grid) -> PolyData:
-        from repro.filters.contour import STRUCTURED_GRID_TYPES
-
-        if not isinstance(grid, STRUCTURED_GRID_TYPES):
-            raise FilterError(
-                f"ThresholdPoints expects a UniformGrid or RectilinearGrid, "
-                f"got {type(grid).__name__}"
-            )
-        if self._array_name is None:
-            raise FilterError("ThresholdPoints has no array name configured")
-        ids = threshold_point_ids(grid, self._array_name, self._lower, self._upper)
-        points = grid.point_ids_to_coords(ids)
-        out = PolyData(points)
-        out.verts = CellArray.from_uniform(
-            np.arange(ids.size, dtype=np.int64).reshape(-1, 1)
-        )
-        arr = grid.point_data.get(self._array_name)
-        out.point_data.add(DataArray(self._array_name, arr.values[ids]))
-        return out

@@ -22,7 +22,6 @@ __all__ = [
     "point_id_to_ijk",
     "structured_edges",
     "edge_endpoints",
-    "axis_edge_counts",
 ]
 
 
@@ -78,15 +77,6 @@ def point_id_to_ijk(ids, dims) -> np.ndarray:
     j, i = np.divmod(rem, nx)
     out = np.stack([i, j, k], axis=1)
     return out[0] if single else out
-
-
-def axis_edge_counts(dims) -> tuple[int, int, int]:
-    """Number of lattice edges along each axis direction."""
-    nx, ny, nz = _check_dims(dims)
-    ex = max(nx - 1, 0) * ny * nz
-    ey = nx * max(ny - 1, 0) * nz
-    ez = nx * ny * max(nz - 1, 0)
-    return ex, ey, ez
 
 
 def edge_endpoints(dims, axis: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""File formats: the VGF grid format, pipeline reader/writer, image output.
+"""File formats: the VGF grid format, timestep catalogs, image output.
 
 VGF ("Visualization Grid Format") is this library's stand-in for VTK data
 files: a binary container holding a uniform grid's structure plus named
@@ -6,16 +6,15 @@ data arrays, each independently compressed with a registered codec.  Its
 two properties the paper's evaluation depends on:
 
 * **array selection** — each array is a separately addressable block, so a
-  reader fetches only the arrays a pipeline asks for (paper Sec. I);
+  :func:`read_vgf` fetches only the arrays a pipeline asks for (paper Sec. I);
 * **per-array compression** — blocks are stored through any registered
   codec (``raw``/``gzip``/``lz4``/...), matching VTK's native GZip/LZ4
   support (paper Sec. IV).
 """
 
-from repro.io.catalog import CatalogEntry, ClusterCatalog, TimestepCatalog
+from repro.io.catalog import CatalogEntry, TimestepCatalog
 from repro.io.checksum import DEFAULT_ALGO, checksum
 from repro.io.ppm import write_ppm
-from repro.io.reader import GridReader
 from repro.io.vgf import (
     VGFInfo,
     read_vgf,
@@ -24,7 +23,6 @@ from repro.io.vgf import (
     verify_vgf,
     write_vgf,
 )
-from repro.io.writer import GridWriter
 
 __all__ = [
     "write_vgf",
@@ -35,10 +33,7 @@ __all__ = [
     "checksum",
     "DEFAULT_ALGO",
     "VGFInfo",
-    "GridReader",
-    "GridWriter",
     "write_ppm",
     "TimestepCatalog",
     "CatalogEntry",
-    "ClusterCatalog",
 ]

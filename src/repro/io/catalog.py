@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.errors import FormatError, ReproError
 from repro.io.vgf import VGFInfo, read_vgf, read_vgf_info
 
-__all__ = ["TimestepCatalog", "CatalogEntry", "ClusterCatalog"]
+__all__ = ["TimestepCatalog", "CatalogEntry"]
 
 
 @dataclass(frozen=True)
@@ -103,85 +103,3 @@ class TimestepCatalog:
         entry = self.entry(timestep)
         with self.fs.open(entry.key) as fh:
             return read_vgf(fh, array_names)
-
-
-class ClusterCatalog:
-    """Scan a mount for shard manifests and serve them by key.
-
-    The cluster-side sibling of :class:`TimestepCatalog`: where that one
-    discovers monolithic timestep objects, this one discovers sharded
-    datasets via their ``*.manifest.json`` objects (see
-    :mod:`repro.cluster.manifest`).  Both coexist over one bucket —
-    manifests are JSON and fail the VGF sniff, block objects carry no
-    ``timestep`` metadata, so neither catalog picks up the other's
-    objects.
-
-    Parameters
-    ----------
-    fs:
-        An :class:`~repro.storage.s3fs.S3FileSystem` (local or remote).
-    prefix:
-        Restrict the scan to keys under this prefix.
-    sign_key:
-        HMAC key for manifests signed with one; manifests that fail
-        verification raise :class:`~repro.errors.IntegrityError` rather
-        than being skipped — a tampered manifest is an error, not noise.
-    """
-
-    #: Key suffix that marks a manifest object (kept in sync with
-    #: :data:`repro.cluster.manifest.MANIFEST_SUFFIX`).
-    SUFFIX = ".manifest.json"
-
-    def __init__(self, fs, prefix: str = "", sign_key: bytes | None = None):
-        self.fs = fs
-        self.prefix = prefix
-        self.sign_key = sign_key
-        self._manifests: dict = {}
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Re-scan the store for manifest objects."""
-        # Local import: repro.cluster sits above repro.io in the layer
-        # stack (it imports the VGF reader), so the io package must not
-        # import it at module load.
-        from repro.cluster.manifest import load_manifest
-
-        manifests = {}
-        for key in self.fs.listdir(self.prefix):
-            if not key.endswith(self.SUFFIX):
-                continue
-            try:
-                manifests[key] = load_manifest(
-                    self.fs, key, sign_key=self.sign_key
-                )
-            except FormatError as exc:
-                # IntegrityError subclasses FormatError; re-raise it —
-                # only genuinely-not-a-manifest objects are skipped.
-                from repro.errors import IntegrityError
-
-                if isinstance(exc, IntegrityError):
-                    raise
-                continue
-        self._manifests = manifests
-
-    @property
-    def keys(self) -> list[str]:
-        return sorted(self._manifests)
-
-    def __len__(self) -> int:
-        return len(self._manifests)
-
-    def __iter__(self):
-        return iter(self.manifests)
-
-    @property
-    def manifests(self) -> list:
-        return [self._manifests[k] for k in self.keys]
-
-    def manifest(self, key: str):
-        """The manifest stored at ``key``."""
-        if key not in self._manifests:
-            raise ReproError(
-                f"no shard manifest {key!r} in catalog; have {self.keys}"
-            )
-        return self._manifests[key]

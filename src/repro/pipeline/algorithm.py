@@ -10,7 +10,7 @@ its last execution (modified-time propagation).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import PipelineError, PortError
 
@@ -76,11 +76,6 @@ class Algorithm:
         self._inputs[port] = upstream
         self.modified()
 
-    def input_connection(self, port: int) -> OutputPort | None:
-        if not 0 <= port < self.num_input_ports:
-            raise PortError(f"no input port {port}")
-        return self._inputs[port]
-
     def output_port(self, index: int = 0) -> OutputPort:
         return OutputPort(self, index)
 
@@ -139,13 +134,7 @@ class Algorithm:
             conn.algorithm.get_output_data(conn.index) for conn in self._inputs
         ]
         outputs = self._execute(*inputs)
-        if self.num_output_ports == 0:
-            if outputs not in (None, ()):
-                raise PipelineError(
-                    f"{type(self).__name__} has no output ports but returned data"
-                )
-            outputs = ()
-        elif not isinstance(outputs, tuple):
+        if not isinstance(outputs, tuple):
             outputs = (outputs,)
         if len(outputs) != self.num_output_ports:
             raise PipelineError(
@@ -168,24 +157,6 @@ class Algorithm:
 
     def _execute(self, *inputs: Any) -> Any:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def upstream_nodes(self) -> Sequence["Algorithm"]:
-        """All transitive upstream algorithms, topologically ordered, self last."""
-        order: list[Algorithm] = []
-        seen: set[int] = set()
-
-        def visit(node: "Algorithm"):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for conn in node._inputs:
-                if conn is not None:
-                    visit(conn.algorithm)
-            order.append(node)
-
-        visit(self)
-        return order
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import PipelineError
 from repro.pipeline.algorithm import Algorithm
 
-__all__ = ["Source", "TrivialProducer", "ProgrammableSource"]
+__all__ = ["Source", "TrivialProducer"]
 
 
 class Source(Algorithm):
@@ -36,20 +36,3 @@ class TrivialProducer(Source):
         if self._data is None:
             raise PipelineError("TrivialProducer has no data set")
         return self._data
-
-
-class ProgrammableSource(Source):
-    """A source whose output is produced by a user callback."""
-
-    def __init__(self, produce: Callable[[], Any] | None = None):
-        super().__init__()
-        self._produce = produce
-
-    def set_produce(self, produce: Callable[[], Any]) -> None:
-        self._produce = produce
-        self.modified()
-
-    def _execute(self) -> Any:
-        if self._produce is None:
-            raise PipelineError("ProgrammableSource has no produce callback")
-        return self._produce()

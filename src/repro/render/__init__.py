@@ -11,6 +11,6 @@ Lambert shading, and a :class:`~repro.render.scene.Scene` that renders
 from repro.render.camera import Camera
 from repro.render.colormaps import available_colormaps, map_scalars
 from repro.render.rasterizer import rasterize_mesh
-from repro.render.scene import RenderSink, Scene
+from repro.render.scene import Scene
 
-__all__ = ["Camera", "rasterize_mesh", "Scene", "RenderSink", "map_scalars", "available_colormaps"]
+__all__ = ["Camera", "rasterize_mesh", "Scene", "map_scalars", "available_colormaps"]

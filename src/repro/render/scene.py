@@ -1,9 +1,8 @@
-"""Scene assembly and the render sink.
+"""Scene assembly: the end of every render path.
 
 :class:`Scene` accumulates meshes (e.g. one per contour filter output,
 like the paper's cyan water + yellow asteroid in Fig. 4) and renders them
-through a shared z-buffer.  :class:`RenderSink` adapts a scene slot to the
-pipeline's sink interface.
+through a shared z-buffer.
 """
 
 from __future__ import annotations
@@ -13,11 +12,10 @@ import numpy as np
 from repro.errors import ReproError
 from repro.grid.bounds import Bounds
 from repro.grid.polydata import PolyData
-from repro.pipeline.sink import Sink
 from repro.render.camera import Camera
 from repro.render.rasterizer import Framebuffer, rasterize_mesh
 
-__all__ = ["Scene", "RenderSink"]
+__all__ = ["Scene"]
 
 
 class Scene:
@@ -118,15 +116,3 @@ class Scene:
             ok = (px >= 0) & (px < fb.width) & (py >= 0) & (py < fb.height)
             fb.color[py[ok], px[ok]] = col
             fb.depth[py[ok], px[ok]] = 0.0
-
-
-class RenderSink(Sink):
-    """Pipeline sink feeding one actor slot of a shared :class:`Scene`."""
-
-    def __init__(self, scene: Scene | None = None, color=(0.2, 0.7, 0.9)):
-        super().__init__()
-        self.scene = scene if scene is not None else Scene()
-        self.color = tuple(color)
-
-    def _consume(self, polydata: PolyData) -> None:
-        self.scene.add_mesh(polydata, color=self.color)

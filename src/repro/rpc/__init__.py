@@ -18,7 +18,7 @@ This package provides the same two layers from scratch:
 * :mod:`repro.rpc.admission` — server-side deadline scopes.
 """
 
-from repro.rpc.admission import DeadlineScope, check_deadline, remaining_budget
+from repro.rpc.admission import DeadlineScope, check_deadline
 from repro.rpc.client import PendingCall, RPCClient
 from repro.rpc.fairshare import FairScheduler
 from repro.rpc.msgpack import ExtType, Timestamp, pack, unpack
@@ -59,5 +59,4 @@ __all__ = [
     "CircuitBreaker",
     "DeadlineScope",
     "check_deadline",
-    "remaining_budget",
 ]

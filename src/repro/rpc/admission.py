@@ -30,7 +30,6 @@ from repro.errors import DeadlineExpiredError
 __all__ = [
     "DeadlineScope",
     "current_deadline",
-    "remaining_budget",
     "check_deadline",
 ]
 
@@ -79,12 +78,6 @@ def current_deadline() -> DeadlineScope | None:
     """The innermost active scope on this thread, if any."""
     stack = _stack()
     return stack[-1] if stack else None
-
-
-def remaining_budget() -> float | None:
-    """Seconds left in the active scope, or ``None`` outside any scope."""
-    scope = current_deadline()
-    return None if scope is None else scope.remaining()
 
 
 def check_deadline(phase: str = "processing") -> None:

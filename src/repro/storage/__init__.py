@@ -14,7 +14,6 @@ Substitutes for the paper's testbed pieces:
 
 from repro.storage.cache import ArrayCache, SelectionCache, SingleFlightCache
 from repro.storage.netsim import (
-    PAPER_TESTBED,
     CodecTiming,
     DeviceModel,
     LinkModel,
@@ -30,7 +29,6 @@ __all__ = [
     "DeviceModel",
     "CodecTiming",
     "Testbed",
-    "PAPER_TESTBED",
     "ObjectStore",
     "MemoryBackend",
     "DirectoryBackend",

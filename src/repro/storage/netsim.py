@@ -33,7 +33,6 @@ __all__ = [
     "CodecTiming",
     "NATIVE_WIRE_CODEC",
     "Testbed",
-    "PAPER_TESTBED",
     "WanProfile",
     "WAN_PROFILES",
     "wan_link_pair",
@@ -224,11 +223,6 @@ class Testbed:
         self.clock.reset()
         self.ssd.reset_counters()
         self.net.reset_counters()
-
-
-def PAPER_TESTBED() -> Testbed:
-    """A fresh testbed with the paper-calibrated defaults (DESIGN.md §6)."""
-    return Testbed()
 
 
 @dataclass(frozen=True)

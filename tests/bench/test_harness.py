@@ -15,8 +15,10 @@ from repro.bench.experiments import (
     run_fig14,
     run_link_sweep,
     run_table2,
-    verify_ndp_equivalence,
 )
+from repro.core.encoding import decode_selection
+from repro.core.postfilter import postfilter_contour
+from repro.filters.contour import contour_grid
 
 DIMS = (32, 32, 32)  # tiny: these tests check wiring, not calibration
 
@@ -77,8 +79,16 @@ class TestLoads:
         assert res.raw_bytes == env.grid("asteroid", 0).point_data.get("v03").nbytes
 
     def test_ndp_equivalence(self, env):
-        assert verify_ndp_equivalence(env, "asteroid", 24006, "v02", [0.1])
-        assert verify_ndp_equivalence(env, "nyx", 0, "baryon_density", [81.66])
+        """NDP-loaded geometry equals locally contoured geometry."""
+        for dataset, step, array, values in (
+            ("asteroid", 24006, "v02", [0.1]),
+            ("nyx", 0, "baryon_density", [81.66]),
+        ):
+            encoded, _ = env.ndp_load(dataset, "raw", step, array, values)
+            recon = postfilter_contour(decode_selection(encoded), values)
+            full = contour_grid(env.grid(dataset, step), array, values)
+            assert np.array_equal(full.points, recon.points)
+            assert np.array_equal(full.polys.connectivity, recon.polys.connectivity)
 
 
 class TestExperiments:

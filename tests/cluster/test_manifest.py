@@ -12,7 +12,7 @@ from repro.cluster import (
     shard_object,
 )
 from repro.errors import FormatError, IntegrityError, ReproError
-from repro.io import ClusterCatalog, TimestepCatalog, read_vgf, write_vgf
+from repro.io import TimestepCatalog, read_vgf, write_vgf
 from repro.storage.object_store import MemoryBackend, ObjectStore
 from repro.storage.s3fs import S3FileSystem
 
@@ -120,29 +120,9 @@ class TestSignature:
 
 
 class TestCatalogs:
-    def test_cluster_catalog_discovers_manifests(self, sharded):
-        fs, _, manifest = sharded
-        catalog = ClusterCatalog(fs)
-        assert len(catalog) == 1
-        assert catalog.keys == [manifest.manifest_key]
-        assert catalog.manifest(manifest.manifest_key).shards == 2
-        with pytest.raises(ReproError):
-            catalog.manifest("nope.manifest.json")
-
     def test_catalogs_coexist(self, sharded):
         fs, _, _ = sharded
         # The timestep catalog must see exactly the one source object:
         # block objects carry no timestep, the manifest is not a VGF.
         tcat = TimestepCatalog(fs)
         assert [e.key for e in tcat] == ["a/ts00000.vgf"]
-        # And the cluster catalog only the manifest.
-        ccat = ClusterCatalog(fs)
-        assert len(ccat) == 1
-
-    def test_tampered_manifest_fails_catalog_scan(self, sharded):
-        fs, _, manifest = sharded
-        doc = json.loads(fs.read_object(manifest.manifest_key).decode())
-        doc["shards"] = 99
-        fs.write_object(manifest.manifest_key, json.dumps(doc).encode())
-        with pytest.raises(IntegrityError):
-            ClusterCatalog(fs)

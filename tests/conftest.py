@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.encoding import decode_selection
+from repro.core.filter_splits import bind_request, wire_request
+from repro.filters.threshold import threshold_point_ids
 from repro.grid import DataArray, UniformGrid
+from repro.grid.polydata import CellArray, PolyData
 from repro.io.checksum import checksum
 from repro.rpc.msgpack import pack, unpack
 
@@ -50,6 +54,34 @@ def make_2d_grid(nx: int = 16, ny: int = 12, name: str = "f", seed: int = 3) -> 
     grid = UniformGrid((nx, ny, 1))
     grid.point_data.add(DataArray(name, field.reshape(-1)))
     return grid
+
+
+def axis_edge_counts(dims) -> tuple[int, int, int]:
+    """Lattice edges along each axis: the formula the enumerators must meet."""
+    nx, ny, nz = dims
+    return (max(nx - 1, 0) * ny * nz, nx * max(ny - 1, 0) * nz,
+            nx * ny * max(nz - 1, 0))
+
+
+def threshold_points(grid, name: str, lower: float, upper: float) -> PolyData:
+    """The threshold kernel's points as vertex geometry carrying their
+    values: what the threshold split must rebuild bit for bit."""
+    ids = threshold_point_ids(grid, name, lower, upper)
+    out = PolyData(grid.point_ids_to_coords(ids))
+    out.verts = CellArray.from_uniform(
+        np.arange(ids.size, dtype=np.int64).reshape(-1, 1))
+    out.point_data.add(DataArray(name, grid.point_data.get(name).values[ids]))
+    return out
+
+
+def prefilter_batch(client, key: str, requests: list) -> list:
+    """Several split-filter requests in one ``prefilter_batch`` round trip,
+    each reply post-filtered locally: ``[(polydata, stats), ...]``."""
+    bound = [bind_request(req, i) for i, req in enumerate(requests)]
+    replies = client.call("prefilter_batch", key,
+                          [wire_request(*entry) for entry in bound])
+    return [(op.post(decode_selection(encoded), args), encoded.get("stats"))
+            for (op, _array, args), encoded in zip(bound, replies)]
 
 
 @pytest.fixture

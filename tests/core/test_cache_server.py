@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import NDPServer, ndp_batch, ndp_contour
+from repro.core import NDPServer, ndp_contour
 from repro.core.prefetch import NDPPrefetcher
 from repro.filters import contour_grid
 from repro.grid import Bounds, DataArray, UniformGrid
@@ -21,7 +21,7 @@ from repro.rpc import InProcessTransport, RPCClient
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 from repro.storage.netsim import NATIVE_WIRE_CODEC, Testbed
 
-from tests.conftest import make_sphere_grid, make_wave_grid
+from tests.conftest import make_sphere_grid, make_wave_grid, prefilter_batch
 
 
 class CountingBackend(MemoryBackend):
@@ -228,7 +228,7 @@ class TestBatch:
         roi = Bounds(2, 8, 0, 7, 3, 10)
 
         direct, direct_stats = ndp_contour(client, "g.vgf", "f", [0.0], roi=roi)
-        [(batched, batch_stats)] = ndp_batch(
+        [(batched, batch_stats)] = prefilter_batch(
             client, "g.vgf",
             [{"kind": "contour", "array": "f", "values": [0.0], "roi": roi}],
         )
@@ -239,7 +239,7 @@ class TestBatch:
         assert batch_stats["selected_points"] == direct_stats["selected_points"]
 
         # And the ROI genuinely restricts: the whole-domain result is bigger.
-        [(whole, _)] = ndp_batch(
+        [(whole, _)] = prefilter_batch(
             client, "g.vgf", [{"kind": "contour", "array": "f", "values": [0.0]}]
         )
         assert whole.num_points > batched.num_points
@@ -249,7 +249,7 @@ class TestBatch:
         _, _, server = make_env(grid)
         client = RPCClient(InProcessTransport(server.dispatch))
         roi = [2, 8, 0, 7, 3, 10]
-        [(batched, _)] = ndp_batch(
+        [(batched, _)] = prefilter_batch(
             client, "g.vgf",
             [{"kind": "contour", "array": "f", "values": [0.0], "roi": roi}],
         )

@@ -15,18 +15,16 @@ from repro.core import (
     prefilter_threshold,
 )
 from repro.errors import FilterError
-from repro.filters import ThresholdPoints, slice_grid
+from repro.filters import slice_grid
 from repro.grid import DataArray, UniformGrid
 
-from tests.conftest import make_sphere_grid, make_wave_grid
+from tests.conftest import make_sphere_grid, make_wave_grid, threshold_points
 
 
 class TestThresholdSplit:
     def test_bit_exact_against_stock(self):
         grid = make_sphere_grid(14)
-        stock = ThresholdPoints("r", 2.0, 5.0)
-        stock.set_input_data(grid)
-        expected = stock.output()
+        expected = threshold_points(grid, "r", 2.0, 5.0)
         recon = postfilter_threshold(prefilter_threshold(grid, "r", 2.0, 5.0))
         assert np.array_equal(expected.points, recon.points)
         assert expected.point_data.get("r") == recon.point_data.get("r")
@@ -112,9 +110,7 @@ class TestThresholdSplitProperty:
         nz, ny, nx = field.shape
         grid = UniformGrid((nx, ny, nz))
         grid.point_data.add(DataArray("f", field.reshape(-1)))
-        stock = ThresholdPoints("f", lo, lo + width)
-        stock.set_input_data(grid)
-        expected = stock.output()
+        expected = threshold_points(grid, "f", lo, lo + width)
         sel = decode_selection(
             encode_selection(prefilter_threshold(grid, "f", lo, lo + width))
         )

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.encoding import decode_selection
 from repro.core.insitu import (
-    load_precomputed_selection,
     ndp_contour_precomputed,
     precompute_selections,
     selection_key,
@@ -13,6 +13,7 @@ from repro.core.prefilter import prefilter_contour
 from repro.errors import NoSuchObjectError
 from repro.filters import contour_grid
 from repro.io import write_vgf
+from repro.rpc.msgpack import unpack
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.conftest import make_sphere_grid, make_wave_grid
@@ -64,14 +65,15 @@ class TestPrecompute:
 
     def test_load_round_trip(self, fs):
         precompute_selections(fs, "ts0.vgf", ["f"], [0.0])
-        sel = load_precomputed_selection(fs, "ts0.vgf", "f", [0.0])
+        blob = fs.read_object(selection_key("ts0.vgf", "f", [0.0]))
+        sel = decode_selection(unpack(blob))
         grid = make_wave_grid(14)
         expected = prefilter_contour(grid, "f", [0.0])
         assert sel == expected
 
     def test_missing_raises(self, fs):
         with pytest.raises(NoSuchObjectError):
-            load_precomputed_selection(fs, "ts0.vgf", "f", [0.33])
+            ndp_contour_precomputed(fs, "ts0.vgf", "f", [0.33])
 
 
 class TestPrecomputedContour:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import NDPContourSource, NDPServer, ndp_contour, postfilter_contour
+from repro.core import NDPServer, ndp_contour
 from repro.core.encoding import decode_selection
-from repro.errors import PipelineError, RPCRemoteError
+from repro.core.filter_splits import SPLIT_FILTERS
+from repro.core.ndp_client import request_selection
+from repro.errors import RPCError, RPCRemoteError
 from repro.filters import contour_grid
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient
@@ -70,13 +72,52 @@ class TestServerEndpoints:
             client.call("prefilter_contour", "sphere.vgf", "zzz", [1.0], "cell-closure", "auto")
 
 
+class TestWireSuppliedSizes:
+    """Frame and histogram sizes are bounded before any read: one
+    ``render_contour`` request must not be able to allocate gigabytes."""
+
+    def test_huge_frame_rejected_before_the_read(self, setup):
+        # The key does not exist: a server that read first would answer
+        # with the store's not-found error, not the bound.
+        _, _, client = setup
+        with pytest.raises(RPCRemoteError,
+                           match=r"RPCError: width must be in \[1, 4096\]"):
+            client.call("render_contour", "nope.vgf", "r", [4.0], 10**6, 48)
+
+    @pytest.mark.parametrize("width, height, complaint", [
+        (64, 0, r"height must be in \[1, 4096\], got 0"),
+        (64, 4097, r"height must be in \[1, 4096\], got 4097"),
+        (64.0, 48, "width must be an integer, got 64.0"),
+        (64, "48", "height must be an integer, got '48'"),
+    ])
+    def test_frame_size_checked(self, setup, width, height, complaint):
+        _, _, client = setup
+        with pytest.raises(RPCRemoteError, match=f"RPCError: {complaint}"):
+            client.call("render_contour", "sphere.vgf", "r", [4.0], width, height)
+
+    def test_largest_frame_renders(self, setup):
+        _, _, client = setup
+        reply = client.call("render_contour", "sphere.vgf", "r", [4.0], 4096, 1)
+        assert reply["ppm"].startswith(b"P6\n4096 1\n255\n")
+
+    def test_fractional_bins_rejected(self, setup):
+        _, _, client = setup
+        with pytest.raises(RPCRemoteError,
+                           match="RPCError: bins must be an integer, got 2.5"):
+            client.call("array_statistics", "sphere.vgf", "r", 2.5)
+
+
+def _request(client, key, array, values):
+    op = SPLIT_FILTERS["contour"]
+    return request_selection(client.call, op, key, array, op.bind({"values": values}))
+
+
 class TestNDPContourSource:
     def test_pipeline_source(self, setup):
         grids, _, client = setup
-        source = NDPContourSource(client, "sphere.vgf", "r", [4.0])
-        sel = source.output()
+        sel, encoded = _request(client, "sphere.vgf", "r", [4.0])
         assert sel.array_name == "r"
-        assert source.last_stats is not None
+        assert encoded.get("stats") is not None
 
     def test_end_to_end_equals_local(self, setup):
         grids, _, client = setup
@@ -86,22 +127,15 @@ class TestNDPContourSource:
         assert np.array_equal(expected.polys.connectivity, pd.polys.connectivity)
         assert stats["codec"] == "lz4"
 
-    def test_unconfigured(self):
-        with pytest.raises(PipelineError):
-            NDPContourSource().update()
-
     def test_missing_values(self, setup):
         _, _, client = setup
-        source = NDPContourSource(client, "sphere.vgf", "r")
-        with pytest.raises(PipelineError, match="values"):
-            source.update()
+        with pytest.raises(RPCError, match="values"):
+            ndp_contour(client, "sphere.vgf", "r", [])
 
     def test_reconfigure(self, setup):
         _, _, client = setup
-        source = NDPContourSource(client, "sphere.vgf", "r", [3.0])
-        n1 = source.output().count
-        source.set_values([5.0])
-        n2 = source.output().count
+        n1 = _request(client, "sphere.vgf", "r", [3.0])[0].count
+        n2 = _request(client, "sphere.vgf", "r", [5.0])[0].count
         assert n1 != n2
 
 

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import NDPServer, ndp_batch, ndp_contour, ndp_slice, ndp_threshold
-from repro.filters import ThresholdPoints, contour_grid, slice_grid
+from repro.core import NDPServer, ndp_contour, ndp_slice, ndp_threshold
+from repro.filters import contour_grid, slice_grid
 from repro.io import write_vgf
 from repro.rpc import InProcessTransport, RPCClient
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
-from tests.conftest import make_wave_grid
+from tests.conftest import make_wave_grid, prefilter_batch, threshold_points
 
 
 @pytest.fixture
@@ -28,9 +28,7 @@ class TestThresholdEndpoint:
     def test_matches_local(self, setup):
         grid, client = setup
         pd, stats = ndp_threshold(client, "wave.vgf", "f", 0.0, 0.5)
-        stock = ThresholdPoints("f", 0.0, 0.5)
-        stock.set_input_data(grid)
-        expected = stock.output()
+        expected = threshold_points(grid, "f", 0.0, 0.5)
         assert np.array_equal(expected.points, pd.points)
         assert stats["selected_points"] == pd.num_points
 
@@ -62,7 +60,7 @@ class TestBatchEndpoint:
             {"kind": "threshold", "array": "f", "lower": 0.5, "upper": 1.0},
             {"kind": "slice", "array": "f", "axis": 2, "coordinate": coord},
         ]
-        results = ndp_batch(client, "wave.vgf", requests)
+        results = prefilter_batch(client, "wave.vgf", requests)
         assert len(results) == 3
         (contour_pd, _), (thresh_pd, _), (slice_pd, _) = results
         expected_contour = contour_grid(grid, "f", [0.0])
@@ -81,7 +79,7 @@ class TestBatchEndpoint:
             return original(payload)
 
         client._transport.request = counting
-        ndp_batch(
+        prefilter_batch(
             client,
             "wave.vgf",
             [
@@ -100,7 +98,7 @@ class TestBatchEndpoint:
 
     def test_batch_equals_individual(self, setup):
         grid, client = setup
-        batch = ndp_batch(
+        batch = prefilter_batch(
             client, "wave.vgf", [{"kind": "contour", "array": "f", "values": [0.2]}]
         )
         single, _ = ndp_contour(client, "wave.vgf", "f", [0.2])

@@ -23,7 +23,6 @@ from repro.edge import EdgeCacheServer
 from repro.errors import FilterError, FormatError
 from repro.filters.contour import contour_grid
 from repro.filters.slice import slice_grid
-from repro.filters.threshold import ThresholdPoints
 from repro.grid.array import DataArray
 from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.uniform import UniformGrid
@@ -38,7 +37,7 @@ from repro.rpc import RPCClient, pack
 from repro.rpc.transport import InProcessTransport
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
-from tests.conftest import restamp_vgf
+from tests.conftest import restamp_vgf, threshold_points
 
 VALUES = (-0.5, 0.0, 0.7)
 
@@ -174,9 +173,7 @@ def _stock(grid, kind, fields):
     if kind == "contour":
         return contour_grid(grid, "s", fields["values"])
     if kind == "threshold":
-        stock = ThresholdPoints("s", fields["lower"], fields["upper"])
-        stock.set_input_data(grid)
-        return stock.output()
+        return threshold_points(grid, "s", fields["lower"], fields["upper"])
     return slice_grid(grid, fields["axis"], fields["coordinate"], ["s"])
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import split_contour_filter
-from repro.core.split import SplitContourPipeline
 from repro.errors import PipelineError
-from repro.filters import ContourFilter, contour_grid
+from repro.filters import ContourFilter
 from repro.pipeline import TrivialProducer
 
 from tests.conftest import make_sphere_grid, make_wave_grid
@@ -45,45 +44,22 @@ class TestSplitContourFilter:
 
 
 class TestSplitContourPipeline:
-    def _build(self, grid, values=(0.1,)):
-        source = TrivialProducer(grid)
-        contour = ContourFilter("r", list(values))
-        contour.set_input_connection(0, source)
-        return source, contour
-
-    def test_run_local_matches_stock(self):
-        grid = make_sphere_grid(14)
-        source, contour = self._build(grid, [4.0])
-        split = SplitContourPipeline(source, contour)
-        result = split.run_local()
-        expected = contour_grid(grid, "r", [4.0])
-        assert np.array_equal(expected.points, result.points)
-
     def test_two_phase_execution(self):
         grid = make_sphere_grid(12)
-        source, contour = self._build(grid, [3.0])
-        split = SplitContourPipeline(source, contour)
-        selection = split.run_storage_side()
+        pre, post = split_contour_filter(ContourFilter("r", [3.0]))
+        pre.set_input_data(grid)
+        selection = pre.output()
         assert 0 < selection.count < grid.num_points
-        split.deliver(selection)
-        result = split.run_client_side()
+        post.set_input_data(selection)
+        result = post.output()
         assert result.triangles().shape[0] > 0
 
-    def test_requires_direct_connection(self):
-        grid = make_sphere_grid(8)
-        source = TrivialProducer(grid)
-        other = TrivialProducer(grid)
-        contour = ContourFilter("r", [1.0])
-        contour.set_input_connection(0, other)
-        with pytest.raises(PipelineError, match="connected directly"):
-            SplitContourPipeline(source, contour)
-
     def test_source_update_propagates(self):
-        grid = make_sphere_grid(10)
-        source, contour = self._build(grid, [3.0])
-        split = SplitContourPipeline(source, contour)
-        sel1 = split.run_storage_side()
+        source = TrivialProducer(make_sphere_grid(10))
+        pre, _ = split_contour_filter(ContourFilter("r", [3.0]))
+        pre.set_input_connection(0, source)
+        sel1 = pre.output()
         source.set_data(make_sphere_grid(12))
-        sel2 = split.run_storage_side()
+        sel2 = pre.output()
         assert sel1.dims == (10, 10, 10)
         assert sel2.dims == (12, 12, 12)

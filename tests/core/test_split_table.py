@@ -20,7 +20,7 @@ from repro.core.filter_splits import (
 from repro.core.ndp_server import NDPServer
 from repro.core.prefetch import NDPPrefetcher
 from repro.edge import EdgeCacheServer
-from repro.errors import RPCError, RPCRemoteError
+from repro.errors import ReproError, RPCError, RPCRemoteError
 from repro.grid import DataArray, UniformGrid
 from repro.grid.bounds import Bounds
 from repro.io.vgf import write_vgf
@@ -87,10 +87,8 @@ class TestTableComplete:
         [batched] = client.call("prefilter_batch", "g.vgf", [request])
         assert batched == direct
         expected = op.post(ndp_client.decode_selection(direct), args)
-        [(from_batch, _)] = ndp_client.ndp_batch(client, "g.vgf", [request])
         [(_, prefetched, _)] = NDPPrefetcher(client, [{"key": "g.vgf", **request}])
-        for got in (from_batch, prefetched):
-            assert np.array_equal(got.points, expected.points)
+        assert np.array_equal(prefetched.points, expected.points)
         assert callable(getattr(ndp_client, f"ndp_{kind}"))
 
     def test_spelled_defaults_are_the_same_request(self):
@@ -160,13 +158,14 @@ class TestBatchValidatesFirst:
         fs, _ = make_fs()
         transport = CountingTransport(NDPServer(fs).dispatch)
         client = RPCClient(transport)
-        good = {"kind": "contour", "array": "p", "values": [0.5]}
-        with pytest.raises(RPCError, match=f"batch request 1: {complaint}"):
-            ndp_client.ndp_batch(client, "g.vgf", [good, entry])
-        if isinstance(entry, dict):  # the prefetcher asks for a keyed map first
-            with pytest.raises(RPCError, match=f"batch request 1: {complaint}"):
-                NDPPrefetcher(client, [{"key": "g.vgf", **good},
-                                       {"key": "g.vgf", **entry}])
+        good = {"key": "g.vgf", "kind": "contour", "array": "p", "values": [0.5]}
+        if isinstance(entry, dict):
+            entry = {"key": "g.vgf", **entry}
+            complaint = f"batch request 1: {complaint}"
+        else:  # the prefetcher asks for a keyed map first
+            complaint = "request missing 'key'"
+        with pytest.raises(ReproError, match=complaint):
+            NDPPrefetcher(client, [good, entry])
         assert transport.requests == 0
 
     def test_batch_must_be_a_list(self):

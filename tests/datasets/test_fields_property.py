@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import fractal_noise, radial_distance, smoothstep
+from repro.datasets import fractal_noise, smoothstep
 
 
 @given(
@@ -42,16 +42,3 @@ def test_smoothstep_properties(x):
     # Fixed points at the clamps.
     assert smoothstep(np.array(0.0)) == 0.0
     assert smoothstep(np.array(1.0)) == 1.0
-
-
-@given(
-    center=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
-    dims=st.tuples(st.integers(2, 10), st.integers(2, 10), st.integers(2, 10)),
-)
-@settings(max_examples=40, deadline=None)
-def test_radial_distance_properties(center, dims):
-    d = radial_distance(dims, center)
-    assert d.shape == (dims[2], dims[1], dims[0])
-    assert (d >= 0).all()
-    # Triangle bound: nothing farther than the unit cube diagonal.
-    assert d.max() <= np.sqrt(3) + 1e-9

@@ -126,11 +126,3 @@ class TestFields:
         assert smoothstep(np.array(-1.0)) == 0.0
         assert smoothstep(np.array(2.0)) == 1.0
         assert smoothstep(np.array(0.5)) == pytest.approx(0.5)
-
-    def test_radial_distance(self):
-        from repro.datasets import radial_distance
-
-        d = radial_distance((5, 5, 5), (0.5, 0.5, 0.5))
-        assert d.shape == (5, 5, 5)
-        assert d[2, 2, 2] == pytest.approx(0.0)
-        assert d[0, 0, 0] == pytest.approx(np.sqrt(3) / 2)

@@ -80,11 +80,9 @@ class TestValuesUnset:
         assert filt.values == (6.0,)
 
     def test_ndp_source_accepts_ndarray_values(self):
-        from repro.core.ndp_client import NDPContourSource
-
-        src = NDPContourSource(values=np.array([1.0, 2.0]))
-        assert src.values == (1.0, 2.0)
-        assert NDPContourSource(values=np.array([])).values == ()
+        filt = ContourFilter(values=np.array([1.0, 2.0]))
+        assert filt.values == (1.0, 2.0)
+        assert ContourFilter(values=np.array([])).values == ()
 
 
 class TestContourGrid3D:

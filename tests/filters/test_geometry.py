@@ -8,7 +8,6 @@ from repro.filters import contour_grid
 from repro.filters.geometry import (
     component_sizes,
     connected_components,
-    segment_length,
     surface_area,
     weld_points,
 )
@@ -66,12 +65,13 @@ class TestMeasures:
         r = np.hypot(xx - 20, yy - 20)
         grid.point_data.get("f").values[:] = r.reshape(-1)
         pd = contour_grid(grid, "f", [10.0])
-        length = segment_length(pd)
+        segs = pd.segments()
+        length = np.linalg.norm(
+            pd.points[segs[:, 1]] - pd.points[segs[:, 0]], axis=1).sum()
         assert abs(length - 2 * np.pi * 10) / (2 * np.pi * 10) < 0.1
 
     def test_empty_measures(self):
         assert surface_area(PolyData()) == 0.0
-        assert segment_length(PolyData()) == 0.0
 
 
 class TestComponents:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FilterError
-from repro.filters import SliceFilter, slice_grid
+from repro.filters import slice_grid
 from repro.filters.slice import slice_plane_indices
 from repro.grid import DataArray, UniformGrid
 
@@ -106,29 +106,11 @@ class TestSliceGrid:
 class TestSliceFilterPipeline:
     def test_pipeline(self):
         grid = make_wave_grid(12)
-        f = SliceFilter("z", grid.origin[2] + 4.5 * grid.spacing[2])
-        f.set_input_data(grid)
-        pd = f.output()
+        pd = slice_grid(grid, 2, grid.origin[2] + 4.5 * grid.spacing[2])
         assert pd.num_points == 144
-
-    def test_axis_names(self):
-        assert SliceFilter("x").axis == 0
-        assert SliceFilter("y").axis == 1
-        assert SliceFilter(2).axis == 2
-        with pytest.raises(FilterError):
-            SliceFilter("w")
 
     def test_set_plane_reexecutes(self):
         grid = linear_grid()
-        f = SliceFilter("z", 3.0)
-        f.set_input_data(grid)
-        v1 = f.output().point_data.get("f").values.mean()
-        f.set_plane("z", 3.0 + 2.0 * 4)
-        v2 = f.output().point_data.get("f").values.mean()
+        v1 = slice_grid(grid, 2, 3.0).point_data.get("f").values.mean()
+        v2 = slice_grid(grid, 2, 3.0 + 2.0 * 4).point_data.get("f").values.mean()
         assert v2 > v1
-
-    def test_wrong_input(self):
-        f = SliceFilter()
-        f.set_input_data("x")
-        with pytest.raises(FilterError):
-            f.update()

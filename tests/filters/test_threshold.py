@@ -1,10 +1,10 @@
-"""Unit tests for ThresholdPoints."""
+"""Unit tests for the threshold kernel and its vertex output."""
 
 import numpy as np
 import pytest
 
+from repro.core import postfilter_threshold, prefilter_threshold
 from repro.errors import FilterError
-from repro.filters import ThresholdPoints
 from repro.filters.threshold import threshold_point_ids
 from repro.grid import DataArray, UniformGrid
 
@@ -37,9 +37,7 @@ class TestThresholdIds:
 class TestThresholdFilter:
     def test_extracts_vertices(self):
         grid = make_sphere_grid(10)
-        f = ThresholdPoints("r", 0.0, 3.0)
-        f.set_input_data(grid)
-        pd = f.output()
+        pd = postfilter_threshold(prefilter_threshold(grid, "r", 0.0, 3.0))
         assert pd.verts.num_cells == pd.num_points > 0
         # all extracted points are within radius 3 of the center
         rr = np.linalg.norm(pd.points - 5.0, axis=1)
@@ -47,25 +45,10 @@ class TestThresholdFilter:
 
     def test_carries_values(self):
         grid = make_sphere_grid(8)
-        f = ThresholdPoints("r", 1.0, 2.0)
-        f.set_input_data(grid)
-        pd = f.output()
+        pd = postfilter_threshold(prefilter_threshold(grid, "r", 1.0, 2.0))
         vals = pd.point_data.get("r").values
         assert np.all((vals >= 1.0) & (vals <= 2.0))
 
     def test_set_range_validates(self):
-        f = ThresholdPoints("r")
         with pytest.raises(FilterError):
-            f.set_range(5, 1)
-
-    def test_unconfigured(self):
-        f = ThresholdPoints()
-        f.set_input_data(make_sphere_grid(4))
-        with pytest.raises(FilterError, match="array name"):
-            f.update()
-
-    def test_wrong_input_type(self):
-        f = ThresholdPoints("r")
-        f.set_input_data(42)
-        with pytest.raises(FilterError, match="UniformGrid"):
-            f.update()
+            prefilter_threshold(make_sphere_grid(4), "r", 5, 1)

@@ -12,7 +12,8 @@ from repro.grid import (
     point_ijk_to_id,
     structured_edges,
 )
-from repro.grid.cells import axis_edge_counts
+
+from tests.conftest import axis_edge_counts
 
 
 class TestCounts:
@@ -65,7 +66,7 @@ class TestIdConversions:
 
 class TestEdges:
     def test_axis_edge_counts(self):
-        ex, ey, ez = axis_edge_counts((3, 4, 5))
+        ex, ey, ez = (edge_endpoints((3, 4, 5), axis)[0].size for axis in range(3))
         assert ex == 2 * 4 * 5
         assert ey == 3 * 3 * 5
         assert ez == 3 * 4 * 4

@@ -11,7 +11,9 @@ from repro.grid import (
     point_ijk_to_id,
     structured_edges,
 )
-from repro.grid.cells import axis_edge_counts, edge_endpoints
+from repro.grid.cells import edge_endpoints
+
+from tests.conftest import axis_edge_counts
 
 dims_strategy = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
 

@@ -11,6 +11,8 @@ import pytest
 from repro.errors import GridError
 from repro.grid import DataArray, RectilinearGrid, UniformGrid
 
+from tests.conftest import threshold_points
+
 
 def make_rect(seed=3, dims=(10, 8, 6)):
     rng = np.random.default_rng(seed)
@@ -194,11 +196,8 @@ class TestOffloadChain:
 
     def test_threshold_on_rectilinear(self):
         from repro.core import postfilter_threshold, prefilter_threshold
-        from repro.filters import ThresholdPoints
 
         grid = make_rect()
-        stock = ThresholdPoints("f", 0.0, 1.0)
-        stock.set_input_data(grid)
-        expected = stock.output()
+        expected = threshold_points(grid, "f", 0.0, 1.0)
         recon = postfilter_threshold(prefilter_threshold(grid, "f", 0.0, 1.0))
         assert np.array_equal(expected.points, recon.points)

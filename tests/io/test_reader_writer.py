@@ -1,12 +1,11 @@
-"""Unit tests for the GridReader/GridWriter pipeline nodes and PPM output."""
+"""VGF reads and writes through a store mount, and PPM output."""
 
 import numpy as np
 import pytest
 
-from repro.errors import FormatError, PipelineError
-from repro.io import GridReader, GridWriter, write_vgf
+from repro.errors import FormatError
+from repro.io import read_vgf, write_vgf
 from repro.io.ppm import encode_ppm, write_ppm
-from repro.pipeline import TrivialProducer
 from repro.storage import MemoryBackend, ObjectStore, S3FileSystem
 
 from tests.conftest import make_sphere_grid
@@ -23,65 +22,35 @@ def fs():
 
 class TestGridReader:
     def test_reads_from_mount(self, fs):
-        reader = GridReader(lambda: fs.open("grid.vgf"))
-        grid = reader.output()
-        assert grid == make_sphere_grid(8)
+        with fs.open("grid.vgf") as fh:
+            assert read_vgf(fh) == make_sphere_grid(8)
 
     def test_array_selection(self, fs):
-        reader = GridReader(lambda: fs.open("grid.vgf"), array_names=["r"])
-        assert reader.output().point_data.names() == ["r"]
-        assert reader.array_selection == ["r"]
-
-    def test_selection_change_triggers_reread(self, fs):
-        reader = GridReader(lambda: fs.open("grid.vgf"))
-        reader.update()
-        reader.set_array_selection(["r"])
-        assert reader.needs_execute
+        with fs.open("grid.vgf") as fh:
+            assert read_vgf(fh, ["r"]).point_data.names() == ["r"]
 
     def test_bytes_opener(self):
         blob = write_vgf(make_sphere_grid(6))
-        reader = GridReader(lambda: blob)
-        assert reader.output().num_points == 216
-
-    def test_unconfigured(self):
-        with pytest.raises(PipelineError, match="opener"):
-            GridReader().update()
+        assert read_vgf(blob).num_points == 216
 
     def test_missing_array(self, fs):
-        reader = GridReader(lambda: fs.open("grid.vgf"), array_names=["zzz"])
-        with pytest.raises(FormatError):
-            reader.update()
+        with fs.open("grid.vgf") as fh, pytest.raises(FormatError):
+            read_vgf(fh, ["zzz"])
 
 
 class TestGridWriter:
     def test_write_through_pipeline(self, fs):
         grid = make_sphere_grid(6)
-        writer = GridWriter(lambda data: fs.write_object("out.vgf", data), codec="gzip")
-        writer.set_input_connection(0, TrivialProducer(grid))
-        writer.update()
-        reader = GridReader(lambda: fs.open("out.vgf"))
-        assert reader.output() == grid
+        fs.write_object("out.vgf", write_vgf(grid, codec="gzip"))
+        with fs.open("out.vgf") as fh:
+            assert read_vgf(fh) == grid
 
     def test_round_trip_reader_writer(self, fs):
         """read -> write -> read reproduces the grid bit-exactly."""
-        reader = GridReader(lambda: fs.open("grid.vgf"))
-        writer = GridWriter(lambda data: fs.write_object("copy.vgf", data), codec="raw")
-        writer.set_input_connection(0, reader)
-        writer.update()
-        reader2 = GridReader(lambda: fs.open("copy.vgf"))
-        assert reader2.output() == make_sphere_grid(8)
-
-    def test_unconfigured(self):
-        writer = GridWriter()
-        writer.set_input_data(make_sphere_grid(4))
-        with pytest.raises(PipelineError, match="writer"):
-            writer.update()
-
-    def test_rejects_non_grid(self):
-        writer = GridWriter(lambda data: None)
-        writer.set_input_data("nope")
-        with pytest.raises(PipelineError, match="UniformGrid"):
-            writer.update()
+        with fs.open("grid.vgf") as fh:
+            fs.write_object("copy.vgf", write_vgf(read_vgf(fh), codec="raw"))
+        with fs.open("copy.vgf") as fh:
+            assert read_vgf(fh) == make_sphere_grid(8)
 
 
 class TestPPM:

@@ -154,11 +154,3 @@ class TestDemandDriven:
 
         with pytest.raises(PipelineError, match="expected 2"):
             Bad().update()
-
-    def test_upstream_nodes_topological(self):
-        src = TrivialProducer(1)
-        a = Doubler()
-        a.set_input_connection(0, src)
-        order = a.upstream_nodes()
-        assert order[0] is src
-        assert order[-1] is a

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.pipeline import Filter, TrivialProducer
-from repro.pipeline.executive import describe_pipeline, execute
 
 
 class Tagger(Filter):
@@ -56,31 +55,13 @@ class TestRewiring:
         right = Tagger("r")
         left.set_input_connection(0, shared)
         right.set_input_connection(0, shared)
-        execute(left, right)
+        left.update()
+        right.update()
         assert shared.executions == 1
         src.set_data(["y"])
-        execute(left, right)
+        left.update()
+        right.update()
         assert shared.executions == 2
-
-    def test_execute_mixed_terminals(self):
-        src = TrivialProducer([1])
-        f = Tagger("t")
-        f.set_input_connection(0, src)
-        from repro.pipeline import CollectSink
-
-        sink = CollectSink()
-        sink.set_input_connection(0, f)
-        results = execute(f, sink)
-        assert results[0] == [1, "t"]
-        assert results[1] is None
-        assert sink.last == [1, "t"]
-
-    def test_describe_after_rewire(self):
-        a = TrivialProducer([1])
-        f = Tagger("t")
-        f.set_input_connection(0, a)
-        desc = describe_pipeline(f)
-        assert "Tagger" in desc and "TrivialProducer" in desc
 
     def test_update_error_leaves_node_dirty(self):
         class Boom(Filter):

@@ -1,15 +1,9 @@
-"""Unit tests for sources, sinks, and the executive utilities."""
+"""Unit tests for sources and the filter input convenience."""
 
 import pytest
 
 from repro.errors import PipelineError
-from repro.pipeline import (
-    CollectSink,
-    Filter,
-    ProgrammableSource,
-    TrivialProducer,
-)
-from repro.pipeline.executive import describe_pipeline, execute, validate_pipeline
+from repro.pipeline import Filter, TrivialProducer
 
 
 class Inc(Filter):
@@ -31,79 +25,9 @@ class TestSources:
         src.set_data(2)
         assert src.needs_execute
 
-    def test_programmable_source(self):
-        calls = []
-        src = ProgrammableSource(lambda: calls.append(1) or len(calls))
-        assert src.output() == 1
-        src.modified()
-        assert src.output() == 2
-
-    def test_programmable_source_unset(self):
-        with pytest.raises(PipelineError, match="produce"):
-            ProgrammableSource().update()
-
 
 class TestSinks:
-    def test_collect_sink(self):
-        sink = CollectSink()
-        sink.set_input_data(42)
-        sink.update()
-        assert sink.last == 42
-        assert sink.received == [42]
-
-    def test_collect_sink_empty_last(self):
-        with pytest.raises(IndexError):
-            CollectSink().last
-
-    def test_sink_reconsumption_on_change(self):
-        src = TrivialProducer("a")
-        sink = CollectSink()
-        sink.set_input_connection(0, src)
-        sink.update()
-        src.set_data("b")
-        sink.update()
-        assert sink.received == ["a", "b"]
-
     def test_filter_set_input_data_convenience(self):
         inc = Inc()
         inc.set_input_data(1)
         assert inc.output() == 2
-
-
-class TestExecutive:
-    def _chain(self):
-        src = TrivialProducer(0)
-        f1 = Inc()
-        f2 = Inc()
-        f1.set_input_connection(0, src)
-        f2.set_input_connection(0, f1)
-        return src, f1, f2
-
-    def test_validate_ok(self):
-        _, _, f2 = self._chain()
-        validate_pipeline(f2)
-
-    def test_validate_catches_unconnected(self):
-        with pytest.raises(PipelineError, match="not connected"):
-            validate_pipeline(Inc())
-
-    def test_validate_needs_terminal(self):
-        with pytest.raises(PipelineError):
-            validate_pipeline()
-
-    def test_execute_returns_outputs(self):
-        _, _, f2 = self._chain()
-        assert execute(f2) == [2]
-
-    def test_execute_sink_yields_none(self):
-        src = TrivialProducer(5)
-        sink = CollectSink()
-        sink.set_input_connection(0, src)
-        assert execute(sink) == [None]
-        assert sink.last == 5
-
-    def test_describe_pipeline(self):
-        _, _, f2 = self._chain()
-        desc = describe_pipeline(f2)
-        assert "TrivialProducer" in desc
-        assert desc.count("Inc") >= 2

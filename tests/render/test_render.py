@@ -8,7 +8,6 @@ from repro.filters import contour_grid
 from repro.grid import Bounds, CellArray, PolyData
 from repro.render import Camera, Scene
 from repro.render.rasterizer import Framebuffer, rasterize_mesh
-from repro.render.scene import RenderSink
 
 from tests.conftest import make_sphere_grid
 
@@ -138,11 +137,3 @@ class TestScene:
         scene.add_mesh(PolyData(np.zeros((1, 3))))
         scene.clear()
         assert scene.num_actors == 0
-
-    def test_render_sink(self):
-        grid = make_sphere_grid(10)
-        pd = contour_grid(grid, "r", [3.0])
-        sink = RenderSink(color=(0, 0, 1))
-        sink.set_input_data(pd)
-        sink.update()
-        assert sink.scene.num_actors == 1

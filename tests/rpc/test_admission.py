@@ -24,7 +24,6 @@ from repro.rpc.admission import (
     DeadlineScope,
     check_deadline,
     current_deadline,
-    remaining_budget,
 )
 from repro.rpc.envelope import overloaded_line, with_ctx
 from repro.rpc.fairshare import FairScheduler
@@ -37,9 +36,9 @@ class TestDeadlineScope:
         clock = FakeClock()
         with DeadlineScope(2.0, clock=clock) as scope:
             assert current_deadline() is scope
-            assert remaining_budget() == pytest.approx(2.0)
+            assert scope.remaining() == pytest.approx(2.0)
             clock.advance(1.5)
-            assert remaining_budget() == pytest.approx(0.5)
+            assert scope.remaining() == pytest.approx(0.5)
             check_deadline("half way")  # still inside budget
             clock.advance(1.0)
             assert scope.expired()
@@ -48,7 +47,7 @@ class TestDeadlineScope:
         assert current_deadline() is None
 
     def test_check_deadline_is_noop_outside_scope(self):
-        assert remaining_budget() is None
+        assert current_deadline() is None
         check_deadline("anything")  # must not raise
 
     def test_nested_scopes_innermost_wins(self):

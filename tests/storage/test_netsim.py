@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.storage import (
-    PAPER_TESTBED,
     CodecTiming,
     DeviceModel,
     LinkModel,
@@ -76,7 +75,7 @@ class TestDeviceModel:
 class TestTestbed:
     def test_paper_defaults_baseline_raw_12s(self):
         """The calibration anchor: a 500 MB raw array loads in ~12 s."""
-        tb = PAPER_TESTBED()
+        tb = Testbed()
         size = 500 * MB
         tb.ssd.read(size)
         tb.net.charge(size)
@@ -84,7 +83,7 @@ class TestTestbed:
 
     def test_ndp_lower_bound_near_ssd_time(self):
         """NDP raw speedup is bounded by local read time (paper Sec. VI)."""
-        tb = PAPER_TESTBED()
+        tb = Testbed()
         size = 500 * MB
         tb.ssd.read(size)
         tb.net.charge(size)

@@ -13,9 +13,8 @@ import pytest
 from repro.core import NDPServer, ndp_contour
 from repro.datasets import AsteroidImpactDataset, AsteroidParams
 from repro.filters import ContourFilter, contour_grid
-from repro.io import GridReader, GridWriter, write_vgf
-from repro.pipeline import TrivialProducer
-from repro.render import RenderSink, Scene
+from repro.io import read_vgf, write_vgf
+from repro.render import Scene
 from repro.rpc import RPCClient
 from repro.storage import DirectoryBackend, ObjectStore, S3FileSystem
 
@@ -30,15 +29,11 @@ def populated_store(tmp_path_factory):
     fs = S3FileSystem(store, "sim")
     dataset = AsteroidImpactDataset(AsteroidParams(dims=DIMS))
     steps = dataset.timesteps[::4]  # 3 steps is plenty here
-    # Simulation phase: pipeline writes each timestep through a GridWriter.
+    # Simulation phase: each timestep is written as one VGF object.
     for step in steps:
         grid = dataset.generate_arrays(step, ["v02", "v03"])
-        writer = GridWriter(codec="lz4", meta={"timestep": step})
-        writer.set_writer(
-            lambda data, step=step: fs.write_object(f"ts{step:05d}.vgf", data)
-        )
-        writer.set_input_connection(0, TrivialProducer(grid))
-        writer.update()
+        fs.write_object(f"ts{step:05d}.vgf",
+                        write_vgf(grid, codec="lz4", meta={"timestep": step}))
     return store, dataset, steps
 
 
@@ -51,13 +46,13 @@ class TestSimulationThenAnalysis:
         store, dataset, steps = populated_store
         fs = S3FileSystem(store, "sim")
         step = steps[0]
-        reader = GridReader(lambda: fs.open(f"ts{step:05d}.vgf"), array_names=["v02"])
+        with fs.open(f"ts{step:05d}.vgf") as fh:
+            grid = read_vgf(fh, ["v02"])
         contour = ContourFilter("v02", [0.1])
-        contour.set_input_connection(0, reader)
-        sink = RenderSink(color=(0.25, 0.8, 0.85))
-        sink.set_input_connection(0, contour)
-        sink.update()
-        img = sink.scene.render(64, 48)
+        contour.set_input_data(grid)
+        scene = Scene()
+        scene.add_mesh(contour.output(), color=(0.25, 0.8, 0.85))
+        img = scene.render(64, 48)
         assert img.shape == (48, 64, 3)
 
     def test_ndp_over_tcp_matches_baseline(self, populated_store):
