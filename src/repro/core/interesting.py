@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import FilterError
 from repro.filters.contour import normalize_values
+from repro.filters.marching_tets import _native_thresholds
 
 __all__ = [
     "interesting_point_mask",
@@ -74,33 +75,6 @@ def _interval_index(f: np.ndarray, vals) -> np.ndarray:
     for t in ts[1:]:
         c += f >= t
     return c
-
-
-def _native_thresholds(dtype, vals) -> tuple:
-    """Exact per-dtype comparison thresholds for ``f >= v``.
-
-    Naively comparing a float32 array against a plain Python float casts
-    the *value* down to float32 (NEP 50), silently flipping
-    classifications for values outside float32's range; comparing
-    against an ``np.float64`` scalar is exact but streams the whole
-    array through float64 conversion buffers.  For float32 fields the
-    float64 comparison ``f >= v`` is *exactly* the native comparison
-    ``f >= ceil32(v)`` — no float32 lies strictly between ``v`` and the
-    smallest float32 at or above it — so the scan runs at native width
-    with float64 semantics.  Other dtypes compare against float64
-    scalars (exact for float64 fields and for every integer the
-    supported dtypes can hold).
-    """
-    if np.dtype(dtype) == np.float32:
-        out = []
-        with np.errstate(over="ignore"):  # values beyond f32 range → ±inf
-            for v in vals:
-                t = np.float32(v)  # round-to-nearest; may land below v
-                if float(t) < float(v):
-                    t = np.nextafter(t, np.float32(np.inf))
-                out.append(t)
-        return tuple(out)
-    return tuple(np.float64(v) for v in vals)
 
 
 def interesting_point_mask(field: np.ndarray, values) -> np.ndarray:

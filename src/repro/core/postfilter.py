@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.interesting import point_mask_to_cell_complete
 from repro.errors import FilterError
-from repro.filters.contour import contour_grid, normalize_values
+from repro.filters.contour import _values_unset, contour_grid, normalize_values
 from repro.grid.polydata import PolyData
 from repro.grid.selection import PointSelection
 from repro.pipeline.filter_base import Filter
@@ -68,7 +68,7 @@ class ContourPostFilter(Filter):
     def __init__(self, values=()):
         super().__init__()
         self._values: tuple[float, ...] = ()
-        if values != () and values is not None:
+        if not _values_unset(values):
             self.set_values(values)
 
     def set_values(self, values) -> None:

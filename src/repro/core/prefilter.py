@@ -27,7 +27,7 @@ from repro.core.interesting import (
     roi_cell_mask,
 )
 from repro.errors import FilterError
-from repro.filters.contour import normalize_values
+from repro.filters.contour import _values_unset, normalize_values
 from repro.grid.selection import PointSelection
 from repro.grid.uniform import UniformGrid
 from repro.pipeline.filter_base import Filter
@@ -95,7 +95,7 @@ class ContourPreFilter(Filter):
         self._array_name = array_name
         self._values: tuple[float, ...] = ()
         self._mode = mode
-        if values != () and values is not None:
+        if not _values_unset(values):
             self.set_values(values)
 
     def set_array_name(self, name: str) -> None:

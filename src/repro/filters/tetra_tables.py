@@ -23,6 +23,8 @@ __all__ = [
     "KUHN_TETS",
     "TET_EDGES",
     "TET_CASES",
+    "CELL_EDGES",
+    "TET_CASE_EDGES",
     "edge_id",
 ]
 
@@ -104,3 +106,31 @@ def _build_tet_cases() -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
 #: TET_CASES[case] -> tuple of triangles, each a triple of tet-edge ids.
 TET_CASES: tuple[tuple[tuple[int, int, int], ...], ...] = _build_tet_cases()
+
+
+#: The distinct cell edges the six Kuhn tets use, as ascending
+#: ``(corner_a, corner_b)`` pairs: 12 cube edges, 6 face diagonals and the
+#: body diagonal.  Every tet lists its corners in ascending order, so every
+#: tet that shares an edge walks it in the same direction.
+CELL_EDGES: tuple[tuple[int, int], ...] = tuple(sorted({
+    (tet[a], tet[b]) for tet in KUHN_TETS for a, b in TET_EDGES
+}))
+
+_CELL_EDGE_ID = {pair: idx for idx, pair in enumerate(CELL_EDGES)}
+
+
+def _build_tet_case_edges() -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """``TET_CASES`` re-addressed per tet: triangles as triples of
+    :data:`CELL_EDGES` ids instead of tet-edge ids."""
+    out = []
+    for tet in KUHN_TETS:
+        cell_edge = [_CELL_EDGE_ID[(tet[a], tet[b])] for a, b in TET_EDGES]
+        out.append(tuple(
+            tuple(tuple(cell_edge[e] for e in tri) for tri in tris)
+            for tris in TET_CASES
+        ))
+    return tuple(out)
+
+
+#: TET_CASE_EDGES[tet][case][slot] -> the triangle's three CELL_EDGES ids.
+TET_CASE_EDGES = _build_tet_case_edges()

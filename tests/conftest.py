@@ -18,6 +18,11 @@ from repro.rpc.msgpack import pack, unpack
 # more examples than a developer run, and the same ones every time.
 settings.register_profile(
     "envelope-ci", max_examples=2000, derandomize=True, deadline=None)
+# CI runs tests/filters/test_marching_identity.py with
+# --hypothesis-profile=marching-ci: the kernel-vs-frozen-reference suite
+# at 20x its tier-1 slice.
+settings.register_profile(
+    "marching-ci", max_examples=2000, derandomize=True, deadline=None)
 
 
 @pytest.fixture

@@ -112,3 +112,24 @@ class TestPostFilterPipeline:
         post.set_input_data("junk")
         with pytest.raises(FilterError, match="PointSelection"):
             post.update()
+
+    @pytest.mark.parametrize("values, expected", [
+        (np.array([4.0]), (4.0,)),
+        (np.array([5.0, 4.0]), (4.0, 5.0)),
+        (np.array(4.0), (4.0,)),
+    ])
+    def test_ndarray_values(self, values, expected):
+        """An ndarray of values configures the filter (``values != ()`` on
+        an array used to raise an untyped ValueError)."""
+        grid = make_sphere_grid(12)
+        post = ContourPostFilter(values)
+        assert post.values == expected
+        post.set_input_data(prefilter_contour(grid, "r", expected))
+        assert_identical(contour_grid(grid, "r", expected), post.output())
+
+    def test_empty_values_leave_filter_unconfigured(self):
+        post = ContourPostFilter([])
+        assert post.values == ()
+        post.set_input_data(prefilter_contour(make_sphere_grid(8), "r", [2.0]))
+        with pytest.raises(FilterError, match="values"):
+            post.update()

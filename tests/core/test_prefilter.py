@@ -125,3 +125,24 @@ class TestPreFilterPipeline:
     def test_values_normalized(self):
         pre = ContourPreFilter("r", [0.9, 0.1, 0.9])
         assert pre.values == (0.1, 0.9)
+
+    @pytest.mark.parametrize("values, expected", [
+        (np.array([3.0]), (3.0,)),
+        (np.array([3.0, 2.0]), (2.0, 3.0)),
+        (np.array(3.0), (3.0,)),
+    ])
+    def test_ndarray_values(self, values, expected):
+        """An ndarray of values configures the filter (``values != ()`` on
+        an array used to raise an untyped ValueError)."""
+        grid = make_sphere_grid(10)
+        pre = ContourPreFilter("r", values)
+        assert pre.values == expected
+        pre.set_input_data(grid)
+        assert pre.output() == prefilter_contour(grid, "r", expected)
+
+    def test_empty_values_leave_filter_unconfigured(self):
+        pre = ContourPreFilter("r", [])
+        assert pre.values == ()
+        pre.set_input_data(make_sphere_grid(6))
+        with pytest.raises(FilterError, match="values"):
+            pre.update()

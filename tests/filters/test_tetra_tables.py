@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.filters.tetra_tables import (
+    CELL_EDGES,
     CORNER_OFFSETS,
     KUHN_TETS,
+    TET_CASE_EDGES,
     TET_CASES,
     TET_EDGES,
     edge_id,
@@ -124,3 +126,67 @@ class TestCaseTable:
             if len(tris) == 2:
                 shared = set(tris[0]) & set(tris[1])
                 assert len(shared) == 2
+
+
+class TestCellEdges:
+    def test_nineteen_distinct_edges(self):
+        """12 cube edges, 6 face diagonals and the body diagonal."""
+        assert len(CELL_EDGES) == 19
+        assert len(set(CELL_EDGES)) == 19
+        steps = sorted(
+            sum(a != b for a, b in zip(CORNER_OFFSETS[ca], CORNER_OFFSETS[cb]))
+            for ca, cb in CELL_EDGES
+        )
+        assert steps == [1] * 12 + [2] * 6 + [3]
+
+    def test_pairs_ascend(self):
+        for ca, cb in CELL_EDGES:
+            assert ca < cb
+
+    def test_offsets_never_decrease_along_an_edge(self):
+        """Walking an edge from its lower corner id never steps back on any
+        axis — what lets the kernel take ``pb - pa`` from two fixed ends."""
+        for ca, cb in CELL_EDGES:
+            for oa, ob in zip(CORNER_OFFSETS[ca], CORNER_OFFSETS[cb]):
+                assert oa <= ob
+
+    def test_every_tet_edge_is_a_cell_edge(self):
+        for tet in KUHN_TETS:
+            assert list(tet) == sorted(tet)
+            for a, b in TET_EDGES:
+                assert (tet[a], tet[b]) in CELL_EDGES
+
+
+class TestTetCaseEdges:
+    def test_shape_follows_tet_cases(self):
+        assert len(TET_CASE_EDGES) == len(KUHN_TETS)
+        for per_tet in TET_CASE_EDGES:
+            assert len(per_tet) == 16
+            for case in range(16):
+                assert len(per_tet[case]) == len(TET_CASES[case])
+
+    def test_reproduces_tet_cases(self):
+        """All 6 x 16 entries name the cell edges TET_CASES names through
+        TET_EDGES, slot by slot and vertex by vertex."""
+        for t, tet in enumerate(KUHN_TETS):
+            for case in range(16):
+                expected = tuple(
+                    tuple((tet[TET_EDGES[e][0]], tet[TET_EDGES[e][1]]) for e in tri)
+                    for tri in TET_CASES[case]
+                )
+                got = tuple(
+                    tuple(CELL_EDGES[ce] for ce in tri)
+                    for tri in TET_CASE_EDGES[t][case]
+                )
+                assert got == expected, (t, case)
+
+    def test_entries_straddle_their_case(self):
+        """Every (tet, case, slot) entry names edges with one end inside
+        and one outside, judged on the tet's own corner classification."""
+        for t, tet in enumerate(KUHN_TETS):
+            for case in range(16):
+                inside = {tet[s] for s in range(4) if case >> s & 1}
+                for tri in TET_CASE_EDGES[t][case]:
+                    for ce in tri:
+                        ca, cb = CELL_EDGES[ce]
+                        assert (ca in inside) != (cb in inside), (t, case, tri)
