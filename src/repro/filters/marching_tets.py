@@ -150,6 +150,22 @@ def marching_tetrahedra(
         raise FilterError(
             f"field must be (nz>=2, ny>=2, nx>=2); got shape {field.shape}"
         )
+    dims_xyz = field.shape[::-1]
+    k0 = 0
+    if cell_mask is not None:
+        cell_mask = np.asarray(cell_mask, dtype=bool)
+        cells = tuple(n - 1 for n in field.shape)
+        if cell_mask.shape != cells:
+            raise FilterError(
+                f"cell_mask shape {cell_mask.shape} != cells shape {cells}"
+            )
+        # Only the z-slab from the first to the last k-layer holding a
+        # masked-in cell can emit: contiguous views, nothing copied.
+        layers = np.flatnonzero(cell_mask.reshape(cells[0], -1).any(axis=1))
+        if layers.size == 0:
+            return np.zeros((0, 3, 3), dtype=np.float64)
+        k0, k1 = int(layers[0]), int(layers[-1]) + 1
+        field, cell_mask = field[k0 : k1 + 1], cell_mask[k0:k1]
     if field.dtype.kind not in "biuf" or field.dtype.itemsize > 8:
         # Compared natively, long double or complex data would not
         # classify as its float64 values do; every other dtype does.
@@ -161,11 +177,6 @@ def marching_tetrahedra(
     code = _cell_codes(field >= _native_thresholds(field.dtype, (value,))[0])
     active = (code - np.uint8(1)) < np.uint8(254)
     if cell_mask is not None:
-        cell_mask = np.asarray(cell_mask, dtype=bool)
-        if cell_mask.shape != active.shape:
-            raise FilterError(
-                f"cell_mask shape {cell_mask.shape} != cells shape {active.shape}"
-            )
         active &= cell_mask
 
     kz, jy, ix = np.nonzero(active)
@@ -184,8 +195,10 @@ def marching_tetrahedra(
 
     # Per-axis lattice coordinates: a uniform grid is just the arithmetic
     # progression; rectilinear grids pass theirs directly.  One code path
-    # keeps uniform and rectilinear contouring bit-consistent.
-    xs, ys, zs = _resolve_axes(axes, (nx, ny, nz), origin, spacing)
+    # keeps uniform and rectilinear contouring bit-consistent, and a slab
+    # takes its z coordinates from the whole lattice's.
+    xs, ys, zs = _resolve_axes(axes, dims_xyz, origin, spacing)
+    zs = zs[k0:]
 
     # Pass 2: interpolate each distinct cell edge once.  Every tet walks a
     # shared edge in the same (ascending) direction, with the operations

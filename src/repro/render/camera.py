@@ -74,7 +74,10 @@ class Camera:
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         right, true_up, forward = self.basis()
-        rel = pts - self.position
+        # Per column: a (n, 3) - (3,) broadcast runs a 3-long inner loop n times.
+        rel = np.empty_like(pts)
+        for a in range(3):
+            np.subtract(pts[:, a], self.position[a], out=rel[:, a])
         cx = rel @ right
         cy = rel @ true_up
         cz = rel @ forward

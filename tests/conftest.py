@@ -23,6 +23,11 @@ settings.register_profile(
 # at 20x its tier-1 slice.
 settings.register_profile(
     "marching-ci", max_examples=2000, derandomize=True, deadline=None)
+# CI runs tests/render/test_rasterizer_identity.py with
+# --hypothesis-profile=raster-ci: the rasteriser-vs-frozen-loop suite and
+# the box property at 8x their tier-1 250 examples.
+settings.register_profile(
+    "raster-ci", max_examples=2000, derandomize=True, deadline=None)
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Pixel identity: the batched rasteriser against the frozen per-triangle loop.
 
-``rasterize_mesh`` resolves every fragment in one sorted pass;
+``rasterize_mesh`` resolves every fragment in one batched pass;
 ``reference_rasterize_mesh`` is the sequential loop it replaced.  The
 arithmetic per fragment is the same, so the colour *and* depth buffers
 must be ``np.array_equal`` — no tolerance — for any triangle soup,
@@ -41,6 +41,9 @@ KINDS = (
     "shared_edge",
     "coplanar_overlap",
     "pixel_aligned",
+    "grazing_tip",
+    "centre_edge",
+    "sliver",
 )
 
 
@@ -61,6 +64,30 @@ def _unproject(pixels, depth, width, height):
         + np.outer(depth, forward)
     )
     return CAMERA.position + rel
+
+
+def _wedge(rng, width, height):
+    """Screen vertices of a wedge whose tip stops 1e-5 to 1e-3 px short of a
+    pixel centre and whose far edge is 1e4 to 1e6 px away.  The -1e-9
+    slack, scaled by that reach, decides whether the centre is covered: a
+    box margin fixed at 1e-6 px drops it when it is."""
+    centre = rng.integers(0, (width, height)).astype(float)
+    axis = np.array(((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)], dtype=float)
+    reach = 10.0 ** rng.uniform(4, 6)
+    half = reach * 10.0 ** rng.uniform(-3, 0)
+    tip = centre + 10.0 ** rng.uniform(-5, -3) * axis
+    far = tip + reach * axis
+    return np.array([tip, far + half * axis[::-1], far - half * axis[::-1]])
+
+
+def _sliver(rng, width, height):
+    """Screen vertices of a nearly collinear triangle: its ``|d|`` runs from
+    below the 1e-12 degenerate cut to 1e-4, ill-conditioned throughout."""
+    a, b = rng.uniform(-4, (width + 4, height + 4), size=(2, 2))
+    ab = b - a
+    normal = np.array([-ab[1], ab[0]]) / max(np.hypot(*ab), 1e-300)
+    c = a + rng.uniform(-0.5, 1.5) * ab + 10.0 ** rng.uniform(-15, -4) * normal
+    return np.array([a, b, c])
 
 
 def _soup(kinds, seed, width, height):
@@ -112,6 +139,15 @@ def _soup(kinds, seed, width, height):
             quad = _unproject(quad, 5.0 - _grid(rng, -1.0, 1.0, 4), width, height)
             tris.append(quad[[0, 1, 2]])
             tri = quad[[0, 2, 3]]
+        elif kind == "grazing_tip":
+            tri = _unproject(_wedge(rng, width, height), np.full(3, 5.0 - z[0, 0]), width, height)
+        elif kind == "centre_edge":
+            # Vertices on pixel centres, so the edges run through centres
+            # and the vertex box's bounds are whole pixels.
+            corners = rng.integers(-2, (width + 2, height + 2), size=(3, 2))
+            tri = _unproject(corners.astype(float), 5.0 - z[:, 0], width, height)
+        elif kind == "sliver":
+            tri = _unproject(_sliver(rng, width, height), 5.0 - z[:, 0], width, height)
         tris.append(np.asarray(tri, dtype=np.float64))
     return np.stack(tris)
 
@@ -129,7 +165,8 @@ def _assert_identical(meshes, width, height, camera):
     return ref
 
 
-@settings(max_examples=250, deadline=None)
+# 250 examples in tier-1; ``--hypothesis-profile=raster-ci`` raises it.
+@settings(max_examples=max(250, settings.default.max_examples), deadline=None)
 @given(
     kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
     seed=st.integers(0, 2**32 - 1),
@@ -151,6 +188,85 @@ def test_random_soups_match_reference(kinds, seed, size, split, per_triangle_col
     with pytest.MonkeyPatch.context() as patch:  # not the fixture: one per example
         patch.setattr(rasterizer, "_FRAGMENT_BUDGET", budget)
         _assert_identical(meshes, *size, CAMERA)
+
+
+def _reference_coverage(v, width, height):
+    """The pixels the reference loop covers of screen triangle ``v``, its
+    ``(3, 2)`` vertices: the clamped ``floor .. ceil`` box and the
+    barycentric test, spelled as it spells them.  Also returns the box and
+    ``d``; None for a degenerate triangle (the 1x1 splat has its own box)."""
+    x0 = int(max(np.floor(v[:, 0].min()), 0))
+    x1 = int(min(np.ceil(v[:, 0].max()), width - 1))
+    y0 = int(max(np.floor(v[:, 1].min()), 0))
+    y1 = int(min(np.ceil(v[:, 1].max()), height - 1))
+    px = np.arange(x0, x1 + 1)[None, :] + 0.0
+    py = np.arange(y0, y1 + 1)[:, None] + 0.0
+    d = (v[1, 1] - v[2, 1]) * (v[0, 0] - v[2, 0]) + (v[2, 0] - v[1, 0]) * (v[0, 1] - v[2, 1])
+    if abs(d) < 1e-12:
+        return None
+    l0 = ((v[1, 1] - v[2, 1]) * (px - v[2, 0]) + (v[2, 0] - v[1, 0]) * (py - v[2, 1])) / d
+    l1 = ((v[2, 1] - v[0, 1]) * (px - v[2, 0]) + (v[0, 0] - v[2, 0]) * (py - v[2, 1])) / d
+    l2 = 1.0 - l0 - l1
+    iy, ix = np.nonzero((l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9))
+    return ix + x0, iy + y0, (x0, x1, y0, y1), d
+
+
+def _box(v, d, width, height):
+    """``rasterizer._pixel_boxes`` for one screen triangle."""
+    (v0x, v0y), (v1x, v1y), (v2x, v2y) = v
+    xs, ys = v.T
+    cols = (xs.min(), xs.max(), ys.min(), ys.max(),
+            v1y - v2y, v2x - v1x, v2y - v0y, v0x - v2x, d)
+    box = rasterizer._pixel_boxes(*(np.array([c]) for c in cols), width, height)
+    return tuple(int(c[0]) for c in box)
+
+
+@settings(max_examples=max(250, settings.default.max_examples), deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "grazing_tip", "centre_edge", "sliver", "huge"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([(48, 36), (33, 21), (7, 5), (1, 1)]),
+)
+def test_every_covered_pixel_is_inside_the_box(kind, seed, size):
+    """Direct: each pixel of the old ``floor .. ceil`` box that passes the
+    coverage test lies in the shrunk box, which lies in the old box."""
+    width, height = size
+    rng = np.random.default_rng(seed)
+    if kind == "grazing_tip":
+        v = _wedge(rng, width, height)
+    elif kind == "centre_edge":
+        v = rng.integers(-2, (width + 2, height + 2), size=(3, 2)).astype(float)
+    elif kind == "sliver":
+        v = _sliver(rng, width, height)
+    elif kind == "huge":
+        v = rng.uniform(-1e6, 1e6, size=(3, 2))
+    else:
+        v = rng.uniform(-4, (width + 4, height + 4), size=(3, 2))
+    xs, ys = v.T
+    if xs.max() < 0 or xs.min() > width - 1 or ys.max() < 0 or ys.min() > height - 1:
+        return  # culled before any box is made
+    covered = _reference_coverage(v, width, height)
+    if covered is None:
+        return
+    ix, iy, (ox0, ox1, oy0, oy1), d = covered
+    x0, x1, y0, y1 = _box(v, d, width, height)
+    assert ((x0 <= ix) & (ix <= x1) & (y0 <= iy) & (iy <= y1)).all()
+    if x0 <= x1 and y0 <= y1:
+        assert ox0 <= x0 and x1 <= ox1 and oy0 <= y0 and y1 <= oy1
+
+
+def test_box_holds_only_the_centres_a_triangle_can_cover():
+    """Vertices half-way between centres: the floor .. ceil box is 12 px
+    wide, the centres a right triangle can cover span 10."""
+    v = np.array([[0.5, 0.5], [10.5, 0.5], [0.5, 10.5]])
+    ix, iy, old, d = _reference_coverage(v, 48, 36)
+    assert old == (0, 11, 0, 11)
+    assert _box(v, d, 48, 36) == (1, 10, 1, 10)
+    assert (ix.min(), ix.max(), iy.min(), iy.max()) == (1, 10, 1, 10)
+    # No centre at all: an empty box.
+    v = np.array([[3.1, 4.1], [3.9, 4.1], [3.1, 4.9]])
+    x0, x1, y0, y1 = _box(v, _reference_coverage(v, 48, 36)[3], 48, 36)
+    assert x1 < x0 or y1 < y0
 
 
 def test_equal_depth_duplicates_keep_the_first_drawn():
